@@ -34,9 +34,8 @@ from .errors import (
     WrongManifoldError,
 )
 from .fields import (
+    CORNERS,
     FieldState,
-    _corner_offsets,
-    _corner_view,
     gradients,
     incident_node_mask,
     integrate_cells,
@@ -97,9 +96,7 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
     d = grid.dim
     vol_int = integrate_cells(det3(gradients(state).F), grid, state.active)
 
-    corners = np.stack(
-        [_corner_view(state.u, off, grid.cells) for off in _corner_offsets(d)], axis=-2
-    )
+    corners = np.stack([state.u[c.index] for c in CORNERS[d]], axis=-2)
     corners = corners[state.active][..., :d]  # (m, 2^d, d)
     if corners.shape[0] == 0:
         raise ShapeMismatchError("state has no active cells")
@@ -120,9 +117,9 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
     axes = np.meshgrid(*[(np.arange(si) + 0.5) / si for si in s_ax], indexing="ij")
     locs = np.stack([a.ravel() for a in axes], axis=-1)  # (prod s, d)
     weights = np.ones((locs.shape[0], 2**d))
-    for c, off in enumerate(_corner_offsets(d)):
+    for c, corner in enumerate(CORNERS[d]):
         w = np.ones(locs.shape[0])
-        for ax, o in enumerate(off):
+        for ax, o in enumerate(corner.offset):
             w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
         weights[:, c] = w
 
@@ -226,13 +223,10 @@ def cell_charges(state: FieldState, manifold=None) -> np.ndarray:
     nhat = _require_director(state, manifold)
     if state.grid.dim != 3:
         raise ShapeMismatchError("cell winding numbers need a 3d grid")
-    cells = state.grid.cells
-    total = np.zeros(cells)
+    index = {c.offset: c.index for c in CORNERS[3]}
+    total = np.zeros(state.grid.cells)
     for o1, o2, o3 in _CELL_TRIANGLES:
-        a = _corner_view(nhat, o1, cells)
-        b = _corner_view(nhat, o2, cells)
-        c = _corner_view(nhat, o3, cells)
-        total += _solid_angle(a, b, c)
+        total += _solid_angle(nhat[index[o1]], nhat[index[o2]], nhat[index[o3]])
     total /= 4.0 * np.pi
     total[~state.active] = 0.0
     return total

@@ -304,10 +304,6 @@ class GinzburgLandau(EnergyDensity):
         return self.well.d_x(x, nu)
 
 
-def make_ginzburg_landau(well, stiffness: float, embed_dim: int, **kw) -> GinzburgLandau:
-    return GinzburgLandau(well, stiffness, embed_dim, **kw)
-
-
 @dataclass
 class ComponentDoubleWell:
     """w0 (nu_i - a)^2 (nu_i - b)^2 acting on one embedding component."""
@@ -568,14 +564,6 @@ class QuadraticVector(EnergyDensity):
             return self.eval(x, u, m1, nu, N)
 
         return g
-
-
-def make_quadratic_tensor(C, **kw) -> QuadraticTensor:
-    return QuadraticTensor(C, **kw)
-
-
-def make_quadratic_vector(C, **kw) -> QuadraticVector:
-    return QuadraticVector(C, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +934,6 @@ class LineDefect:
     def mass(self) -> float:
         """Multiplicity-weighted total length."""
         return float(np.sum(self.multiplicities * self.segment_lengths()))
-
-
-def line_defect_mass(defect: LineDefect) -> float:
-    return defect.mass()
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,6 @@ class ProjectionUndefinedError(ComplexBodiesError):
     """Nearest-point projection onto the manifold is not defined at the input."""
 
 
-class RetractionUndefinedError(ComplexBodiesError):
-    """The retraction cannot produce a manifold point from the given data."""
-
-
 class GeneratorUnavailableError(ComplexBodiesError):
     """The requested generator (rotation action, convexity form) is not defined."""
 

@@ -1,23 +1,27 @@
 """Uniform grids, nodal fields, cell quadrature, and discrete operators.
 
-Discretization in one place so every module shares the same calculus:
+Fields live at the nodes of a uniform Cartesian grid over a box; an optional
+cell mask carves the active body out of the box (balls, annuli, split
+domains).  The discretization is defined once, by the table CORNERS and two
+loops over it; every operator below is derived from those:
 
-* Fields live at nodes of a uniform Cartesian grid over a box; an optional
-  cell mask carves the active body out of the box (balls, annuli, split
-  domains).
-* Gradients are evaluated at cell centers as the gradient of the multilinear
-  (trilinear in 3D) interpolant: along each axis, the average of the 2^(d-1)
-  forward differences across the cell.  Exact for affine fields, O(h^2) at
-  cell centers otherwise.
-* Integration is midpoint quadrature: sum of cell values times cell volume.
-* The nodal divergence is defined as the negative adjoint of the cell-center
-  gradient with respect to the cell quadrature (cells) and the lumped nodal
-  volumes (nodes).  Summation by parts
+* CORNERS lists the 2^d corners of a cell, each with its nodal index and its
+  coefficients: +1 in the average, -1 / +1 at the near / far node of each
+  axis in the gradient.
+* The gather (nodes to cells) sums coefficient times corner value: the cell
+  average (sum / 2^d) and the cell-center gradient of the multilinear
+  interpolant (difference / 2^(d-1) h per axis), exact for affine fields.
+* The scatter (cells to nodes) is its literal transpose over active cells.
+  Weighted by cell volume it gives both adjoints; the lumped nodal volume is
+  the average adjoint of the active indicator, and the nodes incident to the
+  body are those of positive volume.
+* Integration is midpoint quadrature, and the nodal divergence is the
+  negative gradient adjoint over the lumped volume, so summation by parts
 
       sum_cells T : Dh vol + sum_nodes Div(T) . h vol_node = 0
 
-  then holds to round-off for every nodal h, which is what ties weak
-  residuals, strong residuals, and the minimizer's gradient together.
+  holds to round-off for every nodal h.  That ties weak residuals, strong
+  residuals, and the minimizer's gradient together.
 
 Plane-strain convention (dim = 2): u keeps all three components with the
 third frozen at zero, the deformation gradient gets a unit out-of-plane
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,15 +96,6 @@ class Grid:
             return x
         pad = np.zeros(x.shape[:-1] + (1,))
         return np.concatenate([x, pad], axis=-1)
-
-
-def _corner_offsets(dim: int):
-    return list(itertools.product((0, 1), repeat=dim))
-
-
-def _corner_view(w: np.ndarray, offsets, cells):
-    sls = tuple(slice(s, s + c) for s, c in zip(offsets, cells))
-    return w[sls]
 
 
 @dataclass
@@ -180,11 +176,52 @@ class GradientField:
     N: np.ndarray      # (cells..., embed, 3)
 
 
+# ---------------------------------------------------------------------------
+# the corner stencil: one gather from nodes to cells and its exact transpose
+# ---------------------------------------------------------------------------
+
+class Corner(NamedTuple):
+    """A cell corner: offset (0 or 1 per axis), its index into a nodal array
+    (all cells at once), and coefficients (row AVERAGE, then one per axis)."""
+
+    offset: tuple[int, ...]
+    index: tuple[slice, ...]
+    coef: tuple[float, ...]
+
+
+AVERAGE = 0
+CORNERS = {
+    dim: tuple(
+        Corner(o, tuple(slice(1, None) if b else slice(0, -1) for b in o),
+               (1.0,) + tuple(1.0 if b else -1.0 for b in o))
+        for o in itertools.product((0, 1), repeat=dim)
+    )
+    for dim in (2, 3)
+}
+
+
+def _gather(w: np.ndarray, grid: Grid, row: int) -> np.ndarray:
+    """Nodes to cells: sum over corners of coefficient row times corner value."""
+    acc = np.zeros(grid.cells + w.shape[grid.dim :])
+    for corner in CORNERS[grid.dim]:
+        acc += corner.coef[row] * w[corner.index]
+    return acc
+
+
+def _scatter(v: np.ndarray, grid: Grid, row: int, active: np.ndarray | None,
+             out: np.ndarray) -> np.ndarray:
+    """Cells to nodes, the exact transpose of _gather, accumulated into out;
+    inactive cells contribute nothing."""
+    if active is not None:
+        v = np.where(active[(...,) + (None,) * (v.ndim - grid.dim)], v, 0.0)
+    for corner in CORNERS[grid.dim]:
+        out[corner.index] += corner.coef[row] * v
+    return out
+
+
 def cell_average(w: np.ndarray, grid: Grid) -> np.ndarray:
     """Average of the 2^d corner values per cell."""
-    offs = _corner_offsets(grid.dim)
-    acc = sum(_corner_view(w, o, grid.cells) for o in offs)
-    return acc / len(offs)
+    return _gather(w, grid, AVERAGE) / 2 ** grid.dim
 
 
 def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
@@ -193,17 +230,9 @@ def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
     Column j holds the derivative along axis j; in 2D the third column is
     zero and the caller decides its convention.
     """
-    comp = w.shape[grid.dim :]
-    out = np.zeros(grid.cells + comp + (3,))
-    offs = _corner_offsets(grid.dim)
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        scale = 1.0 / (2 ** (grid.dim - 1) * h)
-        acc = np.zeros(grid.cells + comp)
-        for o in offs:
-            sign = 1.0 if o[axis] == 1 else -1.0
-            acc += sign * _corner_view(w, o, grid.cells)
-        out[..., axis] = acc * scale
+    out = np.zeros(grid.cells + w.shape[grid.dim :] + (3,))
+    for axis, h in enumerate(grid.spacing):
+        out[..., axis] = _gather(w, grid, 1 + axis) * (1.0 / (2 ** (grid.dim - 1) * h))
     return out
 
 
@@ -237,34 +266,14 @@ def integrate_cells(values: np.ndarray, grid: Grid, active: np.ndarray | None = 
 
 
 # ---------------------------------------------------------------------------
-# adjoint scatter machinery: divergence, lumped volumes, energy gradients
+# transposes: energy gradients, lumped volumes, divergence, incidence
 # ---------------------------------------------------------------------------
-
-def node_volumes(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
-    """Lumped nodal volume: each active cell spreads vol/2^d to its corners."""
-    if active is None:
-        active = np.ones(grid.cells, dtype=bool)
-    out = np.zeros(grid.nodes)
-    share = grid.cell_volume / (2 ** grid.dim)
-    contrib = np.where(active, share, 0.0)
-    for o in _corner_offsets(grid.dim):
-        sls = tuple(slice(s, s + c) for s, c in zip(o, grid.cells))
-        out[sls] += contrib
-    return out
-
 
 def scatter_cell_average_adjoint(v: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of cell_average weighted by cell volume: nodal accumulation of
     sum_cells vol * v[cell] * (d avg / d node)."""
-    comp = v.shape[len(grid.cells) :]
-    out = np.zeros(grid.nodes + comp)
-    w = v * grid.cell_volume / (2 ** grid.dim)
-    if active is not None:
-        w = np.where(active[(...,) + (None,) * len(comp)], w, 0.0)
-    for o in _corner_offsets(grid.dim):
-        sls = tuple(slice(s, s + c) for s, c in zip(o, grid.cells))
-        out[sls] += w
-    return out
+    out = np.zeros(grid.nodes + v.shape[grid.dim :])
+    return _scatter(v * grid.cell_volume / (2 ** grid.dim), grid, AVERAGE, active, out)
 
 
 def scatter_gradient_adjoint(T: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
@@ -274,19 +283,22 @@ def scatter_gradient_adjoint(T: np.ndarray, grid: Grid, active: np.ndarray | Non
     sum_cells vol * T[cell] : (d cell_gradient / d node), the exact transpose
     of the forward stencil.
     """
-    comp = T.shape[len(grid.cells) : -1]
-    out = np.zeros(grid.nodes + comp)
-    offs = _corner_offsets(grid.dim)
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
+    out = np.zeros(grid.nodes + T.shape[grid.dim : -1])
+    for axis, h in enumerate(grid.spacing):
         w = T[..., axis] * (grid.cell_volume / (2 ** (grid.dim - 1) * h))
-        if active is not None:
-            w = np.where(active[(...,) + (None,) * len(comp)], w, 0.0)
-        for o in offs:
-            sign = 1.0 if o[axis] == 1 else -1.0
-            sls = tuple(slice(s, s + c) for s, c in zip(o, grid.cells))
-            out[sls] += sign * w
+        _scatter(w, grid, 1 + axis, active, out)
     return out
+
+
+def node_volumes(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
+    """Lumped nodal volume: each active cell spreads vol/2^d to its corners."""
+    return scatter_cell_average_adjoint(np.ones(grid.cells), grid, active)
+
+
+def divide_by_volume(raw: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    """Nodal raw / vols where the lumped volume is positive, 0 elsewhere."""
+    denom = vols[(...,) + (None,) * (raw.ndim - vols.ndim)]
+    return np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 def divergence(T: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
@@ -297,39 +309,24 @@ def divergence(T: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> n
     O(h^2); values on nodes touching the boundary of the active set absorb
     the flux terms and are not consistent pointwise.
     """
-    vols = node_volumes(grid, active)
     raw = scatter_gradient_adjoint(T, grid, active)
-    comp_axes = raw.ndim - len(grid.nodes)
-    denom = vols[(...,) + (None,) * comp_axes]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0, -raw / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+    return divide_by_volume(-raw, node_volumes(grid, active))
 
 
 def cell_to_node_average(v: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
     """Volume-weighted average of adjacent cell values at each node."""
-    vols = node_volumes(grid, active)
     raw = scatter_cell_average_adjoint(v, grid, active)
-    comp_axes = raw.ndim - len(grid.nodes)
-    denom = vols[(...,) + (None,) * comp_axes]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), 0.0)
+    return divide_by_volume(raw, node_volumes(grid, active))
+
+
+def incident_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
+    """Nodes touching at least one active cell: those of positive volume."""
+    return node_volumes(grid, active) > 0
 
 
 # ---------------------------------------------------------------------------
 # node classification and Dirichlet data
 # ---------------------------------------------------------------------------
-
-def incident_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
-    """Nodes touching at least one active cell."""
-    if active is None:
-        active = np.ones(grid.cells, dtype=bool)
-    out = np.zeros(grid.nodes, dtype=bool)
-    for o in _corner_offsets(grid.dim):
-        sls = tuple(slice(s, s + c) for s, c in zip(o, grid.cells))
-        out[sls] |= active
-    return out
-
 
 def interior_node_mask(grid: Grid, active: np.ndarray | None = None, margin: int = 1) -> np.ndarray:
     """Nodes whose full (2*margin)^d cell neighborhood is active and in range."""

@@ -21,6 +21,7 @@ deterministic: no randomness enters the iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ from .energy import EnergyDensity, total_energy
 from .errors import ConfigError, InadmissibleStartError
 from .fields import (
     FieldState,
+    divide_by_volume,
     gradients,
-    incident_node_mask,
     node_volumes,
     scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
@@ -57,10 +58,18 @@ class MinimizeConfig:
     def __post_init__(self):
         if self.block_mode not in BLOCK_MODES:
             raise ConfigError(f"block_mode must be one of {BLOCK_MODES}")
+        for name in ("grad_tol", "energy_tol", "step0", "backtrack", "armijo_c", "step_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.backtrack < 1):
             raise ConfigError("backtrack factor must lie in (0, 1)")
-        if self.step0 <= 0 or self.armijo_c <= 0:
-            raise ConfigError("step0 and armijo_c must be positive")
+        if self.step0 <= 0 or self.armijo_c <= 0 or self.step_max <= 0:
+            raise ConfigError("step0, armijo_c and step_max must be positive")
+        for name in ("max_iters", "log_every", "grad_tol", "energy_tol"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.max_backtracks < 1:
+            raise ConfigError("max_backtracks must be at least 1")
 
 
 @dataclass
@@ -96,16 +105,15 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
     raw_nu += scatter_cell_average_adjoint(density.d_nu(*args), grid, state.active)
 
     vols = node_volumes(grid, state.active)
-    w = np.where(vols > 0, vols, 1.0)[..., None]
-    g_u = np.where(vols[..., None] > 0, raw_u / w, 0.0)
-    g_nu = np.where(vols[..., None] > 0, raw_nu / w, 0.0)
+    g_u = divide_by_volume(raw_u, vols)
+    g_nu = divide_by_volume(raw_nu, vols)
 
     if grid.dim == 2:
         g_u[..., 2] = 0.0
     if project:
         if manifold is not None:
             g_nu = manifold.tangent_project(state.nu, g_nu)
-        incident = incident_node_mask(grid, state.active)
+        incident = vols > 0
         g_u[~incident] = 0.0
         g_nu[~incident] = 0.0
         g_u[state.pinned_u] = 0.0

@@ -62,9 +62,9 @@ from .fields import (
     FieldState,
     Grid,
     ball_mask,
+    boundary_node_mask,
     identity_state,
     incident_node_mask,
-    interior_node_mask,
     node_volumes,
 )
 from .manifolds import Euclidean, Interval, Manifold, Product, SymPositive, UnitSphere
@@ -416,13 +416,6 @@ def build_density(kind: str, params: dict, manifold: Manifold) -> EnergyDensity:
     )
 
 
-def _rim_mask(state: FieldState) -> np.ndarray:
-    grid = state.grid
-    return incident_node_mask(grid, state.active) & ~interior_node_mask(
-        grid, state.active, margin=1
-    )
-
-
 def _pin(state: FieldState, which: str, mask: np.ndarray, values: np.ndarray,
          manifold: Manifold | None = None) -> None:
     if which == "nu" and manifold is not None:
@@ -469,7 +462,7 @@ def apply_boundary(kind: str, params: dict, state: FieldState,
                    manifold: Manifold) -> None:
     grid = state.grid
     coords = grid.node_coords()
-    rim = _rim_mask(state)
+    rim = boundary_node_mask(grid, state.active)
     if kind == "none":
         _take(params, {}, "none")
         return
@@ -948,6 +941,8 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
     lines.extend(check_lines)
     n_pass = sum(1 for o in outcomes if o.passed)
     verdict = "PASS" if n_pass == len(outcomes) else "FAIL"
+    if not mres.converged:
+        verdict += f", not converged: {mres.message}"
     lines.append(f"result: {verdict} ({n_pass}/{len(outcomes)} checks passed)")
 
     write_trace(out / "trace.csv", mres.trace)

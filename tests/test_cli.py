@@ -102,6 +102,19 @@ def test_invalid_config_file_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, old, new", [
+    ("grad_tol", "grad_tol = 1e-07", "grad_tol = nan"),
+    ("max_iters", "max_iters = 3000", "max_iters = -5"),
+    ("step_max", "grad_tol = 1e-07", "grad_tol = 1e-07\nstep_max = 0"),
+])
+def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new):
+    config = _write(tmp_path, TINY.replace(old, new))
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_check_flag_exits_two(tmp_path, capsys):
     config = _write(tmp_path, TINY)
     out = str(tmp_path / "out")

@@ -26,7 +26,6 @@ from complexbodies.energy import (
     isotropic_elasticity,
     log_barrier,
     make_dirichlet_sphere,
-    make_ginzburg_landau,
     make_quasicrystal,
     make_smectic_a,
     relaxed_spin_energy,

@@ -7,6 +7,8 @@ algebraic statement.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from complexbodies.fields import (
     integrate_cells,
     interior_node_mask,
     node_volumes,
+    scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
 )
 from complexbodies.manifolds import Euclidean, UnitSphere
@@ -185,14 +188,26 @@ class TestDivergence:
         slope = np.polyfit(np.log([1 / 8, 1 / 16, 1 / 32]), np.log(errs), 1)[0]
         assert slope >= 1.9
 
-    def test_adjoint_is_exact_transpose(self):
+    @pytest.mark.parametrize("grid", [
+        Grid((0.0, 0.0, 0.0), (1.0, 0.8, 1.3), (4, 5, 3)),
+        Grid((0.0, 0.0), (1.0, 2.0), (5, 6)),
+    ], ids=["3d", "2d"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["box", "ball"])
+    @pytest.mark.parametrize("operator", ["average", "gradient"])
+    def test_adjoint_is_exact_transpose(self, grid, masked, operator):
         rng = np.random.default_rng(44)
-        g = Grid.cube(4, 0.0, 1.0)
-        T = rng.normal(size=g.cells + (2, 3))
-        h = rng.normal(size=g.nodes + (2,))
-        a = np.sum(scatter_gradient_adjoint(T, g) * h)
-        Dh = cell_gradient(h, g)
-        b = np.sum(np.einsum("...cj,...cj->...", T, Dh)) * g.cell_volume
+        active = ball_mask(grid) if masked else None
+        keep = np.ones(grid.cells, dtype=bool) if active is None else active
+        h = rng.normal(size=grid.nodes + (2,))
+        if operator == "average":
+            v = rng.normal(size=grid.cells + (2,))
+            a = np.sum(scatter_cell_average_adjoint(v, grid, active) * h)
+            pointwise = np.einsum("...c,...c->...", v, cell_average(h, grid))
+        else:
+            v = rng.normal(size=grid.cells + (2, 3))
+            a = np.sum(scatter_gradient_adjoint(v, grid, active) * h)
+            pointwise = np.einsum("...cj,...cj->...", v, cell_gradient(h, grid))
+        b = np.sum(pointwise[keep]) * grid.cell_volume
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_cell_to_node_average_constant(self):
@@ -203,6 +218,58 @@ class TestDivergence:
         touched = incident_node_mask(g, mask)
         assert np.allclose(avg[touched], 3.3, atol=1e-12)
         assert np.allclose(avg[~touched], 0.0)
+
+
+def _corner_slices(grid):
+    for o in itertools.product((0, 1), repeat=grid.dim):
+        yield o, tuple(slice(s, s + c) for s, c in zip(o, grid.cells))
+
+
+class TestCornerLoopReference:
+    """The stencil against one hand-written loop per operator, bit for bit:
+    same corner order, same order of additions, same scale factors."""
+
+    @pytest.fixture(params=["3d", "2d"])
+    def grid(self, request):
+        if request.param == "3d":
+            return Grid((0.0, -0.2, 0.1), (1.0, 0.9, 1.4), (4, 5, 3))
+        return Grid((0.0, 0.0), (1.0, 2.0), (5, 6))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["box", "ball"])
+    def test_operators_match_corner_loops(self, grid, masked):
+        rng = np.random.default_rng(45)
+        d, vol = grid.dim, grid.cell_volume
+        active = ball_mask(grid) if masked else None
+        keep = (np.ones(grid.cells, dtype=bool) if active is None else active)[..., None]
+        w = rng.normal(size=grid.nodes + (2,))
+        v = rng.normal(size=grid.cells + (2,))
+        T = rng.normal(size=grid.cells + (2, 3))
+
+        avg = sum(w[sl] for _, sl in _corner_slices(grid)) / 2**d
+        grad = np.zeros(grid.cells + (2, 3))
+        gradT = np.zeros(grid.nodes + (2,))
+        for axis, h in enumerate(grid.spacing):
+            acc = np.zeros(grid.cells + (2,))
+            t = np.where(keep, T[..., axis] * (vol / (2 ** (d - 1) * h)), 0.0)
+            for o, sl in _corner_slices(grid):
+                sign = 1.0 if o[axis] else -1.0
+                acc += sign * w[sl]
+                gradT[sl] += sign * t
+            grad[..., axis] = acc * (1.0 / (2 ** (d - 1) * h))
+        avgT = np.zeros(grid.nodes + (2,))
+        vols = np.zeros(grid.nodes)
+        incident = np.zeros(grid.nodes, dtype=bool)
+        for _, sl in _corner_slices(grid):
+            avgT[sl] += np.where(keep, v * vol / 2**d, 0.0)
+            vols[sl] += np.where(keep[..., 0], vol / 2**d, 0.0)
+            incident[sl] |= keep[..., 0]
+
+        assert np.array_equal(cell_average(w, grid), avg)
+        assert np.array_equal(cell_gradient(w, grid), grad)
+        assert np.array_equal(scatter_gradient_adjoint(T, grid, active), gradT)
+        assert np.array_equal(scatter_cell_average_adjoint(v, grid, active), avgT)
+        assert np.array_equal(node_volumes(grid, active), vols)
+        assert np.array_equal(incident_node_mask(grid, active), incident)
 
 
 class TestNodeMasks:

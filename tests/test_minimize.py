@@ -187,9 +187,21 @@ class TestBarrier:
             minimize(dens, state, man)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            MinimizeConfig(block_mode="both")
-        with pytest.raises(ConfigError):
-            MinimizeConfig(backtrack=1.5)
-        with pytest.raises(ConfigError):
-            MinimizeConfig(step0=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"block_mode": "both"},
+            {"backtrack": 1.5},
+            {"step0": -1.0},
+            {"grad_tol": nan},
+            {"grad_tol": -1e-6},
+            {"energy_tol": inf},
+            {"energy_tol": -1.0},
+            {"armijo_c": nan},
+            {"step_max": 0.0},
+            {"step_max": inf},
+            {"max_iters": -5},
+            {"log_every": -1},
+            {"max_backtracks": 0},
+        ):
+            with pytest.raises(ConfigError):
+                MinimizeConfig(**bad)

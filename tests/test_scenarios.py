@@ -358,6 +358,17 @@ def test_run_seed_changes_residual_probes(tmp_path):
     assert [row[1] for row in a] != [row[1] for row in b]
 
 
+def test_unconverged_run_names_its_stop_reason(tmp_path):
+    cfg = _tiny_porous(minimize=MinimizeConfig(max_iters=2, grad_tol=1e-7),
+                       checks={"orientation": True})
+    result = run(cfg, out_dir=tmp_path)
+    assert result.passed
+    assert not result.minimize_result.converged
+    report = (tmp_path / "report.txt").read_text()
+    assert "result: PASS, not converged: max iterations reached (1/1 checks passed)" in report
+    assert "result: PASS (" not in report
+
+
 def test_run_failure_raises_and_keeps_artifacts(tmp_path):
     cfg = _tiny_porous(weak_tol=0.0)
     with pytest.raises(ScenarioFailedError) as err:
