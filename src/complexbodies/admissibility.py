@@ -67,6 +67,10 @@ def check_orientation(state: FieldState, tol: float = 0.0) -> OrientationReport:
     )
 
 
+# sample points pushed through the interpolant at once by check_ciarlet_necas
+_RASTER_POINTS = 2**18
+
+
 @dataclass(frozen=True)
 class InjectivityReport:
     volume_integral: float
@@ -123,12 +127,15 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
             w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
         weights[:, c] = w
 
-    pts = np.einsum("pc,mci->mpi", weights, corners).reshape(-1, d)
-    # half-voxel origin shift: axis-aligned faces bisect their shell voxels
-    idx = np.floor((pts - lo) / vox + 0.5).astype(int) + pad
-    idx = np.clip(idx, 0, np.array(shape) - 1)
+    # coverage is a union over cells, so blocks of cells fill it in any order
     covered = np.zeros(shape, dtype=bool)
-    covered[tuple(idx.T)] = True
+    block = max(1, _RASTER_POINTS // locs.shape[0])
+    for start in range(0, corners.shape[0], block):
+        pts = np.einsum("pc,mci->mpi", weights, corners[start:start + block]).reshape(-1, d)
+        # half-voxel origin shift: axis-aligned faces bisect their shell voxels
+        idx = np.floor((pts - lo) / vox + 0.5).astype(int) + pad
+        idx = np.clip(idx, 0, np.array(shape) - 1)
+        covered[tuple(idx.T)] = True
 
     cross = ndimage.generate_binary_structure(d, 1)
     interior = ndimage.binary_erosion(covered, structure=cross)

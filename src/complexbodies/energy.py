@@ -55,11 +55,7 @@ from .errors import (
     WrongManifoldError,
 )
 from .fields import FieldState, gradients, integrate_cells
-from .minors import cofactor, det3, minors_norm_squared
-
-LEVI3 = np.zeros((3, 3, 3))
-LEVI3[0, 1, 2] = LEVI3[1, 2, 0] = LEVI3[2, 0, 1] = 1.0
-LEVI3[0, 2, 1] = LEVI3[2, 1, 0] = LEVI3[1, 0, 2] = -1.0
+from .minors import cofactor, cross_cofactor, det3, minors_norm_squared
 
 
 def log_barrier(t: np.ndarray) -> np.ndarray:
@@ -631,7 +627,7 @@ class CompressibleMacro(EnergyDensity):
         F = np.asarray(F, dtype=float)
         cof = cofactor(F)
         det = det3(F)
-        dcof = 2.0 * self.b * np.einsum("pib,qjd,...bd,...pq->...ij", LEVI3, LEVI3, F, cof)
+        dcof = 2.0 * self.b * cross_cofactor(cof, F)
         return 2.0 * self.a * F + dcof + (self.c * log_barrier_prime(det))[..., None, None] * cof
 
     def eval(self, x, u, F, nu, N):
@@ -682,7 +678,7 @@ class MinorsPower(EnergyDensity):
         det = det3(F)
         m2 = minors_norm_squared(F)
         # d|M|^r/dF = r |M|^(r-2) (F + sum over cofactor and det slots)
-        dcof = np.einsum("pib,qjd,...bd,...pq->...ij", LEVI3, LEVI3, F, cof)
+        dcof = cross_cofactor(cof, F)
         core = (self.r * m2 ** (self.r / 2.0 - 1.0))[..., None, None] * (
             F + dcof + det[..., None, None] * cof
         )

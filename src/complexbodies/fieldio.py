@@ -3,7 +3,9 @@
 Every writer is deterministic: floats are rendered with %.17g (round-trip
 exact for doubles), rows follow array order, and no timestamps or machine
 identifiers enter the files.  Identical states therefore produce bitwise
-identical artifacts.
+identical artifacts.  The two node CSVs are streamed to disk a chunk of rows
+at a time, each chunk formatted by one %-operation; they hold the same bytes
+as a value-by-value rendering.
 
 Formats
 -------
@@ -18,7 +20,6 @@ report.txt       free-form summary, one finding per line
 from __future__ import annotations
 
 import io
-import itertools
 import zipfile
 from pathlib import Path
 
@@ -26,6 +27,10 @@ import numpy as np
 
 from .balance import ResidualReport
 from .fields import FieldState
+
+
+# rows formatted per write of a node CSV; bounds the memory of the text
+_CHUNK_ROWS = 2048
 
 
 def _fg(v: float) -> str:
@@ -47,16 +52,22 @@ def _coord_header(dim: int) -> str:
     return ",".join(f"x{a + 1}" for a in range(dim))
 
 
-def _node_rows(state: FieldState, values: np.ndarray, comp_header: str) -> str:
+def _write_node_csv(path: Path, state: FieldState, values: np.ndarray,
+                    comp_header: str) -> None:
+    """Stream one row per node, _CHUNK_ROWS rows per write; '%.17g' % x renders
+    every double (-0.0, nan, inf) exactly as _fg does."""
     grid = state.grid
-    coords = grid.node_coords()
     dim = grid.dim
-    lines = [f"{_index_header(dim)},{_coord_header(dim)},{comp_header}"]
-    for idx in itertools.product(*(range(n) for n in grid.nodes)):
-        pos = ",".join(_fg(c) for c in coords[idx])
-        vals = ",".join(_fg(v) for v in values[idx])
-        lines.append(f"{','.join(str(i) for i in idx)},{pos},{vals}")
-    return "\n".join(lines) + "\n"
+    # node indices ride along as exact doubles, rendered by %d
+    idx = np.indices(grid.nodes, dtype=float)
+    table = np.concatenate([np.moveaxis(idx, 0, -1), grid.node_coords(), values], axis=-1)
+    table = table.reshape(-1, table.shape[-1])
+    row = ",".join(["%d"] * dim + ["%.17g"] * (table.shape[1] - dim)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"{_index_header(dim)},{_coord_header(dim)},{comp_header}\n")
+        for start in range(0, table.shape[0], _CHUNK_ROWS):
+            chunk = table[start:start + _CHUNK_ROWS]
+            fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def _savez_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
@@ -73,10 +84,10 @@ def _savez_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
 def write_fields(out_dir: Path, state: FieldState) -> None:
     out = Path(out_dir)
     u_header = ",".join(f"u{a + 1}" for a in range(3))
-    (out / "fields_u.csv").write_text(_node_rows(state, state.u, u_header))
+    _write_node_csv(out / "fields_u.csv", state, state.u, u_header)
     m = state.embed_dim
     nu_header = ",".join(f"nu{a + 1}" for a in range(m))
-    (out / "fields_nu.csv").write_text(_node_rows(state, state.nu, nu_header))
+    _write_node_csv(out / "fields_nu.csv", state, state.nu, nu_header)
     _savez_deterministic(
         out / "fields.npz",
         {

@@ -28,10 +28,10 @@ Conventions fixed here and relied on everywhere else:
 * Composition obeys the Cauchy-Binet expansion
   M(beta, alpha)(G H) = sum over |gamma|=k of M(beta, gamma)(G) M(gamma, alpha)(H).
 
-Batched closed-form helpers (det3, cofactor, adjugate, minors_norm_squared)
-accept arrays with arbitrary leading axes and are the fast path used by the
-energy and admissibility modules; the MinorsVector type is the exact,
-introspectable form used for verification.
+Batched closed-form helpers (det3, cross_cofactor, cofactor, adjugate,
+minors_norm_squared) accept arrays with arbitrary leading axes and are the
+fast path used by the energy and admissibility modules; the MinorsVector
+type is the exact, introspectable form used for verification.
 """
 
 from __future__ import annotations
@@ -295,15 +295,32 @@ def det3(F: np.ndarray) -> np.ndarray:
     _require_3x3(F)
     return np.einsum("...i,...i->...", F[..., :, 0], np.cross(F[..., :, 1], F[..., :, 2], axis=-1))
 
+
+def cross_cofactor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Symmetric bilinear cofactor of (..., 3, 3) arrays.
+
+    Column k is A_{k+1} x B_{k+2} + B_{k+1} x A_{k+2} (column indices mod 3),
+    so cross_cofactor(F, F) = 2 cof F, and cross_cofactor(cof F, F) is the
+    derivative of (1/2)|cof F|^2 with respect to F.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    _require_3x3(A)
+    _require_3x3(B)
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    # entry r of each column cross product, computed operation for operation as np.cross does
+    for k, i, j in cyclic:
+        for r, s, t in cyclic:
+            out[..., r, k] = (A[..., s, i] * B[..., t, j] - A[..., t, i] * B[..., s, j]
+                              + (B[..., s, i] * A[..., t, j] - B[..., t, i] * A[..., s, j]))
+    return out
+
+
 def cofactor(F: np.ndarray) -> np.ndarray:
-    """Cofactor matrix of (..., 3, 3) arrays; columns are cross products of columns."""
-    F = np.asarray(F, dtype=float)
-    _require_3x3(F)
-    c = np.empty_like(F)
-    c[..., :, 0] = np.cross(F[..., :, 1], F[..., :, 2], axis=-1)
-    c[..., :, 1] = np.cross(F[..., :, 2], F[..., :, 0], axis=-1)
-    c[..., :, 2] = np.cross(F[..., :, 0], F[..., :, 1], axis=-1)
-    return c
+    """Cofactor matrix of (..., 3, 3) arrays: half of cross_cofactor(F, F), which is
+    exact, so each column is bitwise the cross product of the other two."""
+    return 0.5 * cross_cofactor(F, F)
 
 
 def adjugate(F: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,7 +58,12 @@ from .energy import (
     relaxed_spin_energy,
     total_energy,
 )
-from .errors import ComplexBodiesError, ConfigError, ScenarioFailedError
+from .errors import (
+    ComplexBodiesError,
+    ConfigError,
+    ScenarioFailedError,
+    ShapeMismatchError,
+)
 from .fieldio import _fg, write_fields, write_report, write_residuals, write_trace
 from .fields import (
     FieldState,
@@ -154,9 +161,12 @@ def _as_int(section: str, key: str, raw: str) -> int:
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
@@ -347,6 +357,14 @@ def _coupling_trace(kappa: float) -> np.ndarray:
 
 
 def build_density(kind: str, params: dict, manifold: Manifold) -> EnergyDensity:
+    """Build a registered density; a parameter its constructor rejects is a config error."""
+    try:
+        return _construct_density(kind, params, manifold)
+    except ShapeMismatchError as exc:
+        raise ConfigError(f"[density] {kind}: {exc}") from None
+
+
+def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDensity:
     if kind == "dirichlet":
         _take(params, {}, "dirichlet")
         return DirichletDescriptor(embed_dim=manifold.embed_dim)
@@ -911,6 +929,11 @@ def _relaxed_demo(config: ScenarioConfig, built: BuiltScenario,
 # runner
 # ---------------------------------------------------------------------------
 
+def _log_progress(it: int, energy: float, grad_sup: float, step: float) -> None:
+    """Progress line every [minimize] log_every iterations: iter energy grad_sup step."""
+    print(f"{it} {_fg(energy)} {_fg(grad_sup)} {_fg(step)}", file=sys.stderr)
+
+
 def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioResult:
     """Minimize, verify, and write artifacts; raise ScenarioFailedError when
     an enabled check fails (artifacts are on disk either way)."""
@@ -921,7 +944,8 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    mres = minimize(built.density, built.state, built.manifold, config.minimize)
+    mres = minimize(built.density, built.state, built.manifold, config.minimize,
+                    callback=_log_progress)
     final = mres.state
 
     outcomes, check_lines, report = _run_checks(config, built, mres)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from complexbodies import admissibility
 from complexbodies.admissibility import (
     cell_charges,
     check_ciarlet_necas,
@@ -92,6 +93,21 @@ class TestInjectivity:
             check_ciarlet_necas(st)
         with pytest.raises(ShapeMismatchError):
             check_orientation(st)
+
+    @pytest.mark.parametrize("dim, res", [(3, 10), (2, 24)])
+    def test_chunked_raster_equals_unchunked(self, monkeypatch, dim, res):
+        st = _identity(res=res, dim=dim)
+        rng = np.random.default_rng(dim)
+        st.u = st.u + 0.3 / res * rng.normal(size=st.u.shape)
+        rc = np.linalg.norm(st.grid.cell_centers() - 0.5, axis=-1)
+        st.active = rc < 0.45
+        monkeypatch.setattr(admissibility, "_RASTER_POINTS", 2**62)
+        whole = check_ciarlet_necas(st)
+        cells = int(st.active.sum())
+        block = 7
+        assert cells % block != 0
+        monkeypatch.setattr(admissibility, "_RASTER_POINTS", block * whole.samples_per_cell)
+        assert check_ciarlet_necas(st) == whole
 
 
 class TestChargeDensityField:

@@ -115,6 +115,20 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, fragment", [
+    ("kind = porous-landau", "kind = porous-landau\nstiffness = nan", "[density] stiffness"),
+    ("kind = porous-landau", "kind = porous-landau\nstiffness = inf", "[density] stiffness"),
+    ("kind = porous-landau", "kind = porous-landau\nstiffness = -1", "stiffness must be positive"),
+    ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
+])
+def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):
+    config = _write(tmp_path, TINY.replace(old, new))
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_check_flag_exits_two(tmp_path, capsys):
     config = _write(tmp_path, TINY)
     out = str(tmp_path / "out")

@@ -22,12 +22,32 @@ from complexbodies.minors import (
     adjugate,
     binet_compose,
     cofactor,
+    cross_cofactor,
     det3,
     graph_tangent,
     minors3,
     minors_norm_squared,
     minors_stacked,
 )
+
+
+LEVI3 = np.zeros((3, 3, 3))
+LEVI3[0, 1, 2] = LEVI3[1, 2, 0] = LEVI3[2, 0, 1] = 1.0
+LEVI3[0, 2, 1] = LEVI3[2, 1, 0] = LEVI3[1, 0, 2] = -1.0
+
+
+def levi_cross_cofactor(A, B):
+    """Reference bilinear cofactor: eps_pib eps_qjd A_bd B_pq."""
+    return np.einsum("pib,qjd,...bd,...pq->...ij", LEVI3, LEVI3, A, B)
+
+
+def three_cross_cofactor(F):
+    """Reference cofactor: column k is the cross product of the other two columns."""
+    c = np.empty_like(F)
+    c[..., :, 0] = np.cross(F[..., :, 1], F[..., :, 2], axis=-1)
+    c[..., :, 1] = np.cross(F[..., :, 2], F[..., :, 0], axis=-1)
+    c[..., :, 2] = np.cross(F[..., :, 0], F[..., :, 1], axis=-1)
+    return c
 
 
 def oracle_minor(G, beta, alpha):
@@ -248,3 +268,44 @@ class TestBatchedHelpers:
         n2 = minors_norm_squared(F)
         assert n2 >= 1.0
         assert n2 >= np.sum(F * F)
+
+
+class TestCrossCofactor:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_levi_civita_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(7, 5, 3, 3)) * rng.lognormal(0.0, 1.0)
+        B = rng.normal(size=(7, 5, 3, 3))
+        for got, ref in (
+            (cross_cofactor(A, B), levi_cross_cofactor(A, B)),
+            (cross_cofactor(B, A), levi_cross_cofactor(A, B)),
+            (cross_cofactor(cofactor(A), A), levi_cross_cofactor(A, cofactor(A))),
+        ):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_is_derivative_of_half_cofactor_norm(self):
+        rng = np.random.default_rng(21)
+        h = 1e-6
+
+        def half_cof_sq(F):
+            return 0.5 * np.sum(cofactor(F) ** 2)
+
+        for _ in range(5):
+            F = rng.normal(size=(3, 3))
+            fd = np.empty((3, 3))
+            for i, j in itertools.product(range(3), range(3)):
+                E = np.zeros((3, 3))
+                E[i, j] = h
+                fd[i, j] = (half_cof_sq(F + E) - half_cof_sq(F - E)) / (2.0 * h)
+            got = cross_cofactor(cofactor(F), F)
+            assert np.allclose(got, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("shape", [(3, 3), (40, 3, 3), (6, 4, 5, 3, 3)])
+    def test_cofactor_bitwise_equals_column_cross_products(self, shape):
+        rng = np.random.default_rng(len(shape))
+        F = rng.normal(size=shape) * rng.lognormal(0.0, 3.0, size=shape)
+        assert np.array_equal(cofactor(F), three_cross_cofactor(F))
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeMismatchError):
+            cross_cofactor(np.eye(3), np.ones((3, 2)))

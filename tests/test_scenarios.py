@@ -158,6 +158,23 @@ def test_parse_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("grid", "lo"), ("grid", "hi"), ("density", "stiffness"), ("boundary", "gamma"),
+    ("init", "amp"), ("manifold", "hi"),
+])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_numbers(section, key, raw):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+    assert f"[{section}] {key} must be finite" in str(err.value)
+
+
+def test_build_density_range_error_is_config_error():
+    with pytest.raises(ConfigError) as err:
+        build_density("porous-landau", {"stiffness": -1.0}, build_manifold("interval", {}))
+    assert "porous-landau" in str(err.value) and "stiffness" in str(err.value)
+
+
 def test_config_constructor_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(name="x", resolution=1)
@@ -367,6 +384,21 @@ def test_unconverged_run_names_its_stop_reason(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "result: PASS, not converged: max iterations reached (1/1 checks passed)" in report
     assert "result: PASS (" not in report
+
+
+@pytest.mark.parametrize("log_every, lines", [(1, 3), (2, 2), (0, 0)])
+def test_log_every_streams_progress_to_stderr(tmp_path, capsys, log_every, lines):
+    cfg = _tiny_porous(minimize=MinimizeConfig(max_iters=3, grad_tol=1e-7, log_every=log_every),
+                       checks={"orientation": True})
+    result = run(cfg, out_dir=tmp_path)
+    rows = capsys.readouterr().err.splitlines()
+    assert len(rows) == lines
+    trace = result.minimize_result.trace
+    for k, row in zip(range(0, 3, max(log_every, 1)), rows):
+        it, energy, grad_sup, step = row.split()
+        assert int(it) == k
+        assert float(energy) == trace[k, 0] and float(grad_sup) == trace[k, 1]
+        assert float(step) > 0
 
 
 def test_run_failure_raises_and_keeps_artifacts(tmp_path):
