@@ -57,7 +57,7 @@ class OrientationReport:
 
 def check_orientation(state: FieldState, tol: float = 0.0) -> OrientationReport:
     """Count active cells whose deformation gradient fails det F > tol."""
-    dets = det3(gradients(state).F)[state.active]
+    dets = det3(gradients(state, ("F",)).F)[state.active]
     if dets.size == 0:
         raise ShapeMismatchError("state has no active cells")
     return OrientationReport(
@@ -98,7 +98,7 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
     """
     grid = state.grid
     d = grid.dim
-    vol_int = integrate_cells(det3(gradients(state).F), grid, state.active)
+    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), grid, state.active)
 
     corners = np.stack([state.u[c.index] for c in CORNERS[d]], axis=-2)
     corners = corners[state.active][..., :d]  # (m, 2^d, d)
@@ -182,7 +182,7 @@ def d_field(state: FieldState, manifold=None) -> np.ndarray:
     kernel identity N @ D = 0 holds exactly.
     """
     _require_director(state, manifold)
-    gf = gradients(state)
+    gf = gradients(state, ("nu", "N"))
     nb = gf.nu_bar
     norms = np.linalg.norm(nb, axis=-1)
     safe = np.maximum(norms, 1e-300)

@@ -14,6 +14,12 @@ balance module's job.  Densities flagged external depend on (x, u, nu) only
 and model applied loads; their descriptor derivative feeds the external
 action -beta instead of the internal self-action z.
 
+A density reads the slots whose partial d_<slot> its class overrides, and
+no others: ``reads`` is derived from the overrides, never declared, and eval
+may read only those slots.  total_energy and the minimizer build only the
+slots a density reads and scatter only their partials; every other slot
+arrives as a zero-size array, and its partial is the base class's zero.
+
 Shipped constitutive families:
 
 * quadratic linear-elastic coupling densities for tensor- and vector-valued
@@ -54,7 +60,7 @@ from .errors import (
     SizeMismatchError,
     WrongManifoldError,
 )
-from .fields import FieldState, gradients, integrate_cells
+from .fields import SLOTS, FieldState, gradients, integrate_cells
 from .minors import cofactor, cross_cofactor, det3, minors_norm_squared
 
 
@@ -158,6 +164,14 @@ class EnergyDensity:
     def parts(self) -> list["EnergyDensity"]:
         return [self]
 
+    @property
+    def reads(self) -> frozenset[str]:
+        """Slots of (x, u, F, nu, N) whose partial this class overrides."""
+        cls = type(self)
+        return frozenset(
+            s for s in SLOTS if getattr(cls, f"d_{s}") is not getattr(EnergyDensity, f"d_{s}")
+        )
+
 
 class SumDensity(EnergyDensity):
     """Additive decomposition; evaluates to the exact sum of its parts."""
@@ -177,6 +191,10 @@ class SumDensity(EnergyDensity):
     @property
     def parts(self):
         return list(self._parts)
+
+    @property
+    def reads(self) -> frozenset[str]:
+        return frozenset().union(*(p.reads for p in self._parts))
 
     def eval(self, x, u, F, nu, N):
         out = self._parts[0].eval(x, u, F, nu, N)
@@ -952,7 +970,7 @@ def relaxed_spin_energy(state: FieldState, defect: LineDefect | None = None,
     """
     if state.embed_dim != 3:
         raise WrongManifoldError("relaxed spin energy needs a 3-component director")
-    gf = gradients(state)
+    gf = gradients(state, ("N",))
     dens = 0.5 * np.einsum("...ai,...ai->...", gf.N, gf.N)
     dirichlet = integrate_cells(dens, state.grid, state.active)
     defect_term = 4.0 * np.pi * defect.mass() if defect is not None else 0.0
@@ -967,7 +985,7 @@ def relaxed_spin_energy(state: FieldState, defect: LineDefect | None = None,
 def total_energy(density: EnergyDensity, state: FieldState) -> float:
     """Midpoint-quadrature energy over the active cells; +inf if any active
     cell evaluates non-finite (volumetric barrier violated)."""
-    gf = gradients(state)
+    gf = gradients(state, density.reads)
     vals = density.eval(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
     sel = vals[state.active]
     if not np.all(np.isfinite(sel)):

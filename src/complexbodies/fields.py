@@ -165,9 +165,17 @@ def identity_state(grid: Grid, manifold: Manifold, nu0: np.ndarray) -> FieldStat
     )
 
 
+# the slots of a density's state list e(x, u, F, nu, N), in argument order
+SLOTS = ("x", "u", "F", "nu", "N")
+
+
 @dataclass
 class GradientField:
-    """Cell-centered kinematic data: positions, averages, gradients."""
+    """Cell-centered kinematic data: positions, averages, gradients.
+
+    A slot that gradients() was not asked for holds a zero-size float array:
+    the cell axes, then one zero-length axis per component axis of the slot.
+    """
 
     x: np.ndarray      # (cells..., 3) cell centers, padded in 2D
     u_bar: np.ndarray  # (cells..., 3)
@@ -236,21 +244,28 @@ def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def gradients(state: FieldState) -> GradientField:
-    """Assemble the cell-centered kinematic data for a state."""
+def _unread(grid: Grid, rank: int) -> np.ndarray:
+    return np.empty(grid.cells + (0,) * rank)
+
+
+def gradients(state: FieldState, reads=SLOTS) -> GradientField:
+    """Assemble the cell-centered kinematic data for a state, building only
+    the slots named in reads (see GradientField for the others)."""
     grid = state.grid
-    F = cell_gradient(state.u, grid)
-    N = cell_gradient(state.nu, grid)
+    F = cell_gradient(state.u, grid) if "F" in reads else _unread(grid, 2)
+    N = cell_gradient(state.nu, grid) if "N" in reads else _unread(grid, 2)
     if grid.dim == 2:
         # frozen out-of-plane column
-        F[..., :, 2] = 0.0
-        F[..., 2, 2] = 1.0
-        N[..., :, 2] = 0.0
+        if "F" in reads:
+            F[..., :, 2] = 0.0
+            F[..., 2, 2] = 1.0
+        if "N" in reads:
+            N[..., :, 2] = 0.0
     return GradientField(
-        x=grid.cell_centers3(),
-        u_bar=cell_average(state.u, grid),
+        x=grid.cell_centers3() if "x" in reads else _unread(grid, 1),
+        u_bar=cell_average(state.u, grid) if "u" in reads else _unread(grid, 1),
         F=F,
-        nu_bar=cell_average(state.nu, grid),
+        nu_bar=cell_average(state.nu, grid) if "nu" in reads else _unread(grid, 1),
         N=N,
     )
 

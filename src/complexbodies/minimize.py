@@ -89,22 +89,38 @@ class MinimizeResult:
 
 def riesz_gradient(density: EnergyDensity, state: FieldState,
                    manifold: Manifold | None = None,
-                   project: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                   project: bool = True,
+                   vols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Volume-weighted nodal gradient of the discrete energy.
 
     With project=True the descriptor part is tangent-projected and both
     parts are zeroed on pinned and non-incident nodes; project=False returns
-    the unconstrained representative (used by duality tests).
+    the unconstrained representative (used by duality tests).  vols are the
+    lumped nodal volumes of the state's mask, built here when not given.
+
+    Only the partials of the slots the density reads are scattered.  Each
+    other partial is zero, and its scatter is all +0.0; a scatter starts
+    from +0.0 and so never holds -0.0, so adding it would change no bit.
     """
     grid = state.grid
-    gf = gradients(state)
+    reads = density.reads
+    gf = gradients(state, reads)
     args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
-    raw_u = scatter_gradient_adjoint(density.d_F(*args), grid, state.active)
-    raw_u += scatter_cell_average_adjoint(density.d_u(*args), grid, state.active)
-    raw_nu = scatter_gradient_adjoint(density.d_N(*args), grid, state.active)
-    raw_nu += scatter_cell_average_adjoint(density.d_nu(*args), grid, state.active)
 
-    vols = node_volumes(grid, state.active)
+    def raw(grad_slot, d_grad, avg_slot, d_avg, shape):
+        out = None
+        if grad_slot in reads:
+            out = scatter_gradient_adjoint(d_grad(*args), grid, state.active)
+        if avg_slot in reads:
+            avg = scatter_cell_average_adjoint(d_avg(*args), grid, state.active)
+            out = avg if out is None else out + avg
+        return np.zeros(shape) if out is None else out
+
+    raw_u = raw("F", density.d_F, "u", density.d_u, state.u.shape)
+    raw_nu = raw("N", density.d_N, "nu", density.d_nu, state.nu.shape)
+
+    if vols is None:
+        vols = node_volumes(grid, state.active)
     g_u = divide_by_volume(raw_u, vols)
     g_nu = divide_by_volume(raw_nu, vols)
 
@@ -164,7 +180,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     it = 0
 
     for it in range(config.max_iters):
-        g_u, g_nu = riesz_gradient(density, state, manifold)
+        g_u, g_nu = riesz_gradient(density, state, manifold, vols=vols)
         g_u, g_nu = _apply_block_mode(g_u, g_nu, config.block_mode, it)
         sup = max(float(np.max(np.abs(g_u))), float(np.max(np.abs(g_nu))))
         gnorm2 = inner(g_u, g_nu, g_u, g_nu)
@@ -227,7 +243,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         it = config.max_iters
 
     if not trace_rows or (not converged and not stalled and trace_rows[-1][0] != energy):
-        g_u, g_nu = riesz_gradient(density, state, manifold)
+        g_u, g_nu = riesz_gradient(density, state, manifold, vols=vols)
         g_u, g_nu = _apply_block_mode(g_u, g_nu, config.block_mode, it)
         sup = max(float(np.max(np.abs(g_u))), float(np.max(np.abs(g_nu))))
         if sup <= config.grad_tol:

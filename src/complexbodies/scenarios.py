@@ -323,6 +323,13 @@ def _take(params: dict, defaults: dict, context: str) -> dict:
     return merged
 
 
+def _nonnegative(p: dict, kind: str, *keys: str) -> None:
+    """Range check for density parameters that no constructor validates."""
+    for key in keys:
+        if p[key] < 0:
+            raise ConfigError(f"[density] {kind}: {key} must not be negative, got {p[key]}")
+
+
 def build_manifold(kind: str, params: dict) -> Manifold:
     if kind == "unit-sphere":
         _take(params, {}, "unit-sphere")
@@ -374,6 +381,7 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
             {"stiffness": 1.0, "well_depth": 3.0, "beta_a": 0.0, "beta_b": 0.8},
             "orientation-landau",
         )
+        _nonnegative(p, "orientation-landau", "well_depth")
         well = ComponentDoubleWell(p["well_depth"], p["beta_a"], p["beta_b"], component=3)
         return GinzburgLandau(well, p["stiffness"], 4, name="orientation-landau",
                               well_nonnegative=True)
@@ -384,6 +392,7 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
              "grad_stiffness": 0.15},
             "microcracked",
         )
+        _nonnegative(p, "microcracked", "restore", "grad_stiffness")
         eye = np.eye(3)
         a2 = 0.5 * p["couple"] * (
             np.einsum("ia,jk->ijak", eye, eye) + np.einsum("ja,ik->ijak", eye, eye)
@@ -424,6 +433,7 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
             {"stiffness": 0.25, "well_depth": 1.0, "pore_a": 0.0, "pore_b": 1.0},
             "porous-landau",
         )
+        _nonnegative(p, "porous-landau", "well_depth")
         well = ComponentDoubleWell(p["well_depth"], p["pore_a"], p["pore_b"], component=0)
         return GinzburgLandau(well, p["stiffness"], 1, name="porous-landau",
                               well_nonnegative=True)
@@ -688,9 +698,30 @@ class ScenarioResult:
         raise KeyError(name)
 
 
-def _gradient_pairing(state: FieldState, g_u, g_nu, h, ups) -> float:
-    vols = node_volumes(state.grid, state.active)[..., None]
-    return float(np.sum(g_u * h * vols) + np.sum(g_nu * ups * vols))
+def _weak_el_rows(config: ScenarioConfig, final: FieldState, density: EnergyDensity,
+                  manifold: Manifold, bf) -> tuple[list, list]:
+    """Weak residual and duality rows over random test pairs.
+
+    The 2 x n_tests nodal test fields live only in this call, so they are
+    freed before the checks that follow run.
+    """
+    h_tests = random_compact_tests(final, config.n_tests, 3, seed=config.seed + 11)
+    nu_tests = random_compact_tests(
+        final, config.n_tests, final.embed_dim, seed=config.seed + 12,
+        manifold=manifold,
+    )
+    pairs = list(zip(h_tests, nu_tests))
+    rows = weak_el_residual(bf, pairs)
+    vols = node_volumes(final.grid, final.active)
+    g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
+    w = vols[..., None]
+    dual = [
+        Residual(name=f"duality[{k}]",
+                 raw=r.raw - float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w)),
+                 scale=1.0 + r.scale)
+        for k, ((h, ups), r) in enumerate(zip(pairs, rows))
+    ]
+    return rows, dual
 
 
 def _spatial_tests(state: FieldState, n: int, seed: int) -> list:
@@ -783,20 +814,8 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"mode={mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
     if built.checks["weak_el"]:
-        h_tests = random_compact_tests(final, config.n_tests, 3, seed=config.seed + 11)
-        nu_tests = random_compact_tests(
-            final, config.n_tests, final.embed_dim, seed=config.seed + 12,
-            manifold=manifold,
-        )
-        pairs = list(zip(h_tests, nu_tests))
-        rows = weak_el_residual(bf, pairs)
+        rows, dual = _weak_el_rows(config, final, density, manifold, bf)
         report.add(rows)
-        g_u, g_nu = riesz_gradient(density, final, manifold, project=True)
-        dual = []
-        for k, ((h, ups), r) in enumerate(zip(pairs, rows)):
-            inner = _gradient_pairing(final, g_u, g_nu, h, ups)
-            dual.append(Residual(name=f"duality[{k}]", raw=r.raw - inner,
-                                 scale=1.0 + r.scale))
         report.add(dual)
         worst = max(r.ratio for r in rows)
         worst_dual = max(r.ratio for r in dual)

@@ -119,6 +119,10 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
     ("kind = porous-landau", "kind = porous-landau\nstiffness = nan", "[density] stiffness"),
     ("kind = porous-landau", "kind = porous-landau\nstiffness = inf", "[density] stiffness"),
     ("kind = porous-landau", "kind = porous-landau\nstiffness = -1", "stiffness must be positive"),
+    ("kind = porous-landau", "kind = porous-landau\nwell_depth = -1", "well_depth must not be negative"),
+    ("kind = interval\n\n[density]\nkind = porous-landau",
+     "kind = euclidean3\n\n[density]\nkind = microcracked\nrestore = -1",
+     "restore must not be negative"),
     ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
 ])
 def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):

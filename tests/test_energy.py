@@ -9,6 +9,7 @@ from complexbodies.energy import (
     DeadLoad,
     DirichletDescriptor,
     EasyAxisAnchoring,
+    EnergyDensity,
     ExternalFieldCoupling,
     GinzburgLandau,
     GrowthSpec,
@@ -38,7 +39,7 @@ from complexbodies.errors import (
     SizeMismatchError,
     WrongManifoldError,
 )
-from complexbodies.fields import Grid, identity_state
+from complexbodies.fields import SLOTS, Grid, identity_state
 from complexbodies.manifolds import UnitSphere
 
 
@@ -118,6 +119,57 @@ class TestDerivatives:
         rng = np.random.default_rng(3)
         b = sample_states(rng, 500, 2, wide=True)
         assert np.all(np.linalg.det(b.F) > 0)
+
+
+def _reads_honest(density, n=40, seed=5) -> bool:
+    """eval and every partial are unchanged when the slots the density does
+    not read are filled with NaN."""
+    b = sample_states(np.random.default_rng(seed), n, density.embed_dim)
+    full = {"x": b.x, "u": b.u, "F": b.F, "nu": b.nu, "N": b.N}
+    blind = {s: v if s in density.reads else np.full(v.shape, np.nan) for s, v in full.items()}
+    return all(
+        np.array_equal(getattr(density, m)(**full), getattr(density, m)(**blind))
+        for m in ("eval",) + tuple(f"d_{s}" for s in SLOTS)
+    )
+
+
+class _ReadsUnannounced(EnergyDensity):
+    """Reads u in eval without overriding d_u: a dishonest density."""
+
+    embed_dim = 3
+
+    def eval(self, x, u, F, nu, N):
+        return 0.5 * np.einsum("...ai,...ai->...", N, N) + u[..., 0]
+
+    def d_N(self, x, u, F, nu, N):
+        return np.asarray(N, dtype=float).copy()
+
+
+class TestReads:
+    @pytest.mark.parametrize("density", ALL_DENSITIES, ids=lambda d: d.name)
+    def test_reads_is_honest(self, density):
+        assert density.reads <= set(SLOTS)
+        assert _reads_honest(density)
+
+    def test_unannounced_read_is_caught(self):
+        assert _ReadsUnannounced().reads == {"N"}
+        assert not _reads_honest(_ReadsUnannounced())
+
+    def test_reads_follow_overrides(self):
+        assert EnergyDensity().reads == frozenset()
+        assert make_dirichlet_sphere().reads == {"N"}
+        assert make_smectic_a().reads == {"N"}
+        assert DeadLoad([0.0, 0.0, 1.0]).reads == {"u"}
+        assert CompressibleMacro().reads == {"F"}
+        assert make_quasicrystal().reads == {"F", "N"}
+        assert _vector_quadratic().reads == {"F", "nu", "N"}
+        assert GinzburgLandau(None, 1.0, 3).reads == {"x", "nu", "N"}
+
+    def test_sum_reads_union_of_parts(self):
+        total = SumDensity([make_dirichlet_sphere(), DeadLoad([0.0, 0.0, -1.0]),
+                            EasyAxisAnchoring([0.0, 0.0, 1.0])])
+        assert total.reads == {"u", "nu", "N"}
+        assert _reads_honest(total)
 
 
 class TestQuadraticClosedForms:

@@ -118,6 +118,26 @@ class TestGradients:
             assert np.allclose(gf.N, 0.0)
 
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unread_slots_are_zero_size(self, dim):
+        g = Grid.cube(4, 0.0, 1.0, dim=dim)
+        st_ = identity_state(g, Euclidean(3), np.zeros(3))
+        rng = np.random.default_rng(9)
+        st_.u = st_.u + 0.1 * rng.normal(size=st_.u.shape)
+        st_.nu = rng.normal(size=st_.nu.shape)
+        full = gradients(st_)
+        for reads in (("F",), ("N",), ("nu", "N"), ("x", "u"), ()):
+            gf = gradients(st_, reads)
+            for slot, attr, rank in (("x", "x", 1), ("u", "u_bar", 1), ("F", "F", 2),
+                                     ("nu", "nu_bar", 1), ("N", "N", 2)):
+                got = getattr(gf, attr)
+                if slot in reads:
+                    assert np.array_equal(got, getattr(full, attr))
+                else:
+                    assert got.dtype == float and got.size == 0 and got.nbytes == 0
+                    assert got.shape == g.cells + (0,) * rank
+
+
 class TestQuadrature:
     def test_constant_over_box(self):
         g = Grid((0.0, 0.0, 0.0), (2.0, 1.0, 3.0), (4, 5, 6))

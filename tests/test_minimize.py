@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from complexbodies import fields
 from complexbodies.energy import (
     CompressibleMacro,
+    ComponentDoubleWell,
+    DeadLoad,
     DirichletDescriptor,
+    EnergyDensity,
+    ExternalFieldCoupling,
+    GinzburgLandau,
     QuadraticVector,
+    SumDensity,
     isotropic_elasticity,
     make_quasicrystal,
     total_energy,
@@ -15,9 +22,14 @@ from complexbodies.errors import ConfigError, InadmissibleStartError
 from complexbodies.fields import (
     Grid,
     apply_dirichlet,
+    ball_mask,
     boundary_node_mask,
+    divide_by_volume,
+    gradients,
     identity_state,
     node_volumes,
+    scatter_cell_average_adjoint,
+    scatter_gradient_adjoint,
 )
 from complexbodies.manifolds import Euclidean, UnitSphere
 from complexbodies.minimize import MinimizeConfig, MinimizeResult, minimize, riesz_gradient
@@ -64,6 +76,124 @@ def _hedgehog_problem(res=8):
     apply_dirichlet(state, "nu", lambda x: bdry, lambda x: radial_director(x), man)
     apply_dirichlet(state, "u", lambda x: bdry, lambda x: x, man)
     return DirichletDescriptor(3), state, man
+
+
+def _all_slots_energy(density, state):
+    """total_energy built from all five slots, whatever the density reads."""
+    gf = gradients(state)
+    sel = density.eval(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)[state.active]
+    return float(sel.sum() * state.grid.cell_volume) if np.all(np.isfinite(sel)) else np.inf
+
+
+def _all_partials_gradient(density, state, manifold, project):
+    """riesz_gradient scattering all four partials, zero ones included."""
+    grid = state.grid
+    gf = gradients(state)
+    args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
+    raw_u = scatter_gradient_adjoint(density.d_F(*args), grid, state.active)
+    raw_u += scatter_cell_average_adjoint(density.d_u(*args), grid, state.active)
+    raw_nu = scatter_gradient_adjoint(density.d_N(*args), grid, state.active)
+    raw_nu += scatter_cell_average_adjoint(density.d_nu(*args), grid, state.active)
+    vols = node_volumes(grid, state.active)
+    g_u = divide_by_volume(raw_u, vols)
+    g_nu = divide_by_volume(raw_nu, vols)
+    if grid.dim == 2:
+        g_u[..., 2] = 0.0
+    if project:
+        g_nu = manifold.tangent_project(state.nu, g_nu)
+        g_u[vols <= 0] = 0.0
+        g_nu[vols <= 0] = 0.0
+        g_u[state.pinned_u] = 0.0
+        g_nu[state.pinned_nu] = 0.0
+    return g_u, g_nu
+
+
+def _perturbed_state(kind, seed=4):
+    """A perturbed director state: on a 3-D ball mask with some pinned
+    nodes, or on a full 2-D grid."""
+    rng = np.random.default_rng(seed)
+    if kind == "ball3":
+        grid = Grid.cube(6, lo=-1.0, hi=1.0, dim=3)
+    else:
+        grid = Grid.cube(7, dim=2)
+    state = identity_state(grid, UnitSphere(), nu0=EZ)
+    if kind == "ball3":
+        state.active = ball_mask(grid)
+        rim = boundary_node_mask(grid, state.active)
+        state.pinned_u = rim & (grid.node_coords()[..., 0] < 0.0)
+        state.pinned_nu = rim & (grid.node_coords()[..., 1] < 0.0)
+    state.u = state.u + 0.03 * rng.normal(size=state.u.shape)
+    if grid.dim == 2:
+        state.u[..., 2] = 0.0
+    nu = rng.normal(size=state.nu.shape)
+    state.nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    return state
+
+
+_READ_SETS = [
+    DirichletDescriptor(3),
+    GinzburgLandau(ComponentDoubleWell(1.3, -1.0, 1.0, component=0), 0.7, embed_dim=3),
+    make_quasicrystal(phason_stiffness=0.8),
+    DeadLoad([0.0, 0.5, -1.0]),
+    ExternalFieldCoupling([0.3, -0.1, 0.5]),
+    SumDensity([
+        QuadraticVector(
+            C=isotropic_elasticity(1.0, 1.0),
+            A3=0.5 * np.eye(3),
+            A5=np.einsum("ac,ij->aicj", np.eye(3), np.eye(3)),
+            centrosymmetric=True,
+        ),
+        DeadLoad([0.0, 0.0, -1.0]),
+    ], name="elastic-under-load"),
+]
+
+
+class TestReadOnlyWhatTheDensityReads:
+    """Building only the slots a density reads and scattering only their
+    partials gives the all-slots, all-partials results bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["ball3", "grid2"])
+    @pytest.mark.parametrize("density", _READ_SETS, ids=lambda d: d.name)
+    def test_bitwise_equal_to_all_slots(self, density, kind):
+        state = _perturbed_state(kind)
+        man = UnitSphere()
+        assert total_energy(density, state) == _all_slots_energy(density, state)
+        for project in (True, False):
+            got = riesz_gradient(density, state, man, project=project)
+            want = _all_partials_gradient(density, state, man, project)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kind", ["ball3", "grid2"])
+    def test_zero_density(self, kind):
+        state = _perturbed_state(kind)
+        dens = EnergyDensity()
+        assert dens.reads == frozenset()
+        assert total_energy(dens, state) == 0.0
+        for project in (True, False):
+            g_u, g_nu = riesz_gradient(dens, state, UnitSphere(), project=project)
+            assert g_u.shape == state.u.shape and g_nu.shape == state.nu.shape
+            assert not g_u.any() and not g_nu.any()
+
+    def test_dirichlet_gathers_and_scatters_only_its_gradient(self, monkeypatch):
+        counts = {"gather": 0, "scatter": 0}
+        gather, scatter = fields._gather, fields._scatter
+
+        def counting_gather(*args):
+            counts["gather"] += 1
+            return gather(*args)
+
+        def counting_scatter(*args):
+            counts["scatter"] += 1
+            return scatter(*args)
+
+        state = _perturbed_state("ball3")
+        vols = node_volumes(state.grid, state.active)
+        monkeypatch.setattr(fields, "_gather", counting_gather)
+        monkeypatch.setattr(fields, "_scatter", counting_scatter)
+        total_energy(DirichletDescriptor(3), state)
+        assert counts == {"gather": 3, "scatter": 0}
+        riesz_gradient(DirichletDescriptor(3), state, UnitSphere(), vols=vols)
+        assert counts == {"gather": 6, "scatter": 3}
 
 
 class TestRieszDuality:

@@ -170,9 +170,17 @@ def test_parse_rejects_non_finite_numbers(section, key, raw):
 
 
 def test_build_density_range_error_is_config_error():
-    with pytest.raises(ConfigError) as err:
-        build_density("porous-landau", {"stiffness": -1.0}, build_manifold("interval", {}))
-    assert "porous-landau" in str(err.value) and "stiffness" in str(err.value)
+    cases = [
+        ("porous-landau", "interval", "stiffness"),
+        ("porous-landau", "interval", "well_depth"),
+        ("orientation-landau", "degree-of-orientation", "well_depth"),
+        ("microcracked", "euclidean3", "grad_stiffness"),
+        ("microcracked", "euclidean3", "restore"),
+    ]
+    for kind, manifold, key in cases:
+        with pytest.raises(ConfigError) as err:
+            build_density(kind, {key: -1.0}, build_manifold(manifold, {}))
+        assert kind in str(err.value) and key in str(err.value)
 
 
 def test_config_constructor_validation():
