@@ -20,6 +20,17 @@ may read only those slots.  total_energy and the minimizer build only the
 slots a density reads and scatter only their partials; every other slot
 arrives as a zero-size array, and its partial is the base class's zero.
 
+Constant tensors (the quadratic couplings and the quasicrystal's strain and
+phason-gradient coupling) are contracted through term tables: the nonzero
+(out, in, coef) triples of the tensor flattened to a matrix, in C order.  A
+quadratic form adds (coef a) b term by term from a zero start, which is the
+order in which np.einsum adds a three-operand form, so energies match it
+bit for bit.  A linear map adds each output's terms in table order; a
+two-operand einsum adds in SIMD lanes instead, which give the same sum for
+the tensors the presets build (at most three nonzero terms per output) and
+differ by round-off, about 1e-16 relative, for dense ones.  A skipped zero
+term changes no finite value, only the sign of an all-zero output.
+
 Shipped constitutive families:
 
 * quadratic linear-elastic coupling densities for tensor- and vector-valued
@@ -363,6 +374,49 @@ class ModulatedWell:
 
 
 # ---------------------------------------------------------------------------
+# contraction with constant tensors
+# ---------------------------------------------------------------------------
+
+def _terms(M: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    """Term table of a constant tensor flattened to a matrix M: the nonzero
+    (out, in, coef) triples in C order."""
+    o, r = np.nonzero(M)
+    return tuple(zip(o.tolist(), r.tolist(), M[o, r].tolist()))
+
+
+def _form(terms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quadratic form sum T_or a[..., o] b[..., r]: each term (coef a) b is
+    added to a zero start in table order."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for o, r, c in terms:
+        out += c * a[..., o] * b[..., r]
+    return out
+
+
+def _map(terms, x: np.ndarray, size: int, transpose: bool = False) -> np.ndarray:
+    """Linear map out[..., o] = sum_r T_or x[..., r], or out[..., r] =
+    sum_o T_or x[..., o] when transpose; each output's terms are added to a
+    zero start in table order."""
+    rows = {}
+    for o, r, c in terms:
+        if transpose:
+            o, r = r, o
+        if o not in rows:
+            rows[o] = np.zeros(x.shape[:-1])
+        rows[o] += c * x[..., r]
+    out = np.zeros(x.shape[:-1] + (size,))
+    for o, acc in rows.items():
+        out[..., o] = acc
+    return out
+
+
+def _flat(a) -> np.ndarray:
+    """A (..., m, n) array as (..., m * n), row-major."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+# ---------------------------------------------------------------------------
 # quadratic linear-elastic coupling densities
 # ---------------------------------------------------------------------------
 
@@ -375,209 +429,139 @@ def isotropic_elasticity(lam: float, mu: float) -> np.ndarray:
     )
 
 
-def _sym_major4(C):
-    return 0.5 * (C + C.transpose(2, 3, 0, 1))
-
-
-def _strain(F):
+def _strain(F) -> np.ndarray:
+    """sym(F) - I flattened to (..., 9); the 1 comes off the diagonal only."""
     F = np.asarray(F, dtype=float)
-    return 0.5 * (F + np.swapaxes(F, -1, -2)) - np.eye(3)
+    eps = F + np.swapaxes(F, -1, -2)
+    eps *= 0.5
+    eps = eps.reshape(eps.shape[:-2] + (9,))
+    eps[..., ::4] -= 1.0
+    return eps
 
 
-class QuadraticTensor(EnergyDensity):
-    """Quadratic density for a symmetric second-rank tensor descriptor.
-
-    e = (1/2) eps:C:eps + eps:A1:nu + eps:A2:N + (1/2) nu:A3:nu
+class _Quadratic(EnergyDensity):
+    """e = (1/2) eps:C:eps + eps:A1:nu + eps:A2:N + (1/2) nu:A3:nu
         + nu:A4:N + (1/2) N:A5:N,   eps = sym(F) - I.
+
+    Evaluated on flattened slots, eps in R^9, nu in R^e and N in R^(3e)
+    with the spatial index last, so every tensor is a matrix (tensors; C,
+    A3 and A5 symmetrized) contracted through its term table (terms).  A
+    subclass sets the tensor shapes and the odd couplings that
+    centrosymmetric drops.
+    """
+
+    shapes: dict[str, tuple[int, ...]] = {}
+    odd: tuple[str, ...] = ()
+
+    def __init__(self, C, A1=None, A2=None, A3=None, A4=None, A5=None,
+                 centrosymmetric: bool = False, name: str | None = None):
+        if name is not None:
+            self.name = name
+        self.centrosymmetric = centrosymmetric
+        given = {"C": C, "A1": A1, "A2": A2, "A3": A3, "A4": A4, "A5": A5}
+        if C is None:
+            raise ShapeMismatchError("C is required")
+        if A3 is None:
+            given["A3"] = np.zeros(self.shapes["A3"])
+        if centrosymmetric and any(given[k] is not None for k in self.odd):
+            raise ShapeMismatchError(f"centrosymmetric {self.name} admits no {'/'.join(self.odd)}")
+        e = self.embed_dim
+        rows = {"C": 9, "A1": 9, "A2": 9, "A3": e, "A4": e, "A5": 3 * e}
+        self.tensors = {}
+        for label, T in given.items():
+            if T is None:
+                continue
+            T = np.asarray(T, dtype=float)
+            if T.shape != self.shapes[label]:
+                raise ShapeMismatchError(f"{label} must have shape {self.shapes[label]}, got {T.shape}")
+            M = T.reshape(rows[label], -1)
+            with np.errstate(over="ignore"):
+                M = 0.5 * (M + M.T) if label in ("C", "A3", "A5") else M
+            if not np.all(np.isfinite(M)):
+                raise ShapeMismatchError(f"{label} must be finite")
+            self.tensors[label] = M
+        self.terms = {label: _terms(M) for label, M in self.tensors.items()}
+
+    def eval(self, x, u, F, nu, N):
+        t = self.terms
+        eps, nu, N = _strain(F), np.asarray(nu, dtype=float), _flat(N)
+        out = 0.5 * _form(t["C"], eps, eps)
+        out = out + 0.5 * _form(t["A3"], nu, nu)
+        if "A1" in t:
+            out = out + _form(t["A1"], eps, nu)
+        if "A2" in t:
+            out = out + _form(t["A2"], eps, N)
+        if "A4" in t:
+            out = out + _form(t["A4"], nu, N)
+        if "A5" in t:
+            out = out + 0.5 * _form(t["A5"], N, N)
+        return out
+
+    def d_F(self, x, u, F, nu, N):
+        t = self.terms
+        d = _map(t["C"], _strain(F), 9)
+        if "A1" in t:
+            d = d + _map(t["A1"], np.asarray(nu, dtype=float), 9)
+        if "A2" in t:
+            d = d + _map(t["A2"], _flat(N), 9)
+        d = d.reshape(d.shape[:-1] + (3, 3))
+        return 0.5 * (d + np.swapaxes(d, -1, -2))
+
+    def d_nu(self, x, u, F, nu, N):
+        t = self.terms
+        e = self.embed_dim
+        out = _map(t["A3"], np.asarray(nu, dtype=float), e)
+        if "A1" in t:
+            out = out + _map(t["A1"], _strain(F), e, transpose=True)
+        if "A4" in t:
+            out = out + _map(t["A4"], _flat(N), e)
+        return out
+
+    def d_N(self, x, u, F, nu, N):
+        t = self.terms
+        n = 3 * self.embed_dim
+        out = np.zeros(_flat(N).shape)
+        if "A2" in t:
+            out = out + _map(t["A2"], _strain(F), n, transpose=True)
+        if "A4" in t:
+            out = out + _map(t["A4"], np.asarray(nu, dtype=float), n, transpose=True)
+        if "A5" in t:
+            out = out + _map(t["A5"], _flat(N), n, transpose=True)
+        return out.reshape(np.shape(N))
+
+    def minors_form(self):
+        def g(m1, m2, m3, N, *, x, u, nu):
+            return self.eval(x, u, m1, nu, N)
+
+        return g
+
+
+class QuadraticTensor(_Quadratic):
+    """Quadratic density for a symmetric second-rank tensor descriptor.
 
     Descriptor embedding is row-major R^9; N reshapes to (3, 3, 3) with the
     last index spatial.  centrosymmetric drops the odd couplings A2 and A4.
     """
 
+    name = "quadratic-tensor"
     embed_dim = 9
-
-    def __init__(self, C, A1=None, A2=None, A3=None, A4=None, A5=None,
-                 centrosymmetric: bool = False, name: str = "quadratic-tensor"):
-        self.name = name
-        self.centrosymmetric = centrosymmetric
-        self.C = _sym_major4(self._shaped(C, (3, 3, 3, 3), "C"))
-        self.A1 = self._shaped(A1, (3, 3, 3, 3), "A1", optional=True)
-        self.A3 = _sym_major4(self._shaped(A3, (3, 3, 3, 3), "A3", optional=True, default=0.0))
-        self.A5 = self._shaped(A5, (3, 3, 3, 3, 3, 3), "A5", optional=True)
-        if self.A5 is not None:
-            self.A5 = 0.5 * (self.A5 + self.A5.transpose(3, 4, 5, 0, 1, 2))
-        if centrosymmetric:
-            if A2 is not None or A4 is not None:
-                raise ShapeMismatchError("centrosymmetric tensor density admits no A2/A4")
-            self.A2 = None
-            self.A4 = None
-        else:
-            self.A2 = self._shaped(A2, (3, 3, 3, 3, 3), "A2", optional=True)
-            self.A4 = self._shaped(A4, (3, 3, 3, 3, 3), "A4", optional=True)
-
-    @staticmethod
-    def _shaped(T, shape, label, optional=False, default=None):
-        if T is None:
-            if optional:
-                return None if default is None else np.zeros(shape)
-            raise ShapeMismatchError(f"{label} is required")
-        T = np.asarray(T, dtype=float)
-        if T.shape != shape:
-            raise ShapeMismatchError(f"{label} must have shape {shape}, got {T.shape}")
-        return T
-
-    @staticmethod
-    def _mats(nu, N):
-        nu = np.asarray(nu, dtype=float)
-        N = np.asarray(N, dtype=float)
-        return nu.reshape(nu.shape[:-1] + (3, 3)), N.reshape(N.shape[:-2] + (3, 3, 3))
-
-    def eval(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nm, Nm = self._mats(nu, N)
-        out = 0.5 * np.einsum("ijhk,...ij,...hk->...", self.C, eps, eps)
-        out = out + 0.5 * np.einsum("abcd,...ab,...cd->...", self.A3, nm, nm)
-        if self.A1 is not None:
-            out = out + np.einsum("ijab,...ij,...ab->...", self.A1, eps, nm)
-        if self.A2 is not None:
-            out = out + np.einsum("ijabk,...ij,...abk->...", self.A2, eps, Nm)
-        if self.A4 is not None:
-            out = out + np.einsum("abcdk,...ab,...cdk->...", self.A4, nm, Nm)
-        if self.A5 is not None:
-            out = out + 0.5 * np.einsum("abicdj,...abi,...cdj->...", self.A5, Nm, Nm)
-        return out
-
-    def _d_eps(self, eps, nm, Nm):
-        out = np.einsum("ijhk,...hk->...ij", self.C, eps)
-        if self.A1 is not None:
-            out = out + np.einsum("ijab,...ab->...ij", self.A1, nm)
-        if self.A2 is not None:
-            out = out + np.einsum("ijabk,...abk->...ij", self.A2, Nm)
-        return out
-
-    def d_F(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nm, Nm = self._mats(nu, N)
-        d = self._d_eps(eps, nm, Nm)
-        return 0.5 * (d + np.swapaxes(d, -1, -2))
-
-    def d_nu(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nm, Nm = self._mats(nu, N)
-        out = np.einsum("abcd,...cd->...ab", self.A3, nm)
-        if self.A1 is not None:
-            out = out + np.einsum("ijab,...ij->...ab", self.A1, eps)
-        if self.A4 is not None:
-            out = out + np.einsum("abcdk,...cdk->...ab", self.A4, Nm)
-        return out.reshape(np.asarray(nu).shape)
-
-    def d_N(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nm, Nm = self._mats(nu, N)
-        out = np.zeros(Nm.shape)
-        if self.A2 is not None:
-            out = out + np.einsum("ijabk,...ij->...abk", self.A2, eps)
-        if self.A4 is not None:
-            out = out + np.einsum("abcdk,...ab->...cdk", self.A4, nm)
-        if self.A5 is not None:
-            out = out + np.einsum("abicdj,...abi->...cdj", self.A5, Nm)
-        return out.reshape(np.asarray(N).shape)
-
-    def minors_form(self):
-        def g(m1, m2, m3, N, *, x, u, nu):
-            return self.eval(x, u, m1, nu, N)
-
-        return g
+    shapes = {"C": (3,) * 4, "A1": (3,) * 4, "A2": (3,) * 5, "A3": (3,) * 4,
+              "A4": (3,) * 5, "A5": (3,) * 6}
+    odd = ("A2", "A4")
 
 
-class QuadraticVector(EnergyDensity):
+class QuadraticVector(_Quadratic):
     """Quadratic density for a vector descriptor (microcracks, polarization).
-
-    e = (1/2) eps:C:eps + eps:A1.nu + eps:A2:N + (1/2) nu.A3.nu
-        + nu.A4:N + (1/2) N:A5:N.
 
     centrosymmetric drops the odd couplings A1 and A4 (a polar vector cannot
     couple linearly to strain in a centrosymmetric body).
     """
 
+    name = "quadratic-vector"
     embed_dim = 3
-
-    def __init__(self, C, A1=None, A2=None, A3=None, A4=None, A5=None,
-                 centrosymmetric: bool = False, name: str = "quadratic-vector"):
-        self.name = name
-        self.centrosymmetric = centrosymmetric
-        self.C = _sym_major4(QuadraticTensor._shaped(C, (3, 3, 3, 3), "C"))
-        self.A3 = QuadraticTensor._shaped(A3, (3, 3), "A3", optional=True, default=0.0)
-        self.A3 = 0.5 * (self.A3 + self.A3.T)
-        self.A5 = QuadraticTensor._shaped(A5, (3, 3, 3, 3), "A5", optional=True)
-        if self.A5 is not None:
-            self.A5 = 0.5 * (self.A5 + self.A5.transpose(2, 3, 0, 1))
-        self.A2 = QuadraticTensor._shaped(A2, (3, 3, 3, 3), "A2", optional=True)
-        if centrosymmetric:
-            if A1 is not None or A4 is not None:
-                raise ShapeMismatchError("centrosymmetric vector density admits no A1/A4")
-            self.A1 = None
-            self.A4 = None
-        else:
-            self.A1 = QuadraticTensor._shaped(A1, (3, 3, 3), "A1", optional=True)
-            self.A4 = QuadraticTensor._shaped(A4, (3, 3, 3), "A4", optional=True)
-
-    def eval(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nu = np.asarray(nu, dtype=float)
-        N = np.asarray(N, dtype=float)
-        out = 0.5 * np.einsum("ijhk,...ij,...hk->...", self.C, eps, eps)
-        out = out + 0.5 * np.einsum("ac,...a,...c->...", self.A3, nu, nu)
-        if self.A1 is not None:
-            out = out + np.einsum("ija,...ij,...a->...", self.A1, eps, nu)
-        if self.A2 is not None:
-            out = out + np.einsum("ijak,...ij,...ak->...", self.A2, eps, N)
-        if self.A4 is not None:
-            out = out + np.einsum("agk,...a,...gk->...", self.A4, nu, N)
-        if self.A5 is not None:
-            out = out + 0.5 * np.einsum("aicj,...ai,...cj->...", self.A5, N, N)
-        return out
-
-    def d_F(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nu = np.asarray(nu, dtype=float)
-        N = np.asarray(N, dtype=float)
-        d = np.einsum("ijhk,...hk->...ij", self.C, eps)
-        if self.A1 is not None:
-            d = d + np.einsum("ija,...a->...ij", self.A1, nu)
-        if self.A2 is not None:
-            d = d + np.einsum("ijak,...ak->...ij", self.A2, N)
-        return 0.5 * (d + np.swapaxes(d, -1, -2))
-
-    def d_nu(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nu = np.asarray(nu, dtype=float)
-        N = np.asarray(N, dtype=float)
-        out = np.einsum("ac,...c->...a", self.A3, nu)
-        if self.A1 is not None:
-            out = out + np.einsum("ija,...ij->...a", self.A1, eps)
-        if self.A4 is not None:
-            out = out + np.einsum("agk,...gk->...a", self.A4, N)
-        return out
-
-    def d_N(self, x, u, F, nu, N):
-        eps = _strain(F)
-        nu = np.asarray(nu, dtype=float)
-        N = np.asarray(N, dtype=float)
-        out = np.zeros(N.shape)
-        if self.A2 is not None:
-            out = out + np.einsum("ijak,...ij->...ak", self.A2, eps)
-        if self.A4 is not None:
-            out = out + np.einsum("agk,...a->...gk", self.A4, nu)
-        if self.A5 is not None:
-            out = out + np.einsum("aicj,...ai->...cj", self.A5, N)
-        return out
-
-    def minors_form(self):
-        def g(m1, m2, m3, N, *, x, u, nu):
-            return self.eval(x, u, m1, nu, N)
-
-        return g
+    shapes = {"C": (3,) * 4, "A1": (3,) * 3, "A2": (3,) * 4, "A3": (3,) * 2,
+              "A4": (3,) * 3, "A5": (3,) * 4}
+    odd = ("A1", "A4")
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +730,7 @@ class Quasicrystal(EnergyDensity):
             if coupling.shape != (3, 3, 3, 3):
                 raise ShapeMismatchError("coupling must be (3, 3, 3, 3): strain x phason-gradient")
             self.coupling = coupling
+            self._coupling_terms = _terms(coupling.reshape(9, 9))
         self.name = name
         base = self.macro.growth_meta
         if base is not None and self.coupling is None:
@@ -763,19 +748,19 @@ class Quasicrystal(EnergyDensity):
     def eval(self, x, u, F, nu, N):
         out = self.macro.macro_eval(F) + 0.5 * self.K * np.einsum("...ai,...ai->...", N, N)
         if self.coupling is not None:
-            out = out + np.einsum("ijak,...ij,...ak->...", self.coupling, F, N)
+            out = out + _form(self._coupling_terms, _flat(F), _flat(N))
         return out
 
     def d_F(self, x, u, F, nu, N):
         out = self.macro.macro_d_F(F)
         if self.coupling is not None:
-            out = out + np.einsum("ijak,...ak->...ij", self.coupling, np.asarray(N, dtype=float))
+            out = out + _map(self._coupling_terms, _flat(N), 9).reshape(out.shape)
         return out
 
     def d_N(self, x, u, F, nu, N):
         out = self.K * np.asarray(N, dtype=float)
         if self.coupling is not None:
-            out = out + np.einsum("ijak,...ij->...ak", self.coupling, np.asarray(F, dtype=float))
+            out = out + _map(self._coupling_terms, _flat(F), 9, transpose=True).reshape(out.shape)
         return out
 
     def minors_form(self):

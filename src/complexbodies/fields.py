@@ -209,10 +209,14 @@ CORNERS = {
 
 
 def _gather(w: np.ndarray, grid: Grid, row: int) -> np.ndarray:
-    """Nodes to cells: sum over corners of coefficient row times corner value."""
+    """Nodes to cells: sum over corners of coefficient row times corner
+    value, the coefficient +-1 applied as an add or a subtract."""
     acc = np.zeros(grid.cells + w.shape[grid.dim :])
     for corner in CORNERS[grid.dim]:
-        acc += corner.coef[row] * w[corner.index]
+        if corner.coef[row] > 0:
+            acc += w[corner.index]
+        else:
+            acc -= w[corner.index]
     return acc
 
 
@@ -223,7 +227,10 @@ def _scatter(v: np.ndarray, grid: Grid, row: int, active: np.ndarray | None,
     if active is not None:
         v = np.where(active[(...,) + (None,) * (v.ndim - grid.dim)], v, 0.0)
     for corner in CORNERS[grid.dim]:
-        out[corner.index] += corner.coef[row] * v
+        if corner.coef[row] > 0:
+            out[corner.index] += v
+        else:
+            out[corner.index] -= v
     return out
 
 

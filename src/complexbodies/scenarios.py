@@ -393,6 +393,12 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
             "microcracked",
         )
         _nonnegative(p, "microcracked", "restore", "grad_stiffness")
+        if not (p["mu"] > 0 and 3 * p["lam"] + 2 * p["mu"] > 0):
+            # isotropic C is positive definite on symmetric strains iff both hold
+            raise ConfigError(
+                "[density] microcracked: lam and mu need mu > 0 and 3 lam + 2 mu > 0, "
+                f"got lam = {p['lam']}, mu = {p['mu']}"
+            )
         eye = np.eye(3)
         a2 = 0.5 * p["couple"] * (
             np.einsum("ia,jk->ijak", eye, eye) + np.einsum("ja,ik->ijak", eye, eye)

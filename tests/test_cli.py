@@ -123,6 +123,12 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
     ("kind = interval\n\n[density]\nkind = porous-landau",
      "kind = euclidean3\n\n[density]\nkind = microcracked\nrestore = -1",
      "restore must not be negative"),
+    ("kind = interval\n\n[density]\nkind = porous-landau",
+     "kind = euclidean3\n\n[density]\nkind = microcracked\nmu = 0",
+     "mu > 0 and 3 lam + 2 mu > 0"),
+    ("kind = interval\n\n[density]\nkind = porous-landau",
+     "kind = euclidean3\n\n[density]\nkind = microcracked\nlam = -1",
+     "got lam = -1.0"),
     ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
 ])
 def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):

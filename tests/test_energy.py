@@ -40,7 +40,8 @@ from complexbodies.errors import (
     WrongManifoldError,
 )
 from complexbodies.fields import SLOTS, Grid, identity_state
-from complexbodies.manifolds import UnitSphere
+from complexbodies.manifolds import Euclidean, UnitSphere
+from complexbodies.scenarios import build_density
 
 
 def _vector_quadratic(coupled=True):
@@ -170,6 +171,128 @@ class TestReads:
                             EasyAxisAnchoring([0.0, 0.0, 1.0])])
         assert total.reads == {"u", "nu", "N"}
         assert _reads_honest(total)
+
+
+# the einsum strings the term tables replaced: (tensor, subscripts, operands)
+# per method, in the order the terms are summed; e = strain, n = nu, N = N
+_VECTOR_EINSUM = {
+    "eval": (("C", "ijhk,...ij,...hk->...", "ee"), ("A3", "ac,...a,...c->...", "nn"),
+             ("A1", "ija,...ij,...a->...", "en"), ("A2", "ijak,...ij,...ak->...", "eN"),
+             ("A4", "agk,...a,...gk->...", "nN"), ("A5", "aicj,...ai,...cj->...", "NN")),
+    "d_F": (("C", "ijhk,...hk->...ij", "e"), ("A1", "ija,...a->...ij", "n"),
+            ("A2", "ijak,...ak->...ij", "N")),
+    "d_nu": (("A3", "ac,...c->...a", "n"), ("A1", "ija,...ij->...a", "e"),
+             ("A4", "agk,...gk->...a", "N")),
+    "d_N": (("A2", "ijak,...ij->...ak", "e"), ("A4", "agk,...a->...gk", "n"),
+            ("A5", "aicj,...ai->...cj", "N")),
+}
+_TENSOR_EINSUM = {
+    "eval": (("C", "ijhk,...ij,...hk->...", "ee"), ("A3", "abcd,...ab,...cd->...", "nn"),
+             ("A1", "ijab,...ij,...ab->...", "en"), ("A2", "ijabk,...ij,...abk->...", "eN"),
+             ("A4", "abcdk,...ab,...cdk->...", "nN"), ("A5", "abicdj,...abi,...cdj->...", "NN")),
+    "d_F": (("C", "ijhk,...hk->...ij", "e"), ("A1", "ijab,...ab->...ij", "n"),
+            ("A2", "ijabk,...abk->...ij", "N")),
+    "d_nu": (("A3", "abcd,...cd->...ab", "n"), ("A1", "ijab,...ij->...ab", "e"),
+             ("A4", "abcdk,...cdk->...ab", "N")),
+    "d_N": (("A2", "ijabk,...ij->...abk", "e"), ("A4", "abcdk,...ab->...cdk", "n"),
+            ("A5", "abicdj,...abi->...cdj", "N")),
+}
+
+
+def _einsum_quadratic(dens, method, F, nu, N):
+    """A quadratic density's eval or partial by einsum on its own tensors."""
+    table = _VECTOR_EINSUM if dens.embed_dim == 3 else _TENSOR_EINSUM
+    tensors = {k: M.reshape(dens.shapes[k]) for k, M in dens.tensors.items()}
+    nu_shape = dens.shapes["A3"][: len(dens.shapes["A3"]) // 2]
+    ops = {
+        "e": 0.5 * (F + np.swapaxes(F, -1, -2)) - np.eye(3),
+        "n": nu.reshape(nu.shape[:-1] + nu_shape),
+        "N": N.reshape(N.shape[:-2] + nu_shape + (3,)),
+    }
+    out = np.zeros(ops["N"].shape) if method == "d_N" else 0.0
+    for label, subscripts, operands in table[method]:
+        if label in tensors:
+            half = 0.5 if method == "eval" and label in ("C", "A3", "A5") else 1.0
+            out = out + half * np.einsum(subscripts, tensors[label], *(ops[o] for o in operands))
+    if method == "d_F":
+        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    slot = {"eval": F.shape[:-2], "d_F": F.shape, "d_nu": nu.shape, "d_N": N.shape}[method]
+    return np.reshape(out, slot)
+
+
+def _einsum_quasicrystal(dens, method, F, nu, N):
+    """The coupled quasicrystal's eval or partial with its coupling by einsum."""
+    B = dens.coupling
+    if method == "eval":
+        return (dens.macro.macro_eval(F) + 0.5 * dens.K * np.einsum("...ai,...ai->...", N, N)
+                + np.einsum("ijak,...ij,...ak->...", B, F, N))
+    if method == "d_F":
+        return dens.macro.macro_d_F(F) + np.einsum("ijak,...ak->...ij", B, N)
+    if method == "d_N":
+        return dens.K * N + np.einsum("ijak,...ij->...ak", B, F)
+    return np.zeros(nu.shape)
+
+
+def _random_quadratic(cls, rng, **fixed):
+    shapes = {k: v for k, v in cls.shapes.items() if k not in fixed}
+    return cls(**{k: rng.normal(size=s) for k, s in shapes.items()}, **fixed)
+
+
+_PRESET_TENSORS = [
+    build_density("microcracked", {}, Euclidean(3)),
+    build_density("quasicrystal", {"kappa": 0.35}, Euclidean(3)),
+    _tensor_quadratic(),
+]
+_DENSE_TENSORS = [
+    _random_quadratic(QuadraticVector, np.random.default_rng(1)),
+    _random_quadratic(QuadraticTensor, np.random.default_rng(2)),
+    make_quasicrystal(phason_stiffness=0.8,
+                      coupling=np.random.default_rng(3).normal(size=(3, 3, 3, 3))),
+]
+
+
+def _contraction_pairs(dens, batch):
+    """(term-table result, einsum result) for eval and every partial."""
+    rng = np.random.default_rng(17)
+    e = dens.embed_dim
+    F = np.eye(3) + 0.2 * rng.normal(size=batch + (3, 3))
+    args = dict(x=rng.normal(size=batch + (3,)), u=rng.normal(size=batch + (3,)), F=F,
+                nu=rng.normal(size=batch + (e,)), N=rng.normal(size=batch + (e, 3)))
+    reference = _einsum_quasicrystal if isinstance(dens, Quasicrystal) else _einsum_quadratic
+    for method in ("eval", "d_F", "d_nu", "d_N"):
+        got = getattr(dens, method)(**args)
+        yield method, got, reference(dens, method, args["F"], args["nu"], args["N"])
+
+
+class TestContraction:
+    """The term tables against the einsum contractions they replaced."""
+
+    @pytest.mark.parametrize("batch", [(6, 5, 4), (200,)], ids=["cells", "batch"])
+    @pytest.mark.parametrize("density", _PRESET_TENSORS, ids=lambda d: d.name)
+    def test_preset_tensors_bit_for_bit(self, density, batch):
+        for method, got, want in _contraction_pairs(density, batch):
+            assert got.shape == want.shape, method
+            assert np.array_equal(got, want), f"{density.name}.{method}"
+
+    @pytest.mark.parametrize("batch", [(6, 5, 4), (200,)], ids=["cells", "batch"])
+    @pytest.mark.parametrize("density", _DENSE_TENSORS, ids=lambda d: d.name)
+    def test_dense_tensors_to_round_off(self, density, batch):
+        for method, got, want in _contraction_pairs(density, batch):
+            assert got.shape == want.shape, method
+            scale = np.max(np.abs(want[np.isfinite(want)]), initial=0.0)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want)), method
+            err = np.max(np.abs(got - want)[np.isfinite(want)], initial=0.0)
+            assert err <= 1e-13 * scale, f"{density.name}.{method}: {err / scale:.2e}"
+
+    def test_quadratic_density_calls_no_einsum(self, monkeypatch):
+        density = _PRESET_TENSORS[0]
+        b = sample_states(np.random.default_rng(4), 30, 3)
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        for method in ("eval", "d_F", "d_nu", "d_N"):
+            getattr(density, method)(b.x, b.u, b.F, b.nu, b.N)
+        assert calls == []
 
 
 class TestQuadraticClosedForms:

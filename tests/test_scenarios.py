@@ -8,9 +8,12 @@ checked for exact headers and byte-identical repeats under a fixed seed.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexbodies.admissibility import defect_charges
 from complexbodies.errors import ConfigError, ScenarioFailedError
@@ -29,6 +32,8 @@ from complexbodies.scenarios import (
     presets,
     run,
 )
+
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "groundbench" / "scenarios"
 
 MINIMAL = """
 [scenario]
@@ -176,11 +181,54 @@ def test_build_density_range_error_is_config_error():
         ("orientation-landau", "degree-of-orientation", "well_depth"),
         ("microcracked", "euclidean3", "grad_stiffness"),
         ("microcracked", "euclidean3", "restore"),
+        ("microcracked", "euclidean3", "lam"),
+        ("microcracked", "euclidean3", "mu"),
     ]
     for kind, manifold, key in cases:
         with pytest.raises(ConfigError) as err:
             build_density(kind, {key: -1.0}, build_manifold(manifold, {}))
         assert kind in str(err.value) and key in str(err.value)
+    # isotropic C must be positive definite on symmetric strains:
+    # mu > 0 and 3 lam + 2 mu > 0, each violated alone, at the edge and by nan
+    for params in ({"mu": 0.0}, {"lam": -1.0, "mu": 1.5}, {"lam": float("nan")}):
+        with pytest.raises(ConfigError, match="3 lam \\+ 2 mu > 0"):
+            build_density("microcracked", params, build_manifold("euclidean3", {}))
+    build_density("microcracked", {"lam": -0.5, "mu": 0.9}, build_manifold("euclidean3", {}))
+
+
+def test_frozen_microcracked_scenario_builds():
+    text = (BENCH_SCENARIOS / "microcracked-vector.ini").read_text()
+    cfg = parse_config(text)
+    assert (cfg.density_params["lam"], cfg.density_params["mu"]) == (1.2, 0.9)
+    build_density(cfg.density_kind, cfg.density_params,
+                  build_manifold(cfg.manifold_kind, cfg.manifold_params))
+
+
+_DENSITY_KEYS = [
+    ("microcracked", "euclidean3", key)
+    for key in ("lam", "mu", "couple", "restore", "grad_stiffness")
+] + [
+    ("porous-landau", "interval", key)
+    for key in ("stiffness", "well_depth", "pore_a", "pore_b")
+] + [
+    ("orientation-landau", "degree-of-orientation", key)
+    for key in ("stiffness", "well_depth", "beta_a", "beta_b")
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_DENSITY_KEYS),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+def test_any_density_value_builds_or_is_config_error(case, value):
+    kind, manifold, key = case
+    text = (f"[scenario]\nname = fuzz\n\n[manifold]\nkind = {manifold}\n\n"
+            f"[density]\nkind = {kind}\n{key} = {value!r}\n")
+    try:
+        cfg = parse_config(text)
+        build_density(cfg.density_kind, cfg.density_params,
+                      build_manifold(cfg.manifold_kind, cfg.manifold_params))
+    except ConfigError:
+        pass
 
 
 def test_config_constructor_validation():
