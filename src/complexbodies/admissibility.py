@@ -68,7 +68,7 @@ def check_orientation(state: FieldState, tol: float = 0.0) -> OrientationReport:
 
 
 # sample points pushed through the interpolant at once by check_ciarlet_necas
-_RASTER_POINTS = 2**18
+_RASTER_POINTS = 2**16
 
 
 @dataclass(frozen=True)

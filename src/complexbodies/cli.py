@@ -6,7 +6,9 @@ Usage:
     complexbodies presets [--show NAME]
 
 Exit codes: 0 all enabled checks passed, 1 a check failed (or the run
-aborted), 2 the config was invalid.
+aborted), 2 the config was invalid, 3 every enabled check passed but the
+descent stopped before the gradient tolerance (max_iters, a stalled line
+search or energy_tol).
 """
 
 from __future__ import annotations
@@ -27,12 +29,17 @@ from .scenarios import (
     run,
 )
 
+EXIT_NOT_CONVERGED = 3
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="complexbodies",
         description="Ground states of complex elastic bodies: minimize a "
         "multifield energy and verify the balance laws.",
+        epilog="exit status: 0 every enabled check passed, 1 a check failed or the "
+        "run aborted, 2 invalid config, 3 every enabled check passed but the "
+        "descent did not converge",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,7 +110,7 @@ def _cmd_run(args) -> int:
     for line in result.report_lines:
         print(line)
     print(f"artifacts: {result.out_dir}")
-    return 0
+    return 0 if result.minimize_result.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_presets(args) -> int:

@@ -111,7 +111,7 @@ class GrowthSpec:
     description: str = ""
 
     def __post_init__(self):
-        if self.c1 <= 0:
+        if not self.c1 > 0:
             raise ShapeMismatchError("growth constant C1 must be positive")
         if self.include_minor_term and self.variant == "H2" and not self.r > 1:
             raise ShapeMismatchError("minors exponent r must exceed 1")
@@ -292,7 +292,7 @@ class GinzburgLandau(EnergyDensity):
 
     def __init__(self, well, stiffness: float, embed_dim: int, name: str = "ginzburg-landau",
                  well_nonnegative: bool = False):
-        if stiffness <= 0:
+        if not stiffness > 0:
             raise ShapeMismatchError("descriptor stiffness must be positive")
         self.well = well
         self.stiffness = float(stiffness)
@@ -581,7 +581,7 @@ class CompressibleMacro(EnergyDensity):
     def __init__(self, a: float = 1.0, b: float = 1.0, c: float = 1.0,
                  normalize_reference: bool = False, name: str = "compressible-macro",
                  embed_dim: int = 1):
-        if min(a, b, c) <= 0:
+        if not all(v > 0 for v in (a, b, c)):  # min() would skip a later nan
             raise ShapeMismatchError("macro coefficients must be positive")
         self.embed_dim = embed_dim  # descriptor is ignored; set for summation
         self.a, self.b, self.c = float(a), float(b), float(c)
@@ -657,7 +657,7 @@ class MinorsPower(EnergyDensity):
                  theta: Callable | None = log_barrier,
                  theta_prime: Callable | None = log_barrier_prime,
                  name: str = "minors-power"):
-        if c <= 0 or r <= 1:
+        if not (c > 0 and r > 1):
             raise ShapeMismatchError("need c > 0 and r > 1")
         self.c, self.r = float(c), float(r)
         self.theta = theta
@@ -720,7 +720,7 @@ class Quasicrystal(EnergyDensity):
                  phason_stiffness: float = 1.0,
                  coupling: np.ndarray | None = None,
                  name: str = "quasicrystal"):
-        if phason_stiffness <= 0:
+        if not phason_stiffness > 0:
             raise ShapeMismatchError("phason stiffness must be positive")
         self.macro = macro if macro is not None else CompressibleMacro()
         self.K = float(phason_stiffness)
@@ -800,7 +800,7 @@ class SmecticA(EnergyDensity):
     embed_dim = 4
 
     def __init__(self, k1: float = 1.0, k2: float = 1.0, name: str = "smectic-a"):
-        if min(k1, k2) <= 0:
+        if not (k1 > 0 and k2 > 0):
             raise ShapeMismatchError("smectic constants must be positive")
         self.k1, self.k2 = float(k1), float(k2)
         self.name = name
@@ -1004,11 +1004,9 @@ def sample_states(rng: np.random.Generator, n: int, embed_dim: int,
     from .manifolds import rotation_from_vector
 
     lam = rng.lognormal(0.0, sigma, size=(n, 3))
-    F = np.empty((n, 3, 3))
-    for i in range(n):
-        R1 = rotation_from_vector(rng.normal(size=3))
-        R2 = rotation_from_vector(rng.normal(size=3))
-        F[i] = R1 @ np.diag(lam[i]) @ R2
+    # per sample the vectors of R1, then R2: the stream order of one draw each
+    rot = rotation_from_vector(rng.normal(size=(n, 2, 3)))
+    F = (rot[:, 0] * lam[:, None, :]) @ rot[:, 1]
     scale = rng.lognormal(0.0, sigma, size=(n, 1, 1))
     N = rng.normal(size=(n, embed_dim, 3)) * scale
     return StateBatch(

@@ -5,7 +5,7 @@ cell mask carves the active body out of the box (balls, annuli, split
 domains).  The discretization is defined once, by the table CORNERS and two
 loops over it; every operator below is derived from those:
 
-* CORNERS lists the 2^d corners of a cell, each with its nodal index and its
+* CORNERS[d] lists the 2^d corners of a cell, each with its nodal index and its
   coefficients: +1 in the average, -1 / +1 at the near / far node of each
   axis in the gradient.
 * The gather (nodes to cells) sums coefficient times corner value: the cell
@@ -22,6 +22,12 @@ loops over it; every operator below is derived from those:
 
   holds to round-off for every nodal h.  That ties weak residuals, strong
   residuals, and the minimizer's gradient together.
+* The table for d = 1 holds the two-point average and difference, and the
+  d-D table is its d-fold tensor product.  h1_solver builds the H1 metric
+  K + M (gradient stiffness plus lumped volumes) from those 1-D factors and
+  inverts it by fast diagonalization: exactly on a box, as a symmetric
+  positive definite approximation on a masked body.  It preconditions the
+  minimizer.
 
 Plane-strain convention (dim = 2): u keeps all three components with the
 third frozen at zero, the deformation gradient gets a unit out-of-plane
@@ -31,6 +37,7 @@ column, and descriptor gradients carry a zero third column.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -204,7 +211,7 @@ CORNERS = {
                (1.0,) + tuple(1.0 if b else -1.0 for b in o))
         for o in itertools.product((0, 1), repeat=dim)
     )
-    for dim in (2, 3)
+    for dim in (1, 2, 3)
 }
 
 
@@ -344,6 +351,83 @@ def cell_to_node_average(v: np.ndarray, grid: Grid, active: np.ndarray | None = 
 def incident_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
     """Nodes touching at least one active cell: those of positive volume."""
     return node_volumes(grid, active) > 0
+
+
+# ---------------------------------------------------------------------------
+# the H1 metric K + M, inverted by fast diagonalization
+# ---------------------------------------------------------------------------
+
+def _pair_stencil(n: int, row: int) -> np.ndarray:
+    """Coefficient row of the 1-D table CORNERS[1] on n nodes: the
+    (n - 1) x n matrix taking nodal values to one value per cell."""
+    out = np.zeros((n - 1, n))
+    cells = np.arange(n - 1)
+    for corner in CORNERS[1]:
+        out[cells, cells + corner.offset[0]] = corner.coef[row]
+    return out
+
+
+def h1_solver(grid: Grid, free: np.ndarray):
+    """The solve r -> z of (K + M) z = r on the free nodes, z = 0 elsewhere.
+
+    K = G^T W G is the stiffness of cell_gradient over the box (W the cell
+    volume) and M the lumped nodal volumes.  CORNERS[d] is the d-fold tensor
+    product of CORNERS[1], so per axis a the gradient is G_a = D_a (x) A (x)
+    A / h_a, with D the pair difference and A the pair average, and the
+    lumped mass is B = diag(A^T 1).  Since A^T A = B - D^T D / 4, the 1-D
+    generalized eigenbasis Phi of (D^T D, B) on an axis's free indices
+    diagonalizes all three factors at once, and K + M on a tensor product
+    of per-axis index sets is diagonal in the product basis: the solve is
+    Phi diag(1/p) Phi^T, exact to round-off.  It stores one small dense
+    basis per axis and no matrix over the nodes.
+
+    free is a nodal bool mask.  The basis lives on its tensor hull (the
+    per-axis indices that hold a free node); where the mask is no product
+    set (a masked body, pins off a box face) the solve restricts the hull's
+    inverse to the free nodes, a symmetric positive definite approximation.
+    Trailing component axes of r are solved independently.
+    """
+    dim = grid.dim
+    hull = tuple(np.flatnonzero(free.any(axis=tuple(b for b in range(dim) if b != a)))
+                 for a in range(dim))
+    bases, lam, mu = [], [], []
+    for a, idx in enumerate(hull):
+        n, h = grid.nodes[a], grid.spacing[a]
+        avg = _pair_stencil(n, AVERAGE) / 2.0  # the cell average halves the pair sum
+        diff = _pair_stencil(n, 1) / h  # row 1: the difference along the axis
+        ix = np.ix_(idx, idx)
+        stiff, avg2 = (diff.T @ diff)[ix], (avg.T @ avg)[ix]
+        mass = avg.sum(axis=0)[idx]
+        root = np.sqrt(mass)
+        w, vec = np.linalg.eigh(stiff / np.outer(root, root))
+        phi = vec / root[:, None]  # phi^T diag(mass) phi = I, phi^T stiff phi = diag(w)
+        bases.append(phi)
+        lam.append(w)
+        mu.append(np.einsum("ij,ik,kj->j", phi, avg2, phi))
+
+    def along(v, a):
+        return v.reshape([-1 if b == a else 1 for b in range(dim)])
+
+    # the eigenvalues p of K + M: sum over axes a of lam_a (x) mu_b (b != a), plus 1
+    p = grid.cell_volume * (1.0 + sum(
+        math.prod(along(lam[b] if b == a else mu[b], b) for b in range(dim))
+        for a in range(dim)))
+    block = np.ix_(*hull)
+    inside = free[block]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        comp = (None,) * (r.ndim - dim)
+        c = np.where(inside[(...,) + comp], r[block], 0.0)
+        for a, phi in enumerate(bases):
+            c = np.moveaxis(np.tensordot(phi, c, axes=(0, a)), 0, a)
+        c /= p[(...,) + comp]
+        for a, phi in enumerate(bases):
+            c = np.moveaxis(np.tensordot(phi, c, axes=(1, a)), 0, a)
+        z = np.zeros_like(r)
+        z[block] = np.where(inside[(...,) + comp], c, 0.0)
+        return z
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,15 @@ SYM_EIG_FLOOR = 1e-8
 
 
 def rotation_from_vector(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(W) for the spin matrix W of the 3-vector w."""
+    """Rotation matrices exp(W) (..., 3, 3) for the spin matrices W of the
+    3-vectors w (..., 3); a vector shorter than 1e-300 gives the identity."""
     w = np.asarray(w, dtype=float)
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-300:
-        return np.eye(3)
-    k = w / angle
-    K = np.einsum("ijk,j->ik", LEVI, k)  # K v = k x v
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    angle = np.linalg.norm(w, axis=-1)[..., None, None]
+    tiny = angle < 1e-300
+    k = w / np.where(tiny, 1.0, angle)[..., 0]
+    K = np.einsum("ijk,...j->...ik", LEVI, k)  # K v = k x v
+    R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return np.where(tiny, np.eye(3), R)
 
 
 def spin_matrix(q: np.ndarray) -> np.ndarray:

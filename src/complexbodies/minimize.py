@@ -1,8 +1,8 @@
-"""Projected gradient descent for discrete multifield energies.
+"""Sobolev-preconditioned conjugate gradients for discrete multifield energies.
 
 The unknowns are nodal: deformation values u and descriptor values nu.  The
-descent direction is the Riesz representative of the weak energy derivative
-with respect to the lumped volume-weighted nodal inner product
+gradient is the Riesz representative of the weak energy derivative with
+respect to the lumped volume-weighted nodal inner product
 
     <a, b> = sum_nodes vol_node (a . b),
 
@@ -10,12 +10,27 @@ which makes the discrete gradient dual-exact against the assembled weak
 residual: sum_n vol_n g . h equals the weak directional derivative for every
 nodal perturbation h.  Descriptor components are projected to the manifold
 tangent at each node, pinned and non-incident nodes are frozen, and trial
-descriptor updates return to the manifold through the retraction.
+descriptor updates return to the manifold through the retraction.  The stop
+is on this L2 gradient: its sup norm at most grad_tol.
 
-Step control: Barzilai-Borwein initial step from the last accepted move,
-safeguarded by Armijo backtracking.  Trial states that violate the
-volumetric barrier (energy +inf) count as barrier rejections; finite trials
-failing the sufficient-decrease test count as Armijo rejections.  The run is
+Directions come from the H1 metric of the stencil instead.  Each block (u,
+nu) is preconditioned with P = K + M on its free nodes (fields.h1_solver:
+the stiffness of the cell gradient plus the lumped volumes), so the
+Sobolev gradient z = P^-1 M g is the representative of the same derivative
+in the metric of the continuum problem, and the iteration counts do not
+grow with the grid.  Directions are Polak-Ribiere+ conjugate, with the
+previous descriptor direction tangent-projected at the new point, and
+restart along -z when the conjugate one does not descend.  A block whose
+slots the density does not read has a zero gradient and is skipped.
+
+Step control: a secant step on the directional derivative, from one trial
+gradient at the first trial step (with bb_steps the last accepted step,
+scaled to the same first-order decrease; step0 without), doubled while the
+derivative does not rise and the trial decreases the energy sufficiently;
+then Armijo backtracking, within one budget of max_backtracks trials.
+Trial states that violate the volumetric barrier (energy
++inf) count as barrier rejections; finite trials failing the
+sufficient-decrease test count as Armijo rejections.  The run is
 deterministic: no randomness enters the iteration.
 """
 
@@ -32,13 +47,12 @@ from .fields import (
     FieldState,
     divide_by_volume,
     gradients,
+    h1_solver,
     node_volumes,
     scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
 )
 from .manifolds import Manifold
-
-BLOCK_MODES = ("joint", "u-only", "nu-only", "alternate")
 
 
 @dataclass(frozen=True)
@@ -56,8 +70,8 @@ class MinimizeConfig:
     log_every: int = 0
 
     def __post_init__(self):
-        if self.block_mode not in BLOCK_MODES:
-            raise ConfigError(f"block_mode must be one of {BLOCK_MODES}")
+        if self.block_mode != "joint":
+            raise ConfigError(f"block_mode must be 'joint', got {self.block_mode!r}")
         for name in ("grad_tol", "energy_tol", "step0", "backtrack", "armijo_c", "step_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -100,53 +114,44 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
 
     Only the partials of the slots the density reads are scattered.  Each
     other partial is zero, and its scatter is all +0.0; a scatter starts
-    from +0.0 and so never holds -0.0, so adding it would change no bit.
+    from +0.0 and so never holds -0.0, so adding it would change no bit.  A
+    block (u, or nu) whose slots the density reads not at all is returned
+    as zeros, with no division or projection.
     """
     grid = state.grid
     reads = density.reads
     gf = gradients(state, reads)
     args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
-
-    def raw(grad_slot, d_grad, avg_slot, d_avg, shape):
-        out = None
-        if grad_slot in reads:
-            out = scatter_gradient_adjoint(d_grad(*args), grid, state.active)
-        if avg_slot in reads:
-            avg = scatter_cell_average_adjoint(d_avg(*args), grid, state.active)
-            out = avg if out is None else out + avg
-        return np.zeros(shape) if out is None else out
-
-    raw_u = raw("F", density.d_F, "u", density.d_u, state.u.shape)
-    raw_nu = raw("N", density.d_N, "nu", density.d_nu, state.nu.shape)
-
     if vols is None:
         vols = node_volumes(grid, state.active)
-    g_u = divide_by_volume(raw_u, vols)
-    g_nu = divide_by_volume(raw_nu, vols)
+    incident = vols > 0
 
-    if grid.dim == 2:
-        g_u[..., 2] = 0.0
-    if project:
+    def block(grad_slot, d_grad, avg_slot, d_avg):
+        raw = None
+        if grad_slot in reads:
+            raw = scatter_gradient_adjoint(d_grad(*args), grid, state.active)
+        if avg_slot in reads:
+            avg = scatter_cell_average_adjoint(d_avg(*args), grid, state.active)
+            raw = avg if raw is None else raw + avg
+        return None if raw is None else divide_by_volume(raw, vols)
+
+    g_u = block("F", density.d_F, "u", density.d_u)
+    g_nu = block("N", density.d_N, "nu", density.d_nu)
+    if g_u is None:
+        g_u = np.zeros(state.u.shape)
+    else:
+        if grid.dim == 2:
+            g_u[..., 2] = 0.0
+        if project:
+            g_u[~incident] = 0.0
+            g_u[state.pinned_u] = 0.0
+    if g_nu is None:
+        g_nu = np.zeros(state.nu.shape)
+    elif project:
         if manifold is not None:
             g_nu = manifold.tangent_project(state.nu, g_nu)
-        incident = vols > 0
-        g_u[~incident] = 0.0
         g_nu[~incident] = 0.0
-        g_u[state.pinned_u] = 0.0
         g_nu[state.pinned_nu] = 0.0
-    return g_u, g_nu
-
-
-def _apply_block_mode(g_u, g_nu, mode, it):
-    if mode == "u-only":
-        g_nu = np.zeros_like(g_nu)
-    elif mode == "nu-only":
-        g_u = np.zeros_like(g_u)
-    elif mode == "alternate":
-        if it % 2 == 0:
-            g_nu = np.zeros_like(g_nu)
-        else:
-            g_u = np.zeros_like(g_u)
     return g_u, g_nu
 
 
@@ -157,6 +162,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     state = state.copy()
     grid = state.grid
     vols = node_volumes(grid, state.active)
+    weight = vols[..., None]
 
     energy = total_energy(density, state)
     if not np.isfinite(energy):
@@ -164,9 +170,33 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
             "initial state violates the volumetric barrier (energy is not finite)"
         )
 
-    def inner(a_u, a_nu, b_u, b_nu):
-        return float(
-            np.sum(a_u * b_u * vols[..., None]) + np.sum(a_nu * b_nu * vols[..., None])
+    # the blocks that descend: a block whose slots the density does not read,
+    # or that has no free node, keeps a zero gradient and is skipped
+    solvers = {}
+    for b, slots, pinned in (("u", {"u", "F"}, state.pinned_u),
+                             ("nu", {"nu", "N"}, state.pinned_nu)):
+        free = (vols > 0) & ~pinned
+        if density.reads & slots and free.any():
+            solvers[b] = h1_solver(grid, free)
+
+    def gradient(at: FieldState) -> dict:
+        g_u, g_nu = riesz_gradient(density, at, manifold, vols=vols)
+        return {"u": g_u, "nu": g_nu}
+
+    def inner(a: dict, b: dict) -> float:
+        return sum(float(np.sum(a[k] * b[k] * weight)) for k in solvers)
+
+    def sup_norm(g: dict) -> float:
+        return max((float(np.max(np.abs(g[k]))) for k in solvers), default=0.0)
+
+    def moved(t: float, d: dict) -> FieldState:
+        return FieldState(
+            grid=grid,
+            u=state.u + t * d["u"] if "u" in d else state.u,
+            nu=manifold.retract(state.nu, t * d["nu"]) if "nu" in d else state.nu,
+            pinned_u=state.pinned_u,
+            pinned_nu=state.pinned_nu,
+            active=state.active,
         )
 
     trace_rows = []
@@ -175,15 +205,12 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     converged = False
     stalled = False
     message = "max iterations reached"
-    prev: dict[int, tuple] = {}  # parity -> (dx_u, dx_nu, g_u, g_nu)
-    last_step = config.step0
-    it = 0
+    d = d_z = gz = None  # last direction, its z and <g, z> at its iterate
+    last_step, last_slope = config.step0, None
 
     for it in range(config.max_iters):
-        g_u, g_nu = riesz_gradient(density, state, manifold, vols=vols)
-        g_u, g_nu = _apply_block_mode(g_u, g_nu, config.block_mode, it)
-        sup = max(float(np.max(np.abs(g_u))), float(np.max(np.abs(g_nu))))
-        gnorm2 = inner(g_u, g_nu, g_u, g_nu)
+        g = gradient(state)
+        sup = sup_norm(g)
 
         if callback is not None and config.log_every and it % config.log_every == 0:
             callback(it, energy, sup, last_step)
@@ -193,32 +220,55 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
             message = "gradient tolerance reached"
             break
 
-        parity = it % 2 if config.block_mode == "alternate" else 0
-        step = config.step0
-        if config.bb_steps and parity in prev:
-            dx_u, dx_nu, pg_u, pg_nu = prev[parity]
-            den = inner(dx_u, dx_nu, g_u - pg_u, g_nu - pg_nu)
-            num = inner(dx_u, dx_nu, dx_u, dx_nu)
-            if den > 0 and num > 0:
-                step = min(num / den, config.step_max)
-            else:
-                step = min(last_step * 2.0, config.step_max)
-        elif it > 0:
-            step = min(last_step * 2.0, config.step_max)
+        # H1 (Sobolev) gradient z = P^-1 M g, then Polak-Ribiere+ conjugation
+        z = {k: solve(g[k] * weight) for k, solve in solvers.items()}
+        if "nu" in z:
+            z["nu"] = manifold.tangent_project(state.nu, z["nu"])
+        gz_new = inner(g, z)
+        direction = {k: -z[k] for k in solvers}
+        if d is not None:
+            beta = max(0.0, (gz_new - inner(g, d_z)) / gz)
+            if beta > 0.0:
+                prev = dict(d)
+                if "nu" in prev:
+                    prev["nu"] = manifold.tangent_project(state.nu, prev["nu"])
+                conj = {k: direction[k] + beta * prev[k] for k in solvers}
+                if inner(g, conj) < 0.0:
+                    direction = conj
+        slope = inner(g, direction)
+        d, d_z, gz = direction, z, gz_new
 
-        accepted = False
-        rejects_here = 0
+        # a secant step on the directional derivative from one trial gradient,
+        # then Armijo backtracking; the first trial expects the first-order
+        # decrease of the last step
+        step = config.step0
+        if config.bb_steps and it > 0:
+            step = min(last_step * last_slope / slope, config.step_max)
+        last_slope = slope
+        secant, accepted, rejects_here = True, False, 0
         for _ in range(config.max_backtracks):
-            trial = state.copy()
-            trial.u = state.u - step * g_u
-            trial.nu = manifold.retract(state.nu, -step * g_nu)
+            trial = moved(step, d)
             e_trial = total_energy(density, trial)
             if not np.isfinite(e_trial):
                 barrier_rejects += 1
                 rejects_here += 1
                 step *= config.backtrack
                 continue
-            if e_trial <= energy - config.armijo_c * step * gnorm2:
+            sufficient = e_trial <= energy + config.armijo_c * step * slope
+            if secant:
+                slope1 = inner(gradient(trial), d)
+                if slope1 > slope:
+                    secant = False
+                    step = min(step * slope / (slope - slope1), config.step_max)
+                    continue
+                # the derivative did not rise (also when the trial is too short
+                # to move the state): double while the decrease is sufficient,
+                # else test this trial as the step
+                if sufficient and step < config.step_max:
+                    step = min(2.0 * step, config.step_max)
+                    continue
+                secant = False
+            if sufficient:
                 accepted = True
                 break
             armijo_rejects += 1
@@ -231,7 +281,6 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
             message = "line search stalled"
             break
 
-        prev[parity] = (trial.u - state.u, trial.nu - state.nu, g_u, g_nu)
         decrease = energy - e_trial
         state = trial
         energy = e_trial
@@ -239,13 +288,9 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         if config.energy_tol > 0 and decrease < config.energy_tol * max(1.0, abs(energy)):
             message = "energy decrease below tolerance"
             break
-    else:
-        it = config.max_iters
 
     if not trace_rows or (not converged and not stalled and trace_rows[-1][0] != energy):
-        g_u, g_nu = riesz_gradient(density, state, manifold, vols=vols)
-        g_u, g_nu = _apply_block_mode(g_u, g_nu, config.block_mode, it)
-        sup = max(float(np.max(np.abs(g_u))), float(np.max(np.abs(g_nu))))
+        sup = sup_norm(gradient(state))
         if sup <= config.grad_tol:
             converged = True
             message = "gradient tolerance reached"

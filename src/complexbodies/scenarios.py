@@ -326,7 +326,7 @@ def _take(params: dict, defaults: dict, context: str) -> dict:
 def _nonnegative(p: dict, kind: str, *keys: str) -> None:
     """Range check for density parameters that no constructor validates."""
     for key in keys:
-        if p[key] < 0:
+        if not p[key] >= 0:
             raise ConfigError(f"[density] {kind}: {key} must not be negative, got {p[key]}")
 
 

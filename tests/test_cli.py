@@ -1,7 +1,8 @@
 """Command line contract: exit codes, overrides, and the preset catalogue.
 
 Exit code 0 means every enabled check passed, 1 means a check failed or the
-run aborted, 2 means the config was rejected before any work started.
+run aborted, 2 means the config was rejected before any work started, 3
+means every enabled check passed but the descent did not converge.
 """
 
 import pytest
@@ -61,6 +62,21 @@ max_iters = 50
 [checks]
 defects = on
 """
+
+
+def test_unconverged_run_exits_three(tmp_path, capsys):
+    text = TINY.replace("max_iters = 3000", "max_iters = 2").replace("weak_el = on", "")
+    code = main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "result: PASS, not converged: max iterations reached" in captured.out
+
+
+def test_unconverged_failed_check_exits_one(tmp_path, capsys):
+    # two iterations leave a weak residual that the weak_el check rejects
+    text = TINY.replace("max_iters = 3000", "max_iters = 2")
+    assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    assert "result: FAIL, not converged" in capsys.readouterr().out
 
 
 def _write(tmp_path, text):

@@ -121,6 +121,33 @@ class TestDerivatives:
         b = sample_states(rng, 500, 2, wide=True)
         assert np.all(np.linalg.det(b.F) > 0)
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_sampler_matches_loop_reference(self, wide):
+        """The batched sampler draws the stream of a per-sample loop, which
+        builds each F from two Rodrigues rotations."""
+
+        def rotation(w):
+            angle = float(np.linalg.norm(w))
+            K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]) / angle
+            return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+        rng = np.random.default_rng(17)
+        sigma = 1.2 if wide else 0.4
+        lam = rng.lognormal(0.0, sigma, size=(300, 3))
+        F = np.empty((300, 3, 3))
+        for i in range(300):
+            R1 = rotation(rng.normal(size=3))
+            R2 = rotation(rng.normal(size=3))
+            F[i] = R1 @ np.diag(lam[i]) @ R2
+        scale = rng.lognormal(0.0, sigma, size=(300, 1, 1))
+        N = rng.normal(size=(300, 4, 3)) * scale
+        x, u, nu = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)), rng.normal(size=(300, 4))
+
+        b = sample_states(np.random.default_rng(17), 300, 4, wide=wide)
+        assert np.max(np.abs(b.F - F)) <= 1e-14 * np.max(np.abs(F))
+        for got, want in ((b.N, N), (b.x, x), (b.u, u), (b.nu, nu)):
+            assert np.array_equal(got, want)
+
 
 def _reads_honest(density, n=40, seed=5) -> bool:
     """eval and every partial are unchanged when the slots the density does
@@ -453,8 +480,9 @@ class TestGrowth:
         assert spec.bound(F, N)[0] == pytest.approx(expected)
 
     def test_spec_validation(self):
-        with pytest.raises(ShapeMismatchError):
-            GrowthSpec(c1=-1.0)
+        for c1 in (-1.0, float("nan")):
+            with pytest.raises(ShapeMismatchError):
+                GrowthSpec(c1=c1)
         with pytest.raises(ShapeMismatchError):
             GrowthSpec(c1=1.0, r=1.0)
         with pytest.raises(ShapeMismatchError):

@@ -26,6 +26,7 @@ from complexbodies.fields import (
     cell_to_node_average,
     divergence,
     gradients,
+    h1_solver,
     identity_state,
     incident_node_mask,
     integrate_cells,
@@ -290,6 +291,71 @@ class TestCornerLoopReference:
         assert np.array_equal(scatter_cell_average_adjoint(v, grid, active), avgT)
         assert np.array_equal(node_volumes(grid, active), vols)
         assert np.array_equal(incident_node_mask(grid, active), incident)
+
+
+def _dense_h1(grid, free, active=None):
+    """K + M assembled column by column from the stencil and its adjoint,
+    K e = scatter_gradient_adjoint(cell_gradient(e)), M the lumped volumes,
+    restricted to the free nodes."""
+    n = int(np.prod(grid.nodes))
+    vols = node_volumes(grid, active).ravel()
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        e = e.reshape(grid.nodes + (1,))
+        k = scatter_gradient_adjoint(cell_gradient(e, grid), grid, active)[..., 0].ravel()
+        cols.append(k + vols * e.ravel())
+    f = free.ravel()
+    return np.stack(cols, axis=1)[np.ix_(f, f)]
+
+
+def _pins(grid, kind):
+    """Rim (every box face), two-face (the two faces normal to axis 0) or no pins."""
+    pins = np.zeros(grid.nodes, dtype=bool)
+    for a in range(grid.dim if kind == "rim" else 1 if kind == "two-face" else 0):
+        ends = np.zeros(grid.nodes[a], dtype=bool)
+        ends[[0, -1]] = True
+        pins |= ends.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+    return pins
+
+
+_ANISOTROPIC = [
+    Grid((0.0, -1.0, 0.0), (1.0, 2.0, 0.5), (4, 3, 5)),
+    Grid((0.0, 0.0), (1.0, 3.0), (6, 4)),
+]
+
+
+class TestH1Solver:
+    """The fast-diagonalization solve of the preconditioner K + M."""
+
+    @pytest.mark.parametrize("pins", ["rim", "two-face", "none"])
+    @pytest.mark.parametrize("grid", _ANISOTROPIC, ids=["3d", "2d"])
+    def test_equals_dense_solve_on_boxes(self, grid, pins):
+        free = ~_pins(grid, pins)
+        P = _dense_h1(grid, free)
+        rng = np.random.default_rng(8)
+        r = rng.normal(size=grid.nodes + (2,))
+        r[~free] = 0.0
+        z = h1_solver(grid, free)(r)
+        want = np.linalg.solve(P, r[free])
+        assert np.max(np.abs(z[free] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not z[~free].any()
+
+    def test_spd_on_a_ball(self):
+        grid = Grid.cube(6, lo=-1.0, hi=1.0, dim=3)
+        active = ball_mask(grid)
+        free = incident_node_mask(grid, active) & ~boundary_node_mask(grid, active)
+        solve = h1_solver(grid, free)
+        n = int(free.sum())
+        cols = []
+        for j in range(n):
+            e = np.zeros(grid.nodes + (1,))
+            e[free, 0] = np.eye(n)[j]
+            cols.append(solve(e)[free, 0])
+        S = np.stack(cols, axis=1)
+        assert np.max(np.abs(S - S.T)) <= 1e-13 * np.max(np.abs(S))
+        assert np.linalg.eigvalsh(0.5 * (S + S.T)).min() > 0.0
 
 
 class TestNodeMasks:

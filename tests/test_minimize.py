@@ -27,6 +27,7 @@ from complexbodies.fields import (
     divide_by_volume,
     gradients,
     identity_state,
+    incident_node_mask,
     node_volumes,
     scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
@@ -275,23 +276,39 @@ class TestDescent:
         assert np.array_equal(r1.trace, r2.trace)
         assert r1.energy == r2.energy
 
+    def test_iterations_do_not_grow_with_the_grid(self):
+        # the H1 metric of the stencil makes the count nearly mesh independent;
+        # the L2 descent it replaced took 208 and 953 iterations here
+        for n in (6, 12):
+            dens, state, man = _elastic_toy(res=n)
+            out = minimize(dens, state, man, MinimizeConfig(max_iters=2000, grad_tol=1e-9))
+            assert out.converged and out.iterations <= 40, (n, out.iterations)
+
+    def test_unread_block_gets_no_solver_and_never_moves(self, monkeypatch):
+        import complexbodies.minimize as mz
+
+        built = []
+        solver = mz.h1_solver
+
+        def recording(grid, free):
+            built.append(free.copy())
+            return solver(grid, free)
+
+        monkeypatch.setattr(mz, "h1_solver", recording)
+        dens, state, man = _hedgehog_problem(res=6)
+        res = minimize(dens, state, man, MinimizeConfig(max_iters=20))
+        # the Dirichlet energy reads N only: one solver, on the free director nodes
+        assert len(built) == 1
+        assert np.array_equal(built[0], incident_node_mask(state.grid, state.active)
+                              & ~state.pinned_nu)
+        assert np.array_equal(res.state.u, state.u)
+        assert res.energy < total_energy(dens, state)
+
     def test_input_state_not_mutated(self):
         dens, state, man = _elastic_toy()
         u0 = state.u.copy()
         minimize(dens, state, man, MinimizeConfig(max_iters=10))
         assert np.array_equal(state.u, u0)
-
-    @pytest.mark.parametrize("mode", ["u-only", "nu-only", "alternate"])
-    def test_block_modes_descend(self, mode):
-        dens, state, man = _elastic_toy()
-        e0 = total_energy(dens, state)
-        res = minimize(dens, state, man, MinimizeConfig(max_iters=80, block_mode=mode))
-        assert res.energy < e0
-        assert np.all(np.diff(res.trace[:, 0]) <= 0.0)
-        if mode == "u-only":
-            assert np.array_equal(res.state.nu, state.nu)
-        if mode == "nu-only":
-            assert np.array_equal(res.state.u, state.u)
 
 
 class TestBarrier:
@@ -320,6 +337,9 @@ class TestBarrier:
         nan, inf = float("nan"), float("inf")
         for bad in (
             {"block_mode": "both"},
+            {"block_mode": "u-only"},
+            {"block_mode": "nu-only"},
+            {"block_mode": "alternate"},
             {"backtrack": 1.5},
             {"step0": -1.0},
             {"grad_tol": nan},

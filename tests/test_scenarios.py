@@ -188,6 +188,18 @@ def test_build_density_range_error_is_config_error():
         with pytest.raises(ConfigError) as err:
             build_density(kind, {key: -1.0}, build_manifold(manifold, {}))
         assert kind in str(err.value) and key in str(err.value)
+    # nan fails every comparison, so each range check must ask "x > 0", not "x <= 0";
+    # build_density is called directly, past the parser's finite-number check
+    nan_cases = cases[:5] + [
+        ("orientation-landau", "degree-of-orientation", "stiffness"),
+        ("quasicrystal", "euclidean3", "phason_stiffness"),
+        ("quasicrystal", "euclidean3", "b"),
+        ("quasicrystal", "euclidean3", "c"),
+        ("smectic", "layer-director", "k2"),
+    ]
+    for kind, manifold, key in nan_cases:
+        with pytest.raises(ConfigError, match=kind):
+            build_density(kind, {key: float("nan")}, build_manifold(manifold, {}))
     # isotropic C must be positive definite on symmetric strains:
     # mu > 0 and 3 lam + 2 mu > 0, each violated alone, at the edge and by nan
     for params in ({"mu": 0.0}, {"lam": -1.0, "mu": 1.5}, {"lam": float("nan")}):
