@@ -8,7 +8,8 @@ volume-matching surrogate: a map that preserves orientation and satisfies
 up to quadrature slack cannot fold material onto itself.  The image measure
 is estimated by rasterizing stratified sample points pushed through the
 multilinear interpolant, counting interior voxels fully and boundary-shell
-voxels at half weight.
+voxels at half weight; the interior is the covered set eroded by its 2*d face
+neighbours, with voxels beyond the raster counted as uncovered.
 
 Defect accounting for unit-director fields: the charge density
 
@@ -19,14 +20,17 @@ counts covering degree.  Discrete charges are computed exactly as winding
 numbers: each cell boundary is split into triangles and the signed solid
 angles of the director triples are summed.  Shared faces cancel, so charges
 telescope over any cell region to the degree of the region's boundary.
+Cells of winding magnitude at least one half cluster into defects under full
+3^d adjacency, numbered in C order of their first cell.  Both the erosion and
+the clustering are written in numpy, so the package imports no scipy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     ShapeMismatchError,
@@ -137,8 +141,7 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
         idx = np.clip(idx, 0, np.array(shape) - 1)
         covered[tuple(idx.T)] = True
 
-    cross = ndimage.generate_binary_structure(d, 1)
-    interior = ndimage.binary_erosion(covered, structure=cross)
+    interior = _erode(covered)
     shell = covered & ~interior
     voxel_vol = float(np.prod(vox))
     image_vol = (interior.sum() + 0.5 * shell.sum()) * voxel_vol
@@ -151,6 +154,60 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
         voxel_count=int(covered.sum()),
         samples_per_cell=int(np.prod(s_ax)),
     )
+
+
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """Cells of mask whose 2*d face neighbours are all in mask; cells beyond
+    the array count as outside."""
+    padded = np.pad(mask, 1)
+    inside = mask.copy()
+    for ax, n in enumerate(mask.shape):
+        core = [slice(1, -1)] * mask.ndim
+        for s in (0, 2):
+            core[ax] = slice(s, s + n)
+            inside &= padded[tuple(core)]
+    return inside
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of mask under full 3^d adjacency (edges and
+    corners connect), numbered 1..n in C order of each component's first cell.
+
+    Union-find over the marked cells in C order: every adjacent pair with two
+    roots hooks the larger root under the smaller, then each cell jumps to its
+    parent's parent until all point at roots; repeated until no pair joins two
+    roots.  A parent never exceeds its cell, so a component's root is its
+    first cell.
+    """
+    cells = np.flatnonzero(mask)
+    ids = np.full(mask.shape, -1, dtype=np.intp)
+    ids.flat[cells] = np.arange(cells.size)
+    a, b = [], []
+    for off in itertools.product((0, 1, -1), repeat=mask.ndim):
+        if not any(off) or off[np.flatnonzero(off)[0]] < 0:
+            continue  # each unordered neighbour pair once
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, mask.shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, mask.shape))
+        both = mask[src] & mask[dst]
+        a.append(ids[src][both])
+        b.append(ids[dst][both])
+    a, b = np.concatenate(a), np.concatenate(b)
+    root = np.arange(cells.size)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    first, rank = np.unique(root, return_inverse=True)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels.flat[cells] = rank + 1
+    return labels, int(first.size)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +328,7 @@ def defect_charges(state: FieldState, manifold=None, threshold: float = 0.5,
     """
     q = cell_charges(state, manifold)
     marked = np.abs(q) >= threshold
-    labels, n = ndimage.label(marked, structure=np.ones((3, 3, 3), dtype=int))
+    labels, n = _label(marked)
     grid = state.grid
     centers = grid.cell_centers()
     h = np.asarray(grid.spacing)

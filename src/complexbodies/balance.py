@@ -142,12 +142,19 @@ def random_compact_tests(state: FieldState, n: int, components: int,
     """
     grid = state.grid
     rng = np.random.default_rng(seed)
-    coords = grid.node_coords()
+    # each profile factor is separable: evaluate it on an axis's nodes and
+    # broadcast; 0 + a and 1 * a are exact, so the sum and products over
+    # axes equal those taken on full node arrays bit for bit
+    axes = [x.reshape([-1 if a == ax else 1 for a in range(grid.dim)])
+            for ax, x in enumerate(grid.node_axes())]
     lo = np.asarray(grid.lo)
     hi = np.asarray(grid.hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     interior = interior_node_mask(grid, state.active, margin=margin)
+    shell = 1.0
+    for ax, x in enumerate(axes):
+        shell = shell * _bump((x - mid[ax]) / half[ax])
     out = []
     for _ in range(n):
         center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
@@ -155,17 +162,13 @@ def random_compact_tests(state: FieldState, n: int, components: int,
         pol = rng.normal(size=components)
         phase = rng.uniform(0, 2 * np.pi, size=grid.dim)
         freq = rng.uniform(1.0, 3.0, size=grid.dim)
-        r2 = np.zeros(grid.nodes)
-        wave = np.ones(grid.nodes)
-        for ax in range(grid.dim):
-            xi = (coords[..., ax] - center[ax]) / width
+        r2 = 0.0
+        wave = 1.0
+        for ax, x in enumerate(axes):
+            xi = (x - center[ax]) / width
             r2 = r2 + xi**2
-            wave = wave * np.cos(freq[ax] * np.pi * (coords[..., ax] - lo[ax]) / (2 * half[ax]) + phase[ax])
+            wave = wave * np.cos(freq[ax] * np.pi * (x - lo[ax]) / (2 * half[ax]) + phase[ax])
         envelope = np.exp(-r2)
-        shell = np.ones(grid.nodes)
-        for ax in range(grid.dim):
-            xi = (coords[..., ax] - mid[ax]) / half[ax]
-            shell = shell * _bump(xi)
         profile = envelope * wave * shell
         f = profile[..., None] * pol
         f = np.where(interior[..., None], f, 0.0)

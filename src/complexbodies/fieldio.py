@@ -4,8 +4,10 @@ Every writer is deterministic: floats are rendered with %.17g (round-trip
 exact for doubles), rows follow array order, and no timestamps or machine
 identifiers enter the files.  Identical states therefore produce bitwise
 identical artifacts.  The two node CSVs are streamed to disk a chunk of rows
-at a time, each chunk formatted by one %-operation; they hold the same bytes
-as a value-by-value rendering.
+at a time.  A row's index and coordinate columns depend on the node alone, so
+they are rendered once per grid line (str(i) and %.17g of the axis linspace)
+and gathered per row; each chunk's values are formatted by one %-operation.
+The files hold the same bytes as a value-by-value rendering.
 
 Formats
 -------
@@ -58,16 +60,22 @@ def _write_node_csv(path: Path, state: FieldState, values: np.ndarray,
     every double (-0.0, nan, inf) exactly as _fg does."""
     grid = state.grid
     dim = grid.dim
-    # node indices ride along as exact doubles, rendered by %d
-    idx = np.indices(grid.nodes, dtype=float)
-    table = np.concatenate([np.moveaxis(idx, 0, -1), grid.node_coords(), values], axis=-1)
-    table = table.reshape(-1, table.shape[-1])
-    row = ",".join(["%d"] * dim + ["%.17g"] * (table.shape[1] - dim)) + "\n"
+    axes = grid.node_axes()
+    # per-axis text of the i,j,k and x1,x2,x3 columns, in column order
+    tokens = ([np.array([str(i) for i in range(x.size)], dtype=object) for x in axes]
+              + [np.array(["%.17g" % v for v in x.tolist()], dtype=object) for x in axes])
+    vals = values.reshape(-1, values.shape[-1])
+    row = "%s," * (2 * dim) + ",".join(["%.17g"] * vals.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{_index_header(dim)},{_coord_header(dim)},{comp_header}\n")
-        for start in range(0, table.shape[0], _CHUNK_ROWS):
-            chunk = table[start:start + _CHUNK_ROWS]
-            fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        for start in range(0, vals.shape[0], _CHUNK_ROWS):
+            chunk = vals[start:start + _CHUNK_ROWS]
+            node = np.unravel_index(np.arange(start, start + chunk.shape[0]), grid.nodes)
+            table = np.empty((chunk.shape[0], 2 * dim + chunk.shape[1]), dtype=object)
+            for col, tok in enumerate(tokens):
+                table[:, col] = tok[node[col % dim]]
+            table[:, 2 * dim:] = chunk
+            fh.write(row * chunk.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _savez_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:

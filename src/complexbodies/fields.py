@@ -85,9 +85,12 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    def node_axes(self) -> list[np.ndarray]:
+        """Node coordinates along each axis; node_coords is their tensor grid."""
+        return [np.linspace(l, h, n) for l, h, n in zip(self.lo, self.hi, self.nodes)]
+
     def node_coords(self) -> np.ndarray:
-        axes = [np.linspace(l, h, n) for l, h, n in zip(self.lo, self.hi, self.nodes)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(*self.node_axes(), indexing="ij"), axis=-1)
 
     def cell_centers(self) -> np.ndarray:
         axes = [
@@ -435,15 +438,17 @@ def h1_solver(grid: Grid, free: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def interior_node_mask(grid: Grid, active: np.ndarray | None = None, margin: int = 1) -> np.ndarray:
-    """Nodes whose full (2*margin)^d cell neighborhood is active and in range."""
+    """Nodes whose full (2*margin)^d cell neighborhood is active and in range;
+    margin >= 1."""
     if active is None:
         active = np.ones(grid.cells, dtype=bool)
     m = margin
-    padded = np.zeros(tuple(c + 2 * m for c in grid.cells), dtype=bool)
-    core = tuple(slice(m, m + c) for c in grid.cells)
-    padded[core] = active
-    win = np.lib.stride_tricks.sliding_window_view(padded, (2 * m,) * grid.dim)
-    return win.all(axis=tuple(range(-grid.dim, 0)))
+    inside = np.pad(np.asarray(active, dtype=bool), m)
+    # the box window is a product of 1-D windows: AND 2m shifted slabs per axis
+    for ax, n in enumerate(grid.nodes):
+        window = [inside[(slice(None),) * ax + (slice(s, s + n),)] for s in range(2 * m)]
+        inside = np.logical_and.reduce(window)
+    return inside
 
 
 def boundary_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:

@@ -110,6 +110,42 @@ class TestInjectivity:
         assert check_ciarlet_necas(st) == whole
 
 
+def _random_masks(count, seed):
+    """Seeded boolean arrays of 1 to 3 axes, from nearly empty to nearly full;
+    every other one has a True slab on a random face of the array."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        shape = tuple(rng.integers(1, 10, size=1 + k % 3))
+        mask = rng.random(shape) < (0.03, 0.15, 0.4, 0.7, 0.95)[k % 5]
+        if k % 2:
+            ax = int(rng.integers(mask.ndim))
+            face = [slice(None)] * mask.ndim
+            face[ax] = int(rng.choice([0, -1]))
+            mask[tuple(face)] = True
+        yield mask
+
+
+class TestNdimageReplacements:
+    """_label and _erode against scipy.ndimage, which only the tests import."""
+
+    def test_label_matches_ndimage(self):
+        from scipy import ndimage
+
+        for mask in _random_masks(240, seed=11):
+            expected, n = ndimage.label(mask, structure=np.ones((3,) * mask.ndim, dtype=int))
+            labels, m = admissibility._label(mask)
+            assert m == n
+            assert np.array_equal(labels, expected)
+
+    def test_erode_matches_ndimage(self):
+        from scipy import ndimage
+
+        for mask in _random_masks(240, seed=12):
+            cross = ndimage.generate_binary_structure(mask.ndim, 1)
+            assert np.array_equal(admissibility._erode(mask),
+                                  ndimage.binary_erosion(mask, structure=cross))
+
+
 class TestChargeDensityField:
     def test_hedgehog_matches_inverse_square(self):
         st = hedgehog_state(resolution=24, ball=False)

@@ -13,6 +13,7 @@ import pytest
 
 from complexbodies.balance import (
     Residual,
+    _bump,
     ResidualReport,
     assemble_actions,
     cauchy_stress,
@@ -48,6 +49,7 @@ from complexbodies.errors import (
 )
 from complexbodies.fields import (
     Grid,
+    ball_mask,
     boundary_node_mask,
     cell_gradient,
     identity_state,
@@ -172,7 +174,72 @@ class TestAssembly:
         assert np.array_equal(bf.e_val, density.eval(*args))
 
 
+def _per_node_compact_tests(state, n, components, seed=0, manifold=None, margin=2):
+    """random_compact_tests evaluated on the full node_coords array per test."""
+    grid = state.grid
+    rng = np.random.default_rng(seed)
+    coords = grid.node_coords()
+    lo = np.asarray(grid.lo)
+    hi = np.asarray(grid.hi)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    interior = interior_node_mask(grid, state.active, margin=margin)
+    out = []
+    for _ in range(n):
+        center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
+        width = rng.uniform(0.15, 0.45) * float(np.min(half))
+        pol = rng.normal(size=components)
+        phase = rng.uniform(0, 2 * np.pi, size=grid.dim)
+        freq = rng.uniform(1.0, 3.0, size=grid.dim)
+        r2 = np.zeros(grid.nodes)
+        wave = np.ones(grid.nodes)
+        for ax in range(grid.dim):
+            xi = (coords[..., ax] - center[ax]) / width
+            r2 = r2 + xi**2
+            wave = wave * np.cos(freq[ax] * np.pi * (coords[..., ax] - lo[ax]) / (2 * half[ax]) + phase[ax])
+        envelope = np.exp(-r2)
+        shell = np.ones(grid.nodes)
+        for ax in range(grid.dim):
+            xi = (coords[..., ax] - mid[ax]) / half[ax]
+            shell = shell * _bump(xi)
+        profile = envelope * wave * shell
+        f = profile[..., None] * pol
+        f = np.where(interior[..., None], f, 0.0)
+        if manifold is not None:
+            f = manifold.tangent_project(state.nu, f)
+            f[state.pinned_nu] = 0.0
+        else:
+            f[state.pinned_u] = 0.0
+            if grid.dim == 2 and components == 3:
+                f[..., 2] = 0.0
+        out.append(f)
+    return out
+
+
 class TestRandomTests:
+    @pytest.mark.parametrize("body", ["box", "ball", "plane"])
+    @pytest.mark.parametrize("on_manifold", [False, True])
+    def test_separable_profiles_match_per_node_reference(self, body, on_manifold):
+        if body == "plane":
+            grid = Grid((-0.3, 0.1), (1.2, 0.9), (11, 7))
+            man = Euclidean(2)
+            state = identity_state(grid, man, nu0=[0.2, -0.1])
+            state.nu = state.nu + np.random.default_rng(3).normal(size=state.nu.shape)
+        else:
+            state, man = _sphere_state(res=9)
+            if body == "ball":
+                state.active = ball_mask(state.grid, radius=0.45)
+        rim = boundary_node_mask(state.grid, state.active)
+        state.pinned_u = rim.copy()
+        state.pinned_nu = rim & (state.grid.node_coords()[..., 0] < 0.2)
+        components = man.embed_dim if on_manifold else 3
+        kw = dict(seed=17, manifold=man if on_manifold else None)
+        fast = random_compact_tests(state, 6, components, **kw)
+        slow = _per_node_compact_tests(state, 6, components, **kw)
+        for f, g in zip(fast, slow, strict=True):
+            assert np.array_equal(f, g)
+            assert np.any(f != 0.0)
+
     def test_compact_support_and_tangency(self):
         state, man = _sphere_state()
         fields = random_compact_tests(state, 4, 3, seed=5, manifold=man, margin=2)

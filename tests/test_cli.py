@@ -5,8 +5,14 @@ run aborted, 2 means the config was rejected before any work started, 3
 means every enabled check passed but the descent did not converge.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import complexbodies
 from complexbodies.cli import main
 from complexbodies.scenarios import parse_config, preset_config, preset_names
 
@@ -203,3 +209,30 @@ def test_presets_show_round_trips(name, capsys):
 def test_presets_show_unknown_exits_two(capsys):
     assert main(["presets", "--show", "bogus"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+IMPORT_GUARD = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import complexbodies.scenarios, complexbodies.cli
+assert not scipy_modules(), scipy_modules()
+# a run whose checks include the defect clusters and the injectivity raster
+complexbodies.cli.main(["run", "nematic-hedgehog", "--resolution", "6",
+                        "--check", "injectivity=on", "--out", sys.argv[1]])
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_library_loads_no_scipy(tmp_path):
+    src = Path(complexbodies.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0, done.stderr
+    report = (tmp_path / "report.txt").read_text()
+    assert "check defects:" in report and "check injectivity:" in report

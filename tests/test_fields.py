@@ -371,6 +371,24 @@ class TestNodeMasks:
         inner = interior_node_mask(g, margin=2)
         assert inner.sum() == 3**3
 
+    @pytest.mark.parametrize("margin", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [Grid.cube(9, -1.0, 1.0), Grid((0.0, -0.5), (2.0, 0.5), (13, 8))])
+    def test_interior_mask_matches_sliding_window(self, grid, margin):
+        def window_reference(active):
+            m = margin
+            padded = np.zeros(tuple(c + 2 * m for c in grid.cells), dtype=bool)
+            padded[tuple(slice(m, m + c) for c in grid.cells)] = active
+            win = np.lib.stride_tricks.sliding_window_view(padded, (2 * m,) * grid.dim)
+            return win.all(axis=tuple(range(-grid.dim, 0)))
+
+        rng = np.random.default_rng(margin)
+        masks = [np.ones(grid.cells, dtype=bool), ball_mask(grid, radius=0.9)]
+        masks += [rng.random(grid.cells) < p for p in (0.5, 0.9, 0.97)]
+        for active in masks:
+            expected = window_reference(active)
+            assert np.array_equal(interior_node_mask(grid, active, margin=margin), expected)
+        assert np.array_equal(interior_node_mask(grid, margin=margin), window_reference(masks[0]))
+
     def test_ball_mask_boundary(self):
         g = Grid.cube(8, -1.0, 1.0)
         active = ball_mask(g, radius=0.75)
