@@ -7,8 +7,8 @@ Usage:
 
 Exit codes: 0 all enabled checks passed, 1 a check failed (or the run
 aborted), 2 the config was invalid, 3 every enabled check passed but the
-descent stopped before the gradient tolerance (max_iters, a stalled line
-search or energy_tol).
+descent stopped before the gradient tolerance (max_iters or a stalled line
+search).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ComplexBodiesError, ConfigError, ScenarioFailedError
 from .scenarios import (
     CHECK_NAMES,
     PRESET_SUMMARIES,
+    _as_bool,
     format_config,
     parse_config,
     preset_config,
@@ -65,12 +66,7 @@ def _parse_check_flag(raw: str) -> tuple[str, bool]:
     name = name.strip()
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    low = value.strip().lower()
-    if low in ("on", "true", "yes", "1"):
-        return name, True
-    if low in ("off", "false", "no", "0"):
-        return name, False
-    raise ConfigError(f"--check {name} must be on or off, got {value!r}")
+    return name, _as_bool("checks", name, value)
 
 
 def _load_config(ref: str):

@@ -361,24 +361,3 @@ def degree_of_orientation() -> Product:
 def layer_director() -> Product:
     """Smectic descriptor: layer phase scalar paired with a unit director."""
     return Product(Euclidean(1), UnitSphere(), name="layer-director")
-
-
-_REGISTRY = {
-    "euclidean1": lambda: Euclidean(1),
-    "euclidean3": lambda: Euclidean(3),
-    "unit-sphere": UnitSphere,
-    "interval": Interval,
-    "sym-positive": SymPositive,
-    "degree-of-orientation": degree_of_orientation,
-    "layer-director": layer_director,
-}
-
-
-def make_manifold(name: str) -> Manifold:
-    """Construct a registered manifold by name (scenario configs use this)."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ShapeMismatchError(
-            f"unknown manifold '{name}'; known: {sorted(_REGISTRY)}"
-        ) from None

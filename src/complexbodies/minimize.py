@@ -24,10 +24,10 @@ restart along -z when the conjugate one does not descend.  A block whose
 slots the density does not read has a zero gradient and is skipped.
 
 Step control: a secant step on the directional derivative, from one trial
-gradient at the first trial step (with bb_steps the last accepted step,
-scaled to the same first-order decrease; step0 without), doubled while the
+gradient at the first trial step (STEP0 in the first iteration, then the last
+accepted step scaled to the same first-order decrease), doubled while the
 derivative does not rise and the trial decreases the energy sufficiently;
-then Armijo backtracking, within one budget of max_backtracks trials.
+then Armijo backtracking, within one budget of MAX_BACKTRACKS trials.
 Trial states that violate the volumetric barrier (energy
 +inf) count as barrier rejections; finite trials failing the
 sufficient-decrease test count as Armijo rejections.  The run is
@@ -55,35 +55,26 @@ from .fields import (
 from .manifolds import Manifold
 
 
+# line search constants
+STEP0 = 1.0          # first trial step of the first iteration
+BACKTRACK = 0.5      # step factor after a rejected trial
+ARMIJO_C = 1e-4      # sufficient-decrease constant
+MAX_BACKTRACKS = 40  # trials per iteration
+STEP_MAX = 1e6       # cap on every trial step
+
+
 @dataclass(frozen=True)
 class MinimizeConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    energy_tol: float = 0.0
-    step0: float = 1.0
-    backtrack: float = 0.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
-    bb_steps: bool = True
-    step_max: float = 1e6
-    block_mode: str = "joint"
     log_every: int = 0
 
     def __post_init__(self):
-        if self.block_mode != "joint":
-            raise ConfigError(f"block_mode must be 'joint', got {self.block_mode!r}")
-        for name in ("grad_tol", "energy_tol", "step0", "backtrack", "armijo_c", "step_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0 < self.backtrack < 1):
-            raise ConfigError("backtrack factor must lie in (0, 1)")
-        if self.step0 <= 0 or self.armijo_c <= 0 or self.step_max <= 0:
-            raise ConfigError("step0, armijo_c and step_max must be positive")
-        for name in ("max_iters", "log_every", "grad_tol", "energy_tol"):
+        if not math.isfinite(self.grad_tol):
+            raise ConfigError(f"grad_tol must be finite, got {self.grad_tol}")
+        for name in ("max_iters", "log_every", "grad_tol"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.max_backtracks < 1:
-            raise ConfigError("max_backtracks must be at least 1")
 
 
 @dataclass
@@ -206,7 +197,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     stalled = False
     message = "max iterations reached"
     d = d_z = gz = None  # last direction, its z and <g, z> at its iterate
-    last_step, last_slope = config.step0, None
+    last_step, last_slope = STEP0, None
 
     for it in range(config.max_iters):
         g = gradient(state)
@@ -241,31 +232,31 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         # a secant step on the directional derivative from one trial gradient,
         # then Armijo backtracking; the first trial expects the first-order
         # decrease of the last step
-        step = config.step0
-        if config.bb_steps and it > 0:
-            step = min(last_step * last_slope / slope, config.step_max)
+        step = STEP0
+        if it > 0:
+            step = min(last_step * last_slope / slope, STEP_MAX)
         last_slope = slope
         secant, accepted, rejects_here = True, False, 0
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = moved(step, d)
             e_trial = total_energy(density, trial)
             if not np.isfinite(e_trial):
                 barrier_rejects += 1
                 rejects_here += 1
-                step *= config.backtrack
+                step *= BACKTRACK
                 continue
-            sufficient = e_trial <= energy + config.armijo_c * step * slope
+            sufficient = e_trial <= energy + ARMIJO_C * step * slope
             if secant:
                 slope1 = inner(gradient(trial), d)
                 if slope1 > slope:
                     secant = False
-                    step = min(step * slope / (slope - slope1), config.step_max)
+                    step = min(step * slope / (slope - slope1), STEP_MAX)
                     continue
                 # the derivative did not rise (also when the trial is too short
                 # to move the state): double while the decrease is sufficient,
                 # else test this trial as the step
-                if sufficient and step < config.step_max:
-                    step = min(2.0 * step, config.step_max)
+                if sufficient and step < STEP_MAX:
+                    step = min(2.0 * step, STEP_MAX)
                     continue
                 secant = False
             if sufficient:
@@ -273,7 +264,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
                 break
             armijo_rejects += 1
             rejects_here += 1
-            step *= config.backtrack
+            step *= BACKTRACK
 
         trace_rows.append((energy, sup, step if accepted else 0.0, rejects_here))
         if not accepted:
@@ -281,13 +272,9 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
             message = "line search stalled"
             break
 
-        decrease = energy - e_trial
         state = trial
         energy = e_trial
         last_step = step
-        if config.energy_tol > 0 and decrease < config.energy_tol * max(1.0, abs(energy)):
-            message = "energy decrease below tolerance"
-            break
 
     if not trace_rows or (not converged and not stalled and trace_rows[-1][0] != energy):
         sup = sup_norm(gradient(state))

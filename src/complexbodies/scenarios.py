@@ -47,7 +47,6 @@ from .energy import (
     DirichletDescriptor,
     EnergyDensity,
     GinzburgLandau,
-    LineDefect,
     QuadraticVector,
     SumDensity,
     check_convexity,
@@ -55,8 +54,6 @@ from .energy import (
     isotropic_elasticity,
     make_quasicrystal,
     make_smectic_a,
-    relaxed_spin_energy,
-    total_energy,
 )
 from .errors import (
     ComplexBodiesError,
@@ -89,10 +86,20 @@ CHECK_NAMES = (
     "configurational",
     "eulerian",
     "defects",
-    "relaxed_formula",
 )
 
 GRID_SHAPES = ("box", "ball")
+
+# random test fields per residual check, samples of the growth check, and
+# the pass thresholds of the residual checks
+N_TESTS = 20
+GROWTH_SAMPLES = 4000
+WEAK_TOL = 1e-5
+DUALITY_TOL = 1e-12
+ROTATIONAL_TOL = 1e-6
+STRONG_TOL = 0.5
+CONFIGURATIONAL_TOL = 5e-2
+EULERIAN_TOL = 5e-2
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +108,9 @@ GRID_SHAPES = ("box", "ball")
 
 @dataclass
 class ScenarioConfig:
-    """Complete description of one scenario run.
-
-    Tolerances are library-level knobs with conservative defaults; they are
-    deliberately not part of the text format, which carries only the physics
-    (grid, manifold, density, boundary, init), the descent settings, the
-    check toggles, the seed, and the output directory.
-    """
+    """Complete description of one scenario run: the physics (grid,
+    manifold, density, boundary, init), the descent settings, the check
+    toggles, the seed, and the output directory."""
 
     name: str
     resolution: int = 16
@@ -126,14 +129,6 @@ class ScenarioConfig:
     checks: dict = field(default_factory=dict)
     out_dir: str | None = None
     seed: int = 0
-    n_tests: int = 20
-    weak_tol: float = 1e-5
-    duality_tol: float = 1e-12
-    rotational_tol: float = 1e-6
-    strong_tol: float = 0.5
-    configurational_tol: float = 5e-2
-    eulerian_tol: float = 5e-2
-    growth_samples: int = 4000
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -146,8 +141,8 @@ class ScenarioConfig:
             if key not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {key!r}; known: {CHECK_NAMES}")
         self.checks = {name: bool(self.checks.get(name, False)) for name in CHECK_NAMES}
-        if self.n_tests < 1:
-            raise ConfigError("n_tests must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
 
 
 # --- typed readers ---------------------------------------------------------
@@ -181,15 +176,23 @@ def _as_bool(section: str, key: str, raw: str) -> bool:
 _MINIMIZE_TYPES = {
     "max_iters": _as_int,
     "grad_tol": _as_float,
-    "energy_tol": _as_float,
-    "step0": _as_float,
-    "backtrack": _as_float,
-    "armijo_c": _as_float,
-    "max_backtracks": _as_int,
-    "bb_steps": _as_bool,
-    "step_max": _as_float,
-    "block_mode": lambda s, k, raw: raw.strip(),
     "log_every": _as_int,
+}
+
+# Keys that older configs carry, each set to the one value that the program
+# now always uses; a key parses at that value only and then sets nothing.
+_RETIRED = {
+    "minimize": {
+        "energy_tol": (_as_float, "0"),
+        "step0": (_as_float, "1"),
+        "backtrack": (_as_float, "0.5"),
+        "armijo_c": (_as_float, "0.0001"),
+        "max_backtracks": (_as_int, "40"),
+        "bb_steps": (_as_bool, "on"),
+        "step_max": (_as_float, "1000000"),
+        "block_mode": (lambda s, k, raw: raw.strip(), "joint"),
+    },
+    "checks": {"relaxed_formula": (_as_bool, "off")},
 }
 
 _SECTIONS = ("scenario", "grid", "manifold", "density", "boundary", "init",
@@ -211,7 +214,14 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"unknown section [{sec}]; known: {_SECTIONS}")
 
     def section(name):
-        return dict(cp[name]) if cp.has_section(name) else {}
+        data = dict(cp[name]) if cp.has_section(name) else {}
+        for key, (read, only) in _RETIRED.get(name, {}).items():
+            if key in data:
+                raw = data.pop(key)
+                if read(name, key, raw) != read(name, key, only):
+                    raise ConfigError(f"[{name}] {key} is retired and accepts only "
+                                      f"{only}, got {raw!r}")
+        return data
 
     sc = section("scenario")
     if "name" not in sc:
@@ -289,14 +299,6 @@ def format_config(config: ScenarioConfig) -> str:
     cp["minimize"] = {
         "max_iters": str(mz.max_iters),
         "grad_tol": _fg(mz.grad_tol),
-        "energy_tol": _fg(mz.energy_tol),
-        "step0": _fg(mz.step0),
-        "backtrack": _fg(mz.backtrack),
-        "armijo_c": _fg(mz.armijo_c),
-        "max_backtracks": str(mz.max_backtracks),
-        "bb_steps": "on" if mz.bb_steps else "off",
-        "step_max": _fg(mz.step_max),
-        "block_mode": mz.block_mode,
         "log_every": str(mz.log_every),
     }
     cp["checks"] = {
@@ -666,7 +668,7 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
         raise ConfigError(
             f"rotational check enabled but manifold {manifold.name!r} carries no rotation action"
         )
-    if (checks["defects"] or checks["relaxed_formula"]) and not isinstance(manifold, UnitSphere):
+    if checks["defects"] and not isinstance(manifold, UnitSphere):
         raise ConfigError("defect accounting needs a unit-director descriptor")
     if checks["defects"] and grid.dim != 3:
         raise ConfigError("defect accounting needs a 3d grid")
@@ -708,12 +710,12 @@ def _weak_el_rows(config: ScenarioConfig, final: FieldState, density: EnergyDens
                   manifold: Manifold, bf) -> tuple[list, list]:
     """Weak residual and duality rows over random test pairs.
 
-    The 2 x n_tests nodal test fields live only in this call, so they are
+    The 2 x N_TESTS nodal test fields live only in this call, so they are
     freed before the checks that follow run.
     """
-    h_tests = random_compact_tests(final, config.n_tests, 3, seed=config.seed + 11)
+    h_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 11)
     nu_tests = random_compact_tests(
-        final, config.n_tests, final.embed_dim, seed=config.seed + 12,
+        final, N_TESTS, final.embed_dim, seed=config.seed + 12,
         manifold=manifold,
     )
     pairs = list(zip(h_tests, nu_tests))
@@ -805,7 +807,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"slack={_fg(rep.slack)} tol={_fg(rep.tolerance)}",
         )
     if built.checks["growth"]:
-        rep = check_growth(density, n=config.growth_samples, seed=config.seed)
+        rep = check_growth(density, n=GROWTH_SAMPLES, seed=config.seed)
         record(
             "growth",
             rep.passed,
@@ -827,17 +829,17 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
         worst_dual = max(r.ratio for r in dual)
         record(
             "weak_el",
-            worst <= config.weak_tol and worst_dual <= config.duality_tol,
-            f"worst_ratio={_fg(worst)} tol={_fg(config.weak_tol)} "
-            f"duality={_fg(worst_dual)} tol={_fg(config.duality_tol)}",
+            worst <= WEAK_TOL and worst_dual <= DUALITY_TOL,
+            f"worst_ratio={_fg(worst)} tol={_fg(WEAK_TOL)} "
+            f"duality={_fg(worst_dual)} tol={_fg(DUALITY_TOL)}",
         )
     if built.checks["rotational"]:
         rep = rotational_balance(bf)
         report.add(rep.residual)
         record(
             "rotational",
-            rep.ratio <= config.rotational_tol,
-            f"ratio={_fg(rep.ratio)} tol={_fg(config.rotational_tol)}",
+            rep.ratio <= ROTATIONAL_TOL,
+            f"ratio={_fg(rep.ratio)} tol={_fg(ROTATIONAL_TOL)}",
         )
     if built.checks["strong"]:
         sr = strong_residuals(bf)
@@ -845,30 +847,30 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
         worst = max(sr.cauchy_residual.ratio, sr.capriz_residual.ratio)
         record(
             "strong",
-            worst <= config.strong_tol,
+            worst <= STRONG_TOL,
             f"cauchy={_fg(sr.cauchy_residual.ratio)} "
-            f"capriz={_fg(sr.capriz_residual.ratio)} tol={_fg(config.strong_tol)}",
+            f"capriz={_fg(sr.capriz_residual.ratio)} tol={_fg(STRONG_TOL)}",
         )
     if built.checks["configurational"]:
         ef = eshelby(bf)
-        phi_tests = random_compact_tests(final, config.n_tests, 3, seed=config.seed + 13)
+        phi_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 13)
         rows = configurational_residual(ef, bf, phi_tests)
         report.add(rows)
         worst = max(r.ratio for r in rows)
         record(
             "configurational",
-            worst <= config.configurational_tol,
-            f"worst_ratio={_fg(worst)} tol={_fg(config.configurational_tol)}",
+            worst <= CONFIGURATIONAL_TOL,
+            f"worst_ratio={_fg(worst)} tol={_fg(CONFIGURATIONAL_TOL)}",
         )
     if built.checks["eulerian"]:
-        tests = _spatial_tests(final, config.n_tests, config.seed + 14)
+        tests = _spatial_tests(final, N_TESTS, config.seed + 14)
         rows = eulerian_cauchy_residual(bf, tests)
         report.add(rows)
         worst = max(r.ratio for r in rows)
         record(
             "eulerian",
-            worst <= config.eulerian_tol,
-            f"worst_ratio={_fg(worst)} tol={_fg(config.eulerian_tol)}",
+            worst <= EULERIAN_TOL,
+            f"worst_ratio={_fg(worst)} tol={_fg(EULERIAN_TOL)}",
         )
     if built.checks["defects"]:
         rep = defect_charges(final, manifold)
@@ -895,59 +897,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
         )
         lines.append(f"  flux_over_4pi: winding={_fg(rep.total_flux / (4 * np.pi))} "
                      f"quadrature={_fg(flux / (4 * np.pi))}")
-    if built.checks["relaxed_formula"]:
-        outcome, extra = _relaxed_demo(config, built, mres)
-        outcomes.append(outcome)
-        lines.append(f"check relaxed_formula: "
-                     f"{'PASS' if outcome.passed else 'FAIL'} | {outcome.detail}")
-        lines.extend(extra)
     return outcomes, lines, report
-
-
-def _relaxed_demo(config: ScenarioConfig, built: BuiltScenario,
-                  mres: MinimizeResult) -> tuple[CheckOutcome, list]:
-    """Relaxed director energy demo: minimizer versus a defect-line competitor.
-
-    The competitor field points away from a pole just outside the body; its
-    point singularity has slid along a radius onto the boundary, so the pair
-    (field, radial line of multiplicity one) is admissible for the same
-    boundary data in the relaxed class.  The relaxed total must equal the
-    competitor's Dirichlet part plus 4 pi times the line mass, recomputed
-    here from scratch.
-    """
-    final = mres.state
-    grid = final.grid
-    center = _box_center(grid)
-    radius = 0.5 * min(h - l for l, h in zip(grid.lo, grid.hi))
-    pole = center + np.array([0.0, 0.0, radius + 0.5 * grid.spacing[2]])
-
-    competitor = final.copy()
-    competitor.nu[...] = _safe_radial(grid.node_coords(), pole)
-    foot = center + np.array([0.0, 0.0, radius])
-    line = LineDefect(points=np.array([center, foot]), multiplicities=[1])
-
-    breakdown = relaxed_spin_energy(competitor, line)
-    dirichlet_direct = total_energy(DirichletDescriptor(3), competitor)
-    mass_direct = float(np.linalg.norm(foot - center))
-    independent = dirichlet_direct + 4.0 * np.pi * mass_direct
-    gap = abs(breakdown.total - independent)
-    scale = max(1.0, abs(breakdown.total))
-    minimizer_energy = relaxed_spin_energy(final).dirichlet
-
-    passed = gap <= 1e-12 * scale
-    detail = (
-        f"additivity_gap={_fg(gap)} tol={_fg(1e-12 * scale)} "
-        f"minimizer_dirichlet={_fg(minimizer_energy)} relaxed_total={_fg(breakdown.total)}"
-    )
-    extra = [
-        f"  minimizer_dirichlet_energy: {_fg(minimizer_energy)}",
-        f"  competitor_dirichlet_energy: {_fg(breakdown.dirichlet)}",
-        f"  defect_line_mass: {_fg(mass_direct)}",
-        f"  defect_term_4pi_mass: {_fg(breakdown.defect_term)}",
-        f"  relaxed_total: {_fg(breakdown.total)}",
-        f"  independent_recomputation: {_fg(independent)}",
-    ]
-    return CheckOutcome(name="relaxed_formula", passed=passed, detail=detail), extra
 
 
 # ---------------------------------------------------------------------------
@@ -1179,30 +1129,6 @@ def _preset_porous_interval() -> ScenarioConfig:
     )
 
 
-def _preset_spin_relaxed_demo() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="spin-relaxed-demo",
-        resolution=16,
-        lo=-1.0,
-        hi=1.0,
-        shape="ball",
-        manifold_kind="unit-sphere",
-        density_kind="dirichlet",
-        boundary_kind="radial-director",
-        init_kind="radial",
-        minimize=MinimizeConfig(max_iters=4000, grad_tol=1e-6),
-        checks={
-            "orientation": True,
-            "growth": True,
-            "weak_el": True,
-            "rotational": True,
-            "defects": True,
-            "relaxed_formula": True,
-        },
-        seed=7,
-    )
-
-
 _PRESETS = {
     "nematic-hedgehog": _preset_nematic_hedgehog,
     "degree-of-orientation": _preset_degree_of_orientation,
@@ -1210,7 +1136,6 @@ _PRESETS = {
     "quasicrystal-shear": _preset_quasicrystal_shear,
     "smectic-layers": _preset_smectic_layers,
     "porous-interval": _preset_porous_interval,
-    "spin-relaxed-demo": _preset_spin_relaxed_demo,
 }
 
 PRESET_SUMMARIES = {
@@ -1220,7 +1145,6 @@ PRESET_SUMMARIES = {
     "quasicrystal-shear": "compressible macro energy with phason field under simple shear",
     "smectic-layers": "layer phase and director with tilted layer boundary data",
     "porous-interval": "two-well scalar order parameter ramped across the box",
-    "spin-relaxed-demo": "relaxed director energy: minimizer vs defect-line competitor",
 }
 
 

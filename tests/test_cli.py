@@ -152,6 +152,7 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
      "kind = euclidean3\n\n[density]\nkind = microcracked\nlam = -1",
      "got lam = -1.0"),
     ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
+    ("seed = 3", "seed = -1", "seed must not be negative"),
 ])
 def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):
     config = _write(tmp_path, TINY.replace(old, new))
@@ -166,8 +167,16 @@ def test_bad_check_flag_exits_two(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", config, "--out", out, "--check", "wibble=on"]) == 2
     assert main(["run", config, "--out", out, "--check", "weak_el"]) == 2
-    assert main(["run", config, "--out", out, "--check", "weak_el=maybe"]) == 2
     capsys.readouterr()
+    assert main(["run", config, "--out", out, "--check", "weak_el=maybe"]) == 2
+    assert "weak_el must be on/off" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--seed", "-3"]) == 2
+    assert "seed must not be negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overrides_reach_the_run(tmp_path, capsys):
@@ -195,7 +204,7 @@ def test_run_preset_by_name(tmp_path, capsys):
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 7
+    assert len(lines) >= 6
     assert [line.split()[0] for line in lines] == preset_names()
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexbodies.errors import (
+    ConfigError,
     GeneratorUnavailableError,
     ProjectionUndefinedError,
     ShapeMismatchError,
@@ -26,10 +27,10 @@ from complexbodies.manifolds import (
     UnitSphere,
     degree_of_orientation,
     layer_director,
-    make_manifold,
     rotation_from_vector,
     spin_matrix,
 )
+from complexbodies.scenarios import build_manifold
 
 ALL_MANIFOLDS = [
     Euclidean(3),
@@ -262,14 +263,14 @@ class TestSpecificManifolds:
             "euclidean3",
             "unit-sphere",
             "interval",
-            "sym-positive",
             "degree-of-orientation",
             "layer-director",
         ):
-            m = make_manifold(name)
+            m = build_manifold(name, {})
             assert m.embed_dim >= 1
-        with pytest.raises(ShapeMismatchError):
-            make_manifold("moebius")
+        assert SymPositive().embed_dim == 9
+        with pytest.raises(ConfigError, match="moebius"):
+            build_manifold("moebius", {})
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatchError):

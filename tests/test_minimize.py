@@ -34,6 +34,7 @@ from complexbodies.fields import (
 )
 from complexbodies.manifolds import Euclidean, UnitSphere
 from complexbodies.minimize import MinimizeConfig, MinimizeResult, minimize, riesz_gradient
+from complexbodies.scenarios import parse_config
 from util import EZ, hedgehog_state, radial_director
 
 
@@ -312,15 +313,18 @@ class TestDescent:
 
 
 class TestBarrier:
-    def test_barrier_rejections_counted(self):
+    def test_barrier_rejections_counted(self, monkeypatch):
+        import complexbodies.minimize as mz
+
         grid = Grid.cube(5, dim=3)
         man = Euclidean(3)
         state = identity_state(grid, man, nu0=np.zeros(3))
         rng = np.random.default_rng(2)
         state.u = state.u + 0.01 * rng.normal(size=state.u.shape)
         dens = CompressibleMacro(1.0, 1.0, 1.0)
-        cfg = MinimizeConfig(max_iters=15, step0=50.0, bb_steps=False)
-        res = minimize(dens, state, man, cfg)
+        # a first trial step long enough to fold cells
+        monkeypatch.setattr(mz, "STEP0", 50.0)
+        res = minimize(dens, state, man, MinimizeConfig(max_iters=15))
         assert res.barrier_rejects > 0
         assert np.all(np.diff(res.trace[:, 0]) <= 0.0)
 
@@ -334,24 +338,23 @@ class TestBarrier:
             minimize(dens, state, man)
 
     def test_config_validation(self):
-        nan, inf = float("nan"), float("inf")
-        for bad in (
-            {"block_mode": "both"},
-            {"block_mode": "u-only"},
-            {"block_mode": "nu-only"},
-            {"block_mode": "alternate"},
-            {"backtrack": 1.5},
-            {"step0": -1.0},
-            {"grad_tol": nan},
-            {"grad_tol": -1e-6},
-            {"energy_tol": inf},
-            {"energy_tol": -1.0},
-            {"armijo_c": nan},
-            {"step_max": 0.0},
-            {"step_max": inf},
-            {"max_iters": -5},
-            {"log_every": -1},
-            {"max_backtracks": 0},
+        for key, value in (
+            ("block_mode", "both"),
+            ("block_mode", "u-only"),
+            ("block_mode", "nu-only"),
+            ("block_mode", "alternate"),
+            ("backtrack", "1.5"),
+            ("step0", "-1.0"),
+            ("grad_tol", "nan"),
+            ("grad_tol", "-1e-6"),
+            ("energy_tol", "inf"),
+            ("energy_tol", "-1.0"),
+            ("armijo_c", "nan"),
+            ("step_max", "0.0"),
+            ("step_max", "inf"),
+            ("max_iters", "-5"),
+            ("log_every", "-1"),
+            ("max_backtracks", "0"),
         ):
-            with pytest.raises(ConfigError):
-                MinimizeConfig(**bad)
+            with pytest.raises(ConfigError, match=key):
+                parse_config(f"[scenario]\nname = t\n\n[minimize]\n{key} = {value}\n")

@@ -8,6 +8,7 @@ checked for exact headers and byte-identical repeats under a fixed seed.
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexbodies import scenarios
 from complexbodies.admissibility import defect_charges
 from complexbodies.errors import ConfigError, ScenarioFailedError
 from complexbodies.fieldio import load_fields
@@ -34,6 +36,7 @@ from complexbodies.scenarios import (
 )
 
 BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "groundbench" / "scenarios"
+FROZEN = sorted(path.stem for path in BENCH_SCENARIOS.glob("*.ini"))
 
 MINIMAL = """
 [scenario]
@@ -86,10 +89,15 @@ def _tiny_porous(**overrides):
         minimize=MinimizeConfig(max_iters=3000, grad_tol=1e-7),
         checks={"orientation": True, "weak_el": True},
         seed=3,
-        n_tests=5,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def _five_test_pairs(monkeypatch):
+    """The runs here draw 5 random test fields per residual check."""
+    monkeypatch.setattr(scenarios, "N_TESTS", 5)
 
 
 ARTIFACTS = ("trace.csv", "fields_u.csv", "fields_nu.csv", "fields.npz",
@@ -139,8 +147,7 @@ def test_preset_round_trip(name):
 
 
 def test_round_trip_preserves_overrides(tmp_path):
-    # n_tests and the tolerances are library knobs outside the text format
-    cfg = _tiny_porous(out_dir=str(tmp_path), seed=99, n_tests=20)
+    cfg = _tiny_porous(out_dir=str(tmp_path), seed=99)
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -150,6 +157,7 @@ def test_round_trip_preserves_overrides(tmp_path):
     ("[grid]\nresolution = 8\n", "name"),
     ("[DEFAULT]\nx = 1\n\n[scenario]\nname = t\n", "DEFAULT"),
     ("[scenario]\nname = t\nseed = pi\n", "integer"),
+    ("[scenario]\nname = t\nseed = -1\n", "seed must not be negative"),
     (MINIMAL + "\n[grid]\nlo = banana\n", "number"),
     (MINIMAL + "\n[grid]\nspacing = 2\n", "grid"),
     (MINIMAL + "\n[minimize]\nlearning_rate = 1\n", "minimize"),
@@ -208,12 +216,33 @@ def test_build_density_range_error_is_config_error():
     build_density("microcracked", {"lam": -0.5, "mu": 0.9}, build_manifold("euclidean3", {}))
 
 
-def test_frozen_microcracked_scenario_builds():
-    text = (BENCH_SCENARIOS / "microcracked-vector.ini").read_text()
-    cfg = parse_config(text)
-    assert (cfg.density_params["lam"], cfg.density_params["mu"]) == (1.2, 0.9)
-    build_density(cfg.density_kind, cfg.density_params,
-                  build_manifold(cfg.manifold_kind, cfg.manifold_params))
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_scenario_parses_builds_and_round_trips(name):
+    cfg = parse_config((BENCH_SCENARIOS / f"{name}.ini").read_text())
+    assert cfg.name == name
+    materialize(cfg)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+# retired keys: the one value each parses at, and another value
+RETIRED = [
+    ("minimize", "energy_tol", "0", "1e-9"),
+    ("minimize", "step0", "1", "2"),
+    ("minimize", "backtrack", "0.5", "0.25"),
+    ("minimize", "armijo_c", "0.0001", "0.001"),
+    ("minimize", "max_backtracks", "40", "41"),
+    ("minimize", "bb_steps", "on", "off"),
+    ("minimize", "step_max", "1000000", "1e5"),
+    ("minimize", "block_mode", "joint", "alternate"),
+    ("checks", "relaxed_formula", "off", "on"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, other", RETIRED)
+def test_retired_key_parses_only_at_its_value(section, key, value, other):
+    assert parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n") == parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = {other}\n")
 
 
 _DENSITY_KEYS = [
@@ -252,8 +281,8 @@ def test_config_constructor_validation():
         ScenarioConfig(name="x", shape="torus")
     with pytest.raises(ConfigError):
         ScenarioConfig(name="x", checks={"bogus": True})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(name="x", n_tests=0)
+    with pytest.raises(ConfigError, match="seed"):
+        ScenarioConfig(name="x", seed=-1)
 
 
 def test_checks_normalize_to_full_toggle_map():
@@ -469,8 +498,9 @@ def test_log_every_streams_progress_to_stderr(tmp_path, capsys, log_every, lines
         assert float(step) > 0
 
 
-def test_run_failure_raises_and_keeps_artifacts(tmp_path):
-    cfg = _tiny_porous(weak_tol=0.0)
+def test_run_failure_raises_and_keeps_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "WEAK_TOL", 0.0)
+    cfg = _tiny_porous()
     with pytest.raises(ScenarioFailedError) as err:
         run(cfg, out_dir=tmp_path)
     result = err.value.result
@@ -497,14 +527,13 @@ REQUIRED_PRESETS = {
     "quasicrystal-shear",
     "smectic-layers",
     "porous-interval",
-    "spin-relaxed-demo",
 }
 
 
 def test_preset_catalogue_is_complete():
     names = preset_names()
     assert REQUIRED_PRESETS <= set(names)
-    assert len(names) >= 7
+    assert len(names) >= 6
     assert [cfg.name for cfg in presets()] == names
 
 
