@@ -26,7 +26,7 @@ from complexbodies.scenarios import apply_boundary
 
 
 def anchored_hedgehog(res):
-    grid = Grid.cube(res, lo=-1.0, hi=1.0, dim=3)
+    grid = Grid.cube(res, lo=-1.0, hi=1.0)
     man = UnitSphere()
     state = identity_state(grid, man, nu0=np.array([0.0, 0.0, 1.0]))
     center = np.full(3, 0.5 * grid.spacing[0])

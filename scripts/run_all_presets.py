@@ -2,7 +2,8 @@
 """Run every built-in scenario and summarize the verification verdicts.
 
 Artifacts land under --out-root/<preset>/.  Exit status is the number of
-failed presets, so the script doubles as a coarse smoke gate.
+presets that failed a check or stopped without converging, so the script
+doubles as a coarse smoke gate.
 
 Usage:
     python3 scripts/run_all_presets.py --out-root runs
@@ -47,8 +48,11 @@ def main(argv=None):
             verdict = "FAIL"
             failures += 1
         dt = time.time() - t0
-        checks = f"{sum(o.passed for o in result.outcomes)}/{len(result.outcomes)}"
         mres = result.minimize_result
+        if not mres.converged:
+            failures += verdict == "PASS"  # a failed run is counted already
+            verdict += f", not converged: {mres.message}"
+        checks = f"{sum(o.passed for o in result.outcomes)}/{len(result.outcomes)}"
         print(f"{verdict}  {name:<22} checks={checks:<6} "
               f"E={mres.energy:.6g}  iters={mres.iterations}  {dt:.1f}s  -> {out}")
     return failures

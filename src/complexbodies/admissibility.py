@@ -105,7 +105,7 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
     vol_int = integrate_cells(det3(gradients(state, ("F",)).F), grid, state.active)
 
     corners = np.stack([state.u[c.index] for c in CORNERS[d]], axis=-2)
-    corners = corners[state.active][..., :d]  # (m, 2^d, d)
+    corners = corners[state.active]  # (m, 2^d, d)
     if corners.shape[0] == 0:
         raise ShapeMismatchError("state has no active cells")
 
@@ -282,11 +282,9 @@ def cell_charges(state: FieldState, manifold=None) -> np.ndarray:
     """Exact per-cell winding number of the director over each cell boundary.
 
     Values are integers up to round-off; a nonzero entry means a point
-    defect sits inside that cell.  Requires a 3d grid.
+    defect sits inside that cell.
     """
     nhat = _require_director(state, manifold)
-    if state.grid.dim != 3:
-        raise ShapeMismatchError("cell winding numbers need a 3d grid")
     index = {c.offset: c.index for c in CORNERS[3]}
     total = np.zeros(state.grid.cells)
     for o1, o2, o3 in _CELL_TRIANGLES:
@@ -339,7 +337,7 @@ def defect_charges(state: FieldState, manifold=None, threshold: float = 0.5,
         charge = float(q[sel].sum())
         w = np.abs(q[sel])
         w = w / w.sum()
-        center = np.einsum("m,mi->i", w, centers[sel][:, : grid.dim])
+        center = np.einsum("m,mi->i", w, centers[sel])
         lo = (idx.min(axis=0) - margin) * h + np.asarray(grid.lo)
         hi = (idx.max(axis=0) + 1 + margin) * h + np.asarray(grid.lo)
         clusters.append(
@@ -391,8 +389,6 @@ def d_field_boundary_flux(state: FieldState, manifold=None) -> float:
     charge.  Independent of the winding route: DefectReport.total_flux is
     exact combinatorics, this is midpoint quadrature of the smooth field.
     """
-    if state.grid.dim != 3:
-        raise ShapeMismatchError("boundary flux needs a 3d grid")
     D = d_field(state, manifold)
     act = state.active
     grid = state.grid

@@ -177,8 +177,6 @@ def random_compact_tests(state: FieldState, n: int, components: int,
             f[state.pinned_nu] = 0.0
         else:
             f[state.pinned_u] = 0.0
-            if grid.dim == 2 and components == 3:
-                f[..., 2] = 0.0
         out.append(f)
     return out
 
@@ -260,9 +258,6 @@ def strong_residuals(bf: BalanceFields, margin: int = 1) -> StrongResiduals:
     else:
         divS_t = divS
     inside = interior_node_mask(grid, state.active, margin=margin)
-    if grid.dim == 2:
-        cau = cau.copy()
-        cau[..., 2] = 0.0
 
     def sup(f):
         if not inside.any():
@@ -377,7 +372,7 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
             lo = np.asarray(grid.lo)
             h = np.asarray(grid.spacing)
             for seg in range(len(lens)):
-                idx = np.floor((mids[seg, : grid.dim] - lo) / h).astype(int)
+                idx = np.floor((mids[seg] - lo) / h).astype(int)
                 idx = tuple(np.clip(idx, 0, np.asarray(grid.cells) - 1))
                 TT = np.outer(tangents[seg], tangents[seg])
                 term = (

@@ -279,11 +279,6 @@ class DirichletDescriptor(EnergyDensity):
         return g
 
 
-def make_dirichlet_sphere() -> DirichletDescriptor:
-    """Director Dirichlet energy on S^2 (nematic one-constant form)."""
-    return DirichletDescriptor(embed_dim=3, name="dirichlet-sphere")
-
-
 class GinzburgLandau(EnergyDensity):
     """e = W(x, nu) + (1/2) k |N|^2 with a pluggable substructural potential.
 
@@ -776,15 +771,6 @@ class Quasicrystal(EnergyDensity):
         return g
 
 
-def make_quasicrystal(macro: CompressibleMacro | None = None,
-                      phason_stiffness: float = 1.0,
-                      coupling: np.ndarray | None = None,
-                      normalize_reference: bool = False) -> Quasicrystal:
-    if macro is None:
-        macro = CompressibleMacro(normalize_reference=normalize_reference)
-    return Quasicrystal(macro=macro, phason_stiffness=phason_stiffness, coupling=coupling)
-
-
 # ---------------------------------------------------------------------------
 # smectic-A, loads, fixtures
 # ---------------------------------------------------------------------------
@@ -825,10 +811,6 @@ class SmecticA(EnergyDensity):
         divn = np.einsum("...ii->...", Dn)
         out[..., 1:4, :] += (self.k2 * divn)[..., None, None] * np.eye(3)
         return out
-
-
-def make_smectic_a(k1: float = 1.0, k2: float = 1.0) -> SmecticA:
-    return SmecticA(k1, k2)
 
 
 class DeadLoad(EnergyDensity):

@@ -46,14 +46,6 @@ def write_trace(path: Path, trace: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _index_header(dim: int) -> str:
-    return ",".join("ijk"[:dim])
-
-
-def _coord_header(dim: int) -> str:
-    return ",".join(f"x{a + 1}" for a in range(dim))
-
-
 def _write_node_csv(path: Path, state: FieldState, values: np.ndarray,
                     comp_header: str) -> None:
     """Stream one row per node, _CHUNK_ROWS rows per write; '%.17g' % x renders
@@ -67,7 +59,7 @@ def _write_node_csv(path: Path, state: FieldState, values: np.ndarray,
     vals = values.reshape(-1, values.shape[-1])
     row = "%s," * (2 * dim) + ",".join(["%.17g"] * vals.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"{_index_header(dim)},{_coord_header(dim)},{comp_header}\n")
+        fh.write(f"i,j,k,x1,x2,x3,{comp_header}\n")
         for start in range(0, vals.shape[0], _CHUNK_ROWS):
             chunk = vals[start:start + _CHUNK_ROWS]
             node = np.unravel_index(np.arange(start, start + chunk.shape[0]), grid.nodes)

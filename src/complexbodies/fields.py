@@ -5,9 +5,9 @@ cell mask carves the active body out of the box (balls, annuli, split
 domains).  The discretization is defined once, by the table CORNERS and two
 loops over it; every operator below is derived from those:
 
-* CORNERS[d] lists the 2^d corners of a cell, each with its nodal index and its
-  coefficients: +1 in the average, -1 / +1 at the near / far node of each
-  axis in the gradient.
+* CORNERS[d] (d = 1, 3) lists the 2^d corners of a cell, each with its
+  nodal index and its coefficients: +1 in the average, -1 / +1 at the
+  near / far node of each axis in the gradient.
 * The gather (nodes to cells) sums coefficient times corner value: the cell
   average (sum / 2^d) and the cell-center gradient of the multilinear
   interpolant (difference / 2^(d-1) h per axis), exact for affine fields.
@@ -28,10 +28,6 @@ loops over it; every operator below is derived from those:
   inverts it by fast diagonalization: exactly on a box, as a symmetric
   positive definite approximation on a masked body.  It preconditions the
   minimizer.
-
-Plane-strain convention (dim = 2): u keeps all three components with the
-third frozen at zero, the deformation gradient gets a unit out-of-plane
-column, and descriptor gradients carry a zero third column.
 """
 
 from __future__ import annotations
@@ -49,7 +45,8 @@ from .manifolds import Manifold
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor-product grid on a box; resolution counts cells per axis."""
+    """Uniform tensor-product grid on a box in R^3; resolution counts cells
+    per axis."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -58,16 +55,16 @@ class Grid:
     def __post_init__(self):
         if not (len(self.lo) == len(self.hi) == len(self.cells)):
             raise ShapeMismatchError("lo, hi, cells must have equal length")
-        if self.dim not in (2, 3):
-            raise ShapeMismatchError(f"only dim 2 or 3 supported, got {self.dim}")
+        if self.dim != 3:
+            raise ShapeMismatchError(f"a grid has 3 axes, got {self.dim}")
         if any(c < 1 for c in self.cells):
             raise ShapeMismatchError("need at least one cell per axis")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ShapeMismatchError("box must have positive extent")
 
     @classmethod
-    def cube(cls, resolution: int, lo: float = 0.0, hi: float = 1.0, dim: int = 3) -> "Grid":
-        return cls((lo,) * dim, (hi,) * dim, (resolution,) * dim)
+    def cube(cls, resolution: int, lo: float = 0.0, hi: float = 1.0) -> "Grid":
+        return cls((lo,) * 3, (hi,) * 3, (resolution,) * 3)
 
     @property
     def dim(self) -> int:
@@ -98,14 +95,6 @@ class Grid:
             for l, h, s, c in zip(self.lo, self.hi, self.spacing, self.cells)
         ]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    def cell_centers3(self) -> np.ndarray:
-        """Cell centers padded to 3 components (plane problems get x3 = 0)."""
-        x = self.cell_centers()
-        if self.dim == 3:
-            return x
-        pad = np.zeros(x.shape[:-1] + (1,))
-        return np.concatenate([x, pad], axis=-1)
 
 
 @dataclass
@@ -159,11 +148,9 @@ class FieldState:
 
 
 def identity_state(grid: Grid, manifold: Manifold, nu0: np.ndarray) -> FieldState:
-    """Reference state: u = x (third component zero in plane problems),
-    descriptor constant at nu0 projected onto the manifold."""
-    coords = grid.node_coords()
-    u = np.zeros(grid.nodes + (3,))
-    u[..., : grid.dim] = coords
+    """Reference state: u = x, descriptor constant at nu0 projected onto the
+    manifold."""
+    u = grid.node_coords()
     nu0 = manifold.project(np.asarray(nu0, dtype=float))
     nu = np.broadcast_to(nu0, grid.nodes + (manifold.embed_dim,)).copy()
     return FieldState(
@@ -187,7 +174,7 @@ class GradientField:
     the cell axes, then one zero-length axis per component axis of the slot.
     """
 
-    x: np.ndarray      # (cells..., 3) cell centers, padded in 2D
+    x: np.ndarray      # (cells..., 3) cell centers
     u_bar: np.ndarray  # (cells..., 3)
     F: np.ndarray      # (cells..., 3, 3)
     nu_bar: np.ndarray # (cells..., embed)
@@ -214,7 +201,7 @@ CORNERS = {
                (1.0,) + tuple(1.0 if b else -1.0 for b in o))
         for o in itertools.product((0, 1), repeat=dim)
     )
-    for dim in (1, 2, 3)
+    for dim in (1, 3)
 }
 
 
@@ -252,8 +239,7 @@ def cell_average(w: np.ndarray, grid: Grid) -> np.ndarray:
 def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-center gradient (..., comp, 3) of a nodal field (..., comp).
 
-    Column j holds the derivative along axis j; in 2D the third column is
-    zero and the caller decides its convention.
+    Column j holds the derivative along axis j.
     """
     out = np.zeros(grid.cells + w.shape[grid.dim :] + (3,))
     for axis, h in enumerate(grid.spacing):
@@ -269,21 +255,12 @@ def gradients(state: FieldState, reads=SLOTS) -> GradientField:
     """Assemble the cell-centered kinematic data for a state, building only
     the slots named in reads (see GradientField for the others)."""
     grid = state.grid
-    F = cell_gradient(state.u, grid) if "F" in reads else _unread(grid, 2)
-    N = cell_gradient(state.nu, grid) if "N" in reads else _unread(grid, 2)
-    if grid.dim == 2:
-        # frozen out-of-plane column
-        if "F" in reads:
-            F[..., :, 2] = 0.0
-            F[..., 2, 2] = 1.0
-        if "N" in reads:
-            N[..., :, 2] = 0.0
     return GradientField(
-        x=grid.cell_centers3() if "x" in reads else _unread(grid, 1),
+        x=grid.cell_centers() if "x" in reads else _unread(grid, 1),
         u_bar=cell_average(state.u, grid) if "u" in reads else _unread(grid, 1),
-        F=F,
+        F=cell_gradient(state.u, grid) if "F" in reads else _unread(grid, 2),
         nu_bar=cell_average(state.nu, grid) if "nu" in reads else _unread(grid, 1),
-        N=N,
+        N=cell_gradient(state.nu, grid) if "N" in reads else _unread(grid, 2),
     )
 
 

@@ -130,12 +130,9 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
     g_nu = block("N", density.d_N, "nu", density.d_nu)
     if g_u is None:
         g_u = np.zeros(state.u.shape)
-    else:
-        if grid.dim == 2:
-            g_u[..., 2] = 0.0
-        if project:
-            g_u[~incident] = 0.0
-            g_u[state.pinned_u] = 0.0
+    elif project:
+        g_u[~incident] = 0.0
+        g_u[state.pinned_u] = 0.0
     if g_nu is None:
         g_nu = np.zeros(state.nu.shape)
     elif project:

@@ -328,35 +328,16 @@ def adjugate(F: np.ndarray) -> np.ndarray:
     return np.swapaxes(cofactor(F), -1, -2)
 
 
-def minors_norm_squared(F: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
-    """|M|^2 of the (stacked) gradient for (..., 3, 3) F and optional (..., m, 3) N.
-
-    With N given this is the full stacked-minors magnitude: every order-2
-    and order-3 minor mixing deformation and descriptor rows is included.
-    """
+def minors_norm_squared(F: np.ndarray) -> np.ndarray:
+    """|M|^2 = 1 + |F|^2 + |cof F|^2 + (det F)^2 of (..., 3, 3) F."""
     F = np.asarray(F, dtype=float)
     _require_3x3(F)
-    if N is None:
-        return (
-            1.0
-            + np.einsum("...ij,...ij->...", F, F)
-            + np.einsum("...ij,...ij->...", cofactor(F), cofactor(F))
-            + det3(F) ** 2
-        )
-    N = np.asarray(N, dtype=float)
-    if N.ndim < 2 or N.shape[-1] != 3:
-        raise ShapeMismatchError(f"descriptor gradient must be (..., m, 3), got {N.shape}")
-    S = np.concatenate([F, np.broadcast_to(N, F.shape[:-2] + N.shape[-2:])], axis=-2)
-    total = 1.0 + np.einsum("...ij,...ij->...", S, S)
-    p = S.shape[-2]
-    for rows in itertools.combinations(range(p), 2):
-        sub = S[..., rows, :]
-        for cols in itertools.combinations(range(3), 2):
-            ss = sub[..., :, cols]
-            total = total + (ss[..., 0, 0] * ss[..., 1, 1] - ss[..., 0, 1] * ss[..., 1, 0]) ** 2
-    for rows in itertools.combinations(range(p), 3):
-        total = total + det3(S[..., rows, :]) ** 2
-    return total
+    return (
+        1.0
+        + np.einsum("...ij,...ij->...", F, F)
+        + np.einsum("...ij,...ij->...", cofactor(F), cofactor(F))
+        + det3(F) ** 2
+    )
 
 
 def _require_3x3(F: np.ndarray) -> None:

@@ -48,12 +48,12 @@ from .energy import (
     EnergyDensity,
     GinzburgLandau,
     QuadraticVector,
+    Quasicrystal,
+    SmecticA,
     SumDensity,
     check_convexity,
     check_growth,
     isotropic_elasticity,
-    make_quasicrystal,
-    make_smectic_a,
 )
 from .errors import (
     ComplexBodiesError,
@@ -421,14 +421,14 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
             "quasicrystal",
         )
         coupling = _coupling_trace(p["kappa"]) if p["kappa"] != 0.0 else None
-        return make_quasicrystal(
+        return Quasicrystal(
             CompressibleMacro(p["a"], p["b"], p["c"]),
             phason_stiffness=p["phason_stiffness"],
             coupling=coupling,
         )
     if kind == "smectic":
         p = _take(params, {"k1": 1.0, "k2": 1.0, "penalty": 0.2}, "smectic")
-        base = make_smectic_a(p["k1"], p["k2"])
+        base = SmecticA(p["k1"], p["k2"])
         if p["penalty"] == 0.0:
             return base
         # the layer energy alone is degenerate along divergence-free director
@@ -670,8 +670,6 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
         )
     if checks["defects"] and not isinstance(manifold, UnitSphere):
         raise ConfigError("defect accounting needs a unit-director descriptor")
-    if checks["defects"] and grid.dim != 3:
-        raise ConfigError("defect accounting needs a 3d grid")
     return BuiltScenario(manifold=manifold, density=density, state=state, checks=checks)
 
 

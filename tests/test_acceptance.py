@@ -36,11 +36,10 @@ from complexbodies.energy import (
     DirichletDescriptor,
     EasyAxisAnchoring,
     LineDefect,
+    Quasicrystal,
     SumDensity,
     check_growth,
     gradient_consistency,
-    make_dirichlet_sphere,
-    make_quasicrystal,
     relaxed_spin_energy,
     total_energy,
 )
@@ -128,7 +127,7 @@ def test_02_density_gradients_match_finite_differences():
 def _anchored_hedgehog(res):
     """Radial unit director on the unit ball, singularity half a cell off
     the nodes so every per-cell winding is well defined."""
-    grid = Grid.cube(res, lo=-1.0, hi=1.0, dim=3)
+    grid = Grid.cube(res, lo=-1.0, hi=1.0)
     man = UnitSphere()
     state = identity_state(grid, man, nu0=EZ)
     c = np.full(3, 0.5 * grid.spacing[0])
@@ -180,7 +179,7 @@ def test_05_relaxed_energy_splits_exactly():
     worst = 0.0
     for k in range(20):
         res = int(rng.integers(5, 10))
-        grid = Grid.cube(res, lo=-1.0, hi=1.0, dim=3)
+        grid = Grid.cube(res, lo=-1.0, hi=1.0)
         man = UnitSphere()
         state = identity_state(grid, man, nu0=EZ)
         state.nu = man.project(rng.normal(size=state.nu.shape))
@@ -323,15 +322,15 @@ def test_08_rotational_balance_splits_objective_from_anchored():
     objective_worst = 0.0
     anchored_best = np.inf
     director_density = SumDensity(
-        [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), make_dirichlet_sphere()]
+        [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(3)]
     )
-    coupled_phason = make_quasicrystal(
+    coupled_phason = Quasicrystal(
         macro=CompressibleMacro(0.5, 0.5, 1.0),
         phason_stiffness=1.0,
         coupling=0.05 * np.einsum("ia,jk->ijak", np.eye(3), np.eye(3)),
     )
     anchored = SumDensity(
-        [make_dirichlet_sphere(), EasyAxisAnchoring(EZ, weight=0.8)]
+        [DirichletDescriptor(3), EasyAxisAnchoring(EZ, weight=0.8)]
     )
     for _ in range(5):
         state, man = _random_director_state(rng)
@@ -350,7 +349,7 @@ def test_08_rotational_balance_splits_objective_from_anchored():
 
 
 def test_09_admissibility_screens_maps():
-    grid = Grid.cube(12, lo=0.0, hi=1.0, dim=3)
+    grid = Grid.cube(12, lo=0.0, hi=1.0)
     base = identity_state(grid, UnitSphere(), nu0=EZ)
 
     reflected = base.copy()
@@ -358,15 +357,14 @@ def test_09_admissibility_screens_maps():
     reflected.u[..., 0] *= -1.0
     reflection_rejected = not check_orientation(reflected).passed
 
-    # angle doubling on an annulus: orientation-preserving but two-to-one
-    g2 = Grid.cube(48, lo=-1.0, hi=1.0, dim=2)
-    fold = identity_state(g2, UnitSphere(), nu0=EZ)
-    pts = g2.node_coords()
-    r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-9)
-    fold.u = fold.u.copy()
+    # angle doubling on an annular slab: orientation-preserving but two-to-one
+    slab = Grid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0 / 12), (48, 48, 2))
+    fold = identity_state(slab, UnitSphere(), nu0=EZ)
+    pts = slab.node_coords()
+    r = np.maximum(np.linalg.norm(pts[..., :2], axis=-1), 1e-9)
     fold.u[..., 0] = (pts[..., 0] ** 2 - pts[..., 1] ** 2) / r
     fold.u[..., 1] = 2.0 * pts[..., 0] * pts[..., 1] / r
-    rc = np.linalg.norm(g2.cell_centers(), axis=-1)
+    rc = np.linalg.norm(slab.cell_centers()[..., :2], axis=-1)
     fold.active = (rc > 0.35) & (rc < 0.95)
     folding_rejected = (not check_ciarlet_necas(fold).passed
                         and check_orientation(fold).passed)

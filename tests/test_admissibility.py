@@ -23,8 +23,8 @@ from complexbodies.manifolds import UnitSphere, degree_of_orientation, rotation_
 from util import EZ, hedgehog_state, radial_director
 
 
-def _identity(res=12, dim=3, lo=0.0, hi=1.0):
-    grid = Grid.cube(res, lo=lo, hi=hi, dim=dim)
+def _identity(res=12, lo=0.0, hi=1.0):
+    grid = Grid.cube(res, lo=lo, hi=hi)
     return identity_state(grid, UnitSphere(), nu0=EZ)
 
 
@@ -69,22 +69,22 @@ class TestInjectivity:
         assert abs(rep.volume_integral - 8.0) < 1e-9
 
     def test_angle_doubling_fold_detected(self):
-        # z -> z^2/|z| on an annulus: orientation fine, doubly covered image
-        grid = Grid.cube(48, lo=-1.0, hi=1.0, dim=2)
+        # (x1 + i x2) -> (x1 + i x2)^2 / r on an annular slab, x3 kept:
+        # orientation fine, doubly covered image
+        grid = Grid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0 / 12), (48, 48, 2))
         st = identity_state(grid, UnitSphere(), nu0=EZ)
         pts = grid.node_coords()
-        r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-9)
-        st.u = st.u.copy()
+        r = np.maximum(np.linalg.norm(pts[..., :2], axis=-1), 1e-9)
         st.u[..., 0] = (pts[..., 0] ** 2 - pts[..., 1] ** 2) / r
         st.u[..., 1] = 2.0 * pts[..., 0] * pts[..., 1] / r
-        rc = np.linalg.norm(grid.cell_centers(), axis=-1)
+        rc = np.linalg.norm(grid.cell_centers()[..., :2], axis=-1)
         st.active = (rc > 0.35) & (rc < 0.95)
         assert check_orientation(st).passed
         rep = check_ciarlet_necas(st)
-        area = st.active.sum() * grid.cell_volume
+        volume = st.active.sum() * grid.cell_volume
         assert not rep.passed
-        # the annulus is covered twice: half the integral is overlap
-        assert rep.slack == pytest.approx(-area, rel=0.08)
+        # the slab is covered twice: half the integral is overlap
+        assert rep.slack == pytest.approx(-volume, rel=0.08)
 
     def test_empty_active_raises(self):
         st = _identity(res=4)
@@ -94,11 +94,14 @@ class TestInjectivity:
         with pytest.raises(ShapeMismatchError):
             check_orientation(st)
 
-    @pytest.mark.parametrize("dim, res", [(3, 10), (2, 24)])
-    def test_chunked_raster_equals_unchunked(self, monkeypatch, dim, res):
-        st = _identity(res=res, dim=dim)
-        rng = np.random.default_rng(dim)
-        st.u = st.u + 0.3 / res * rng.normal(size=st.u.shape)
+    @pytest.mark.parametrize("grid", [
+        Grid.cube(10),
+        Grid((0.0, 0.0, 0.45), (1.0, 1.0, 0.55), (24, 24, 2)),
+    ], ids=["cube", "slab"])
+    def test_chunked_raster_equals_unchunked(self, monkeypatch, grid):
+        st = identity_state(grid, UnitSphere(), nu0=EZ)
+        rng = np.random.default_rng(3)
+        st.u = st.u + 0.3 / max(grid.cells) * rng.normal(size=st.u.shape)
         rc = np.linalg.norm(st.grid.cell_centers() - 0.5, axis=-1)
         st.active = rc < 0.45
         monkeypatch.setattr(admissibility, "_RASTER_POINTS", 2**62)
@@ -150,7 +153,7 @@ class TestChargeDensityField:
     def test_hedgehog_matches_inverse_square(self):
         st = hedgehog_state(resolution=24, ball=False)
         D = d_field(st)
-        cc = st.grid.cell_centers3()
+        cc = st.grid.cell_centers()
         r = np.linalg.norm(cc, axis=-1)
         exact = cc / r[..., None] ** 3
         h = st.grid.spacing[0]
@@ -161,7 +164,7 @@ class TestChargeDensityField:
     def test_tangent_kernel_identity(self):
         # D annihilates the tangent-projected descriptor gradient exactly
         rng = np.random.default_rng(7)
-        grid = Grid.cube(10, lo=-1.0, hi=1.0, dim=3)
+        grid = Grid.cube(10, lo=-1.0, hi=1.0)
         st = identity_state(grid, UnitSphere(), nu0=EZ)
         pts = grid.node_coords()
         raw = np.stack(
@@ -186,7 +189,7 @@ class TestChargeDensityField:
         assert rng is not None
 
     def test_wrong_manifold_rejected(self):
-        grid = Grid.cube(4, dim=3)
+        grid = Grid.cube(4)
         man = degree_of_orientation()
         st = identity_state(grid, man, nu0=np.array([0.0, 0.0, 1.0, 0.5]))
         with pytest.raises(WrongManifoldError):
@@ -227,16 +230,10 @@ class TestCellCharges:
         # winding sums over nested regions agree with boundary degrees
         st = hedgehog_state(resolution=12, center=(0.03, 0.02, 0.01), ball=False)
         q = cell_charges(st)
-        cc = st.grid.cell_centers3()
+        cc = st.grid.cell_centers()
         inner = np.linalg.norm(cc, axis=-1) < 0.5
         assert q[inner].sum() == pytest.approx(1.0, abs=1e-9)
         assert q[~inner].sum() == pytest.approx(0.0, abs=1e-9)
-
-    def test_needs_3d(self):
-        grid = Grid.cube(6, dim=2)
-        st = identity_state(grid, UnitSphere(), nu0=EZ)
-        with pytest.raises(ShapeMismatchError):
-            cell_charges(st)
 
 
 class TestDefectReport:
@@ -281,7 +278,7 @@ class TestDefectReport:
 class TestSurfaceDegree:
     def test_degree_counts_enclosed_defect(self):
         st = hedgehog_state(resolution=16, center=(0.03, 0.02, 0.01), ball=False)
-        cc = st.grid.cell_centers3()
+        cc = st.grid.cell_centers()
         region = np.linalg.norm(cc, axis=-1) < 0.6
         assert degree_on_surface(st, region) == pytest.approx(1.0, abs=1e-9)
         off = np.linalg.norm(cc - np.array([0.7, 0.0, 0.0]), axis=-1) < 0.2

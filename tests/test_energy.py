@@ -26,9 +26,6 @@ from complexbodies.energy import (
     gradient_consistency,
     isotropic_elasticity,
     log_barrier,
-    make_dirichlet_sphere,
-    make_quasicrystal,
-    make_smectic_a,
     relaxed_spin_energy,
     sample_states,
     total_energy,
@@ -41,6 +38,7 @@ from complexbodies.errors import (
 )
 from complexbodies.fields import SLOTS, Grid, identity_state
 from complexbodies.manifolds import Euclidean, UnitSphere
+from complexbodies.minors import cofactor, det3
 from complexbodies.scenarios import build_density
 
 
@@ -69,7 +67,7 @@ def _tensor_quadratic():
 
 
 ALL_DENSITIES = [
-    make_dirichlet_sphere(),
+    DirichletDescriptor(3, name="dirichlet-sphere"),
     GinzburgLandau(ComponentDoubleWell(1.3, -1.0, 1.0, component=0), 0.7, embed_dim=3),
     GinzburgLandau(
         ModulatedWell(
@@ -88,13 +86,13 @@ ALL_DENSITIES = [
     CompressibleMacro(1.0, 0.7, 1.4),
     CompressibleMacro(1.0, 1.0, 1.0, normalize_reference=True),
     MinorsPower(c=0.6, r=2.0),
-    make_quasicrystal(phason_stiffness=0.8),
-    make_quasicrystal(
+    Quasicrystal(phason_stiffness=0.8),
+    Quasicrystal(
         macro=CompressibleMacro(0.5, 0.5, 1.0),
         phason_stiffness=1.0,
         coupling=0.05 * np.einsum("ia,jk->ijak", np.eye(3), np.eye(3)),
     ),
-    make_smectic_a(1.2, 0.6),
+    SmecticA(1.2, 0.6),
     DeadLoad([0.0, 0.0, -2.0]),
     ExternalFieldCoupling([0.3, -0.1, 0.5]),
     EasyAxisAnchoring([0.0, 0.0, 1.0], weight=0.4),
@@ -111,7 +109,7 @@ class TestDerivatives:
     def test_batch_shapes(self):
         rng = np.random.default_rng(0)
         b = sample_states(rng, 7, 3)
-        d = make_dirichlet_sphere()
+        d = DirichletDescriptor(3)
         assert d.eval(b.x, b.u, b.F, b.nu, b.N).shape == (7,)
         assert d.d_N(b.x, b.u, b.F, b.nu, b.N).shape == (7, 3, 3)
         assert d.d_F(b.x, b.u, b.F, b.nu, b.N).shape == (7, 3, 3)
@@ -185,16 +183,16 @@ class TestReads:
 
     def test_reads_follow_overrides(self):
         assert EnergyDensity().reads == frozenset()
-        assert make_dirichlet_sphere().reads == {"N"}
-        assert make_smectic_a().reads == {"N"}
+        assert DirichletDescriptor(3).reads == {"N"}
+        assert SmecticA().reads == {"N"}
         assert DeadLoad([0.0, 0.0, 1.0]).reads == {"u"}
         assert CompressibleMacro().reads == {"F"}
-        assert make_quasicrystal().reads == {"F", "N"}
+        assert Quasicrystal().reads == {"F", "N"}
         assert _vector_quadratic().reads == {"F", "nu", "N"}
         assert GinzburgLandau(None, 1.0, 3).reads == {"x", "nu", "N"}
 
     def test_sum_reads_union_of_parts(self):
-        total = SumDensity([make_dirichlet_sphere(), DeadLoad([0.0, 0.0, -1.0]),
+        total = SumDensity([DirichletDescriptor(3), DeadLoad([0.0, 0.0, -1.0]),
                             EasyAxisAnchoring([0.0, 0.0, 1.0])])
         assert total.reads == {"u", "nu", "N"}
         assert _reads_honest(total)
@@ -273,8 +271,8 @@ _PRESET_TENSORS = [
 _DENSE_TENSORS = [
     _random_quadratic(QuadraticVector, np.random.default_rng(1)),
     _random_quadratic(QuadraticTensor, np.random.default_rng(2)),
-    make_quasicrystal(phason_stiffness=0.8,
-                      coupling=np.random.default_rng(3).normal(size=(3, 3, 3, 3))),
+    Quasicrystal(phason_stiffness=0.8,
+                 coupling=np.random.default_rng(3).normal(size=(3, 3, 3, 3))),
 ]
 
 
@@ -424,9 +422,9 @@ class TestMacroEnergies:
         assert np.all(mid <= 0.5 * (vals[:-1] + vals[1:]) + 1e-12)
 
     def test_total_energy_barrier_is_inf(self):
-        grid = Grid.cube(4, dim=3)
+        grid = Grid.cube(4)
         state = identity_state(grid, UnitSphere(), nu0=np.array([0.0, 0.0, 1.0]))
-        dens = make_quasicrystal()
+        dens = Quasicrystal()
         assert np.isfinite(total_energy(dens, state))
         bad = state.copy()
         bad.u[..., 0] *= -1.0  # reflection: det F < 0 everywhere
@@ -437,10 +435,10 @@ class TestGrowth:
     @pytest.mark.parametrize(
         "density",
         [
-            make_dirichlet_sphere(),
+            DirichletDescriptor(3, name="dirichlet-sphere"),
             CompressibleMacro(1.0, 0.7, 1.4),
             MinorsPower(c=0.6, r=2.0),
-            make_quasicrystal(phason_stiffness=0.8),
+            Quasicrystal(phason_stiffness=0.8),
             GinzburgLandau(
                 ComponentDoubleWell(1.0, -1.0, 1.0), 0.5, embed_dim=3, well_nonnegative=True
             ),
@@ -493,10 +491,10 @@ class TestConvexity:
     @pytest.mark.parametrize(
         "density",
         [
-            make_dirichlet_sphere(),
+            DirichletDescriptor(3, name="dirichlet-sphere"),
             GinzburgLandau(ComponentDoubleWell(1.0, -1.0, 1.0), 0.5, embed_dim=3),
             _vector_quadratic(coupled=False),
-            make_quasicrystal(),
+            Quasicrystal(),
         ],
         ids=lambda d: d.name,
     )
@@ -509,7 +507,7 @@ class TestConvexity:
         [
             MinorsPower(c=0.6, r=2.0),
             CompressibleMacro(1.0, 0.7, 1.4),
-            make_quasicrystal(phason_stiffness=0.8),
+            Quasicrystal(phason_stiffness=0.8),
             _vector_quadratic(coupled=False),
         ],
         ids=lambda d: d.name,
@@ -518,8 +516,21 @@ class TestConvexity:
         rep = check_convexity(density, mode="in_minors_and_N", n_segments=800, seed=1)
         assert rep.passed, f"defect {rep.max_defect} vs scale {rep.scale}"
 
+    @pytest.mark.parametrize(
+        "density",
+        [d for d in ALL_DENSITIES if d.minors_form() is not None],
+        ids=lambda d: d.name,
+    )
+    def test_minors_form_is_the_density(self, density):
+        # the in_minors_and_N probe runs on minors_form, a second copy of the
+        # energy: at m = (F, cof F, det F) it must equal eval
+        b = sample_states(np.random.default_rng(23), 500, density.embed_dim)
+        got = density.minors_form()(b.F, cofactor(b.F), det3(b.F), b.N, x=b.x, u=b.u, nu=b.nu)
+        want = density.eval(b.x, b.u, b.F, b.nu, b.N)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
     def test_smectic_layer_term_not_convex(self):
-        rep = check_convexity(make_smectic_a(), mode="in_N", n_segments=2_000, seed=0)
+        rep = check_convexity(SmecticA(), mode="in_N", n_segments=2_000, seed=0)
         assert not rep.passed
 
     def test_missing_form_raises(self):
@@ -529,13 +540,13 @@ class TestConvexity:
 
     def test_unknown_mode(self):
         with pytest.raises(ShapeMismatchError):
-            check_convexity(make_dirichlet_sphere(), mode="in_F")
+            check_convexity(DirichletDescriptor(3), mode="in_F")
 
 
 class TestSumDensity:
     def test_exact_additivity(self):
         parts = [
-            make_dirichlet_sphere(),
+            DirichletDescriptor(3),
             EasyAxisAnchoring([0.0, 0.0, 1.0], 0.4),
             ExternalFieldCoupling([0.1, 0.0, -0.2]),
         ]
@@ -553,12 +564,12 @@ class TestSumDensity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(SizeMismatchError):
-            SumDensity([make_dirichlet_sphere(), make_smectic_a()])
+            SumDensity([DirichletDescriptor(3), SmecticA()])
 
     def test_external_flag_propagates(self):
         ext = SumDensity([DeadLoad([0, 0, -1.0]), ExternalFieldCoupling([1.0, 0, 0])])
         assert ext.external
-        mixed = SumDensity([make_dirichlet_sphere(), ExternalFieldCoupling([1.0, 0, 0])])
+        mixed = SumDensity([DirichletDescriptor(3), ExternalFieldCoupling([1.0, 0, 0])])
         assert not mixed.external
         assert len(mixed.parts) == 2
 
@@ -595,7 +606,7 @@ class TestLineDefects:
 
 class TestRelaxedSpinEnergy:
     def test_exact_decomposition(self):
-        grid = Grid.cube(6, dim=3)
+        grid = Grid.cube(6)
         state = identity_state(grid, UnitSphere(), nu0=np.array([1.0, 0.0, 0.0]))
         rng = np.random.default_rng(2)
         state.nu += 0.1 * rng.normal(size=state.nu.shape)
@@ -609,7 +620,7 @@ class TestRelaxedSpinEnergy:
         assert out.dirichlet > 0
 
     def test_constant_director_zero_gradient_part(self):
-        grid = Grid.cube(5, dim=3)
+        grid = Grid.cube(5)
         state = identity_state(grid, UnitSphere(), nu0=np.array([0.0, 1.0, 0.0]))
         out = relaxed_spin_energy(state)
         assert out.dirichlet == pytest.approx(0.0, abs=1e-14)
@@ -618,7 +629,7 @@ class TestRelaxedSpinEnergy:
     def test_wrong_descriptor_dimension(self):
         from complexbodies.manifolds import degree_of_orientation
 
-        grid = Grid.cube(4, dim=3)
+        grid = Grid.cube(4)
         man = degree_of_orientation()
         state = identity_state(grid, man, nu0=np.array([0.0, 0.0, 1.0, 0.5]))
         with pytest.raises(WrongManifoldError):

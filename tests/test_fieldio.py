@@ -22,9 +22,7 @@ def reference_rows(state, values, comp_header):
     """One _fg call per value, in itertools.product node order."""
     grid = state.grid
     coords = grid.node_coords()
-    dim = grid.dim
-    header = list("ijk"[:dim]) + [f"x{a + 1}" for a in range(dim)] + [comp_header]
-    lines = [",".join(header)]
+    lines = [f"i,j,k,x1,x2,x3,{comp_header}"]
     for idx in itertools.product(*(range(n) for n in grid.nodes)):
         pos = ",".join(_fg(c) for c in coords[idx])
         vals = ",".join(_fg(v) for v in values[idx])
@@ -46,11 +44,11 @@ def _awkward_state(grid, manifold, nu0):
 
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
 @pytest.mark.parametrize("grid, manifold, nu0", [
-    (Grid.cube(4, lo=-1.0, hi=0.7, dim=3), UnitSphere(), np.array([0.0, 0.0, 1.0])),
-    (Grid((0.0, -0.3), (1.1, 2.0), (5, 4)), Euclidean(1), np.array([0.25])),
+    (Grid.cube(4, lo=-1.0, hi=0.7), UnitSphere(), np.array([0.0, 0.0, 1.0])),
+    (Grid((0.0, -0.3, 0.2), (1.1, 2.0, 0.9), (5, 4, 2)), Euclidean(1), np.array([0.25])),
 ])
 def test_streamed_csv_matches_per_value_writer(tmp_path, monkeypatch, grid, manifold, nu0, rows):
-    # 7 rows per chunk leaves a short last chunk on both grids (125 and 30 nodes)
+    # 7 rows per chunk leaves a short last chunk on both grids (125 and 90 nodes)
     state = _awkward_state(grid, manifold, nu0)
     monkeypatch.setattr(fieldio, "_CHUNK_ROWS", rows)
     write_fields(tmp_path, state)

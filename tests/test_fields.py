@@ -54,6 +54,8 @@ class TestGrid:
         with pytest.raises(ShapeMismatchError):
             Grid((0.0,), (1.0,), (4,))
         with pytest.raises(ShapeMismatchError):
+            Grid((0.0, 0.0), (1.0, 1.0), (4, 4))
+        with pytest.raises(ShapeMismatchError):
             Grid((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2, 2, 2))
         with pytest.raises(ShapeMismatchError):
             Grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 0, 2))
@@ -77,15 +79,6 @@ class TestGradients:
         grad = cell_gradient(w, g)
         expected = np.broadcast_to(A, g.cells + (4, 3))
         assert np.allclose(grad, expected, atol=1e-12)
-
-    def test_affine_exact_2d(self):
-        rng = np.random.default_rng(42)
-        g = Grid((0.0, 0.0), (1.0, 2.0), (4, 6))
-        A = rng.normal(size=(2, 2))
-        w = np.einsum("cj,...j->...c", A, g.node_coords())
-        grad = cell_gradient(w, g)
-        assert np.allclose(grad[..., :2], np.broadcast_to(A, g.cells + (2, 2)), atol=1e-13)
-        assert np.allclose(grad[..., 2], 0.0)
 
     def test_quadratic_second_order(self):
         errs = []
@@ -111,17 +104,14 @@ class TestGradients:
         assert np.allclose(avg[..., 0], 2.0 * c[..., 0] - 0.7 * c[..., 1], atol=1e-13)
 
     def test_identity_state_has_identity_gradient(self):
-        for dim in (2, 3):
-            g = Grid.cube(3, 0.0, 1.0, dim=dim)
-            st_ = identity_state(g, Euclidean(3), np.zeros(3))
-            gf = gradients(st_)
-            assert np.allclose(gf.F, np.broadcast_to(np.eye(3), g.cells + (3, 3)), atol=1e-13)
-            assert np.allclose(gf.N, 0.0)
+        g = Grid.cube(3, 0.0, 1.0)
+        st_ = identity_state(g, Euclidean(3), np.zeros(3))
+        gf = gradients(st_)
+        assert np.allclose(gf.F, np.broadcast_to(np.eye(3), g.cells + (3, 3)), atol=1e-13)
+        assert np.allclose(gf.N, 0.0)
 
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_unread_slots_are_zero_size(self, dim):
-        g = Grid.cube(4, 0.0, 1.0, dim=dim)
+    def test_unread_slots_are_zero_size(self):
+        g = Grid.cube(4, 0.0, 1.0)
         st_ = identity_state(g, Euclidean(3), np.zeros(3))
         rng = np.random.default_rng(9)
         st_.u = st_.u + 0.1 * rng.normal(size=st_.u.shape)
@@ -180,8 +170,8 @@ class TestDivergence:
 
     def test_summation_by_parts_exact(self):
         rng = np.random.default_rng(43)
-        for dim, mask_kind in ((3, "full"), (3, "ball"), (2, "full")):
-            g = Grid.cube(6, -1.0, 1.0, dim=dim)
+        for mask_kind in ("full", "ball"):
+            g = Grid.cube(6, -1.0, 1.0)
             active = None if mask_kind == "full" else ball_mask(g)
             T = rng.normal(size=g.cells + (3, 3))
             h = rng.normal(size=g.nodes + (3,))
@@ -209,10 +199,8 @@ class TestDivergence:
         slope = np.polyfit(np.log([1 / 8, 1 / 16, 1 / 32]), np.log(errs), 1)[0]
         assert slope >= 1.9
 
-    @pytest.mark.parametrize("grid", [
-        Grid((0.0, 0.0, 0.0), (1.0, 0.8, 1.3), (4, 5, 3)),
-        Grid((0.0, 0.0), (1.0, 2.0), (5, 6)),
-    ], ids=["3d", "2d"])
+    @pytest.mark.parametrize("grid", [Grid((0.0, 0.0, 0.0), (1.0, 0.8, 1.3), (4, 5, 3))],
+                             ids=["3d"])
     @pytest.mark.parametrize("masked", [False, True], ids=["box", "ball"])
     @pytest.mark.parametrize("operator", ["average", "gradient"])
     def test_adjoint_is_exact_transpose(self, grid, masked, operator):
@@ -250,13 +238,9 @@ class TestCornerLoopReference:
     """The stencil against one hand-written loop per operator, bit for bit:
     same corner order, same order of additions, same scale factors."""
 
-    @pytest.fixture(params=["3d", "2d"])
-    def grid(self, request):
-        if request.param == "3d":
-            return Grid((0.0, -0.2, 0.1), (1.0, 0.9, 1.4), (4, 5, 3))
-        return Grid((0.0, 0.0), (1.0, 2.0), (5, 6))
-
     @pytest.mark.parametrize("masked", [False, True], ids=["box", "ball"])
+    @pytest.mark.parametrize("grid", [Grid((0.0, -0.2, 0.1), (1.0, 0.9, 1.4), (4, 5, 3))],
+                             ids=["3d"])
     def test_operators_match_corner_loops(self, grid, masked):
         rng = np.random.default_rng(45)
         d, vol = grid.dim, grid.cell_volume
@@ -320,17 +304,12 @@ def _pins(grid, kind):
     return pins
 
 
-_ANISOTROPIC = [
-    Grid((0.0, -1.0, 0.0), (1.0, 2.0, 0.5), (4, 3, 5)),
-    Grid((0.0, 0.0), (1.0, 3.0), (6, 4)),
-]
-
-
 class TestH1Solver:
     """The fast-diagonalization solve of the preconditioner K + M."""
 
     @pytest.mark.parametrize("pins", ["rim", "two-face", "none"])
-    @pytest.mark.parametrize("grid", _ANISOTROPIC, ids=["3d", "2d"])
+    @pytest.mark.parametrize("grid", [Grid((0.0, -1.0, 0.0), (1.0, 2.0, 0.5), (4, 3, 5))],
+                             ids=["3d"])
     def test_equals_dense_solve_on_boxes(self, grid, pins):
         free = ~_pins(grid, pins)
         P = _dense_h1(grid, free)
@@ -343,7 +322,7 @@ class TestH1Solver:
         assert not z[~free].any()
 
     def test_spd_on_a_ball(self):
-        grid = Grid.cube(6, lo=-1.0, hi=1.0, dim=3)
+        grid = Grid.cube(6, lo=-1.0, hi=1.0)
         active = ball_mask(grid)
         free = incident_node_mask(grid, active) & ~boundary_node_mask(grid, active)
         solve = h1_solver(grid, free)
@@ -372,7 +351,7 @@ class TestNodeMasks:
         assert inner.sum() == 3**3
 
     @pytest.mark.parametrize("margin", [1, 2, 3])
-    @pytest.mark.parametrize("grid", [Grid.cube(9, -1.0, 1.0), Grid((0.0, -0.5), (2.0, 0.5), (13, 8))])
+    @pytest.mark.parametrize("grid", [Grid.cube(9, -1.0, 1.0), Grid((0.0, -0.5, 0.2), (2.0, 0.5, 0.9), (13, 8, 5))])
     def test_interior_mask_matches_sliding_window(self, grid, margin):
         def window_reference(active):
             m = margin

@@ -13,9 +13,9 @@ from complexbodies.energy import (
     ExternalFieldCoupling,
     GinzburgLandau,
     QuadraticVector,
+    Quasicrystal,
     SumDensity,
     isotropic_elasticity,
-    make_quasicrystal,
     total_energy,
 )
 from complexbodies.errors import ConfigError, InadmissibleStartError
@@ -40,7 +40,7 @@ from util import EZ, hedgehog_state, radial_director
 
 def _elastic_toy(res=6, perturb=0.02, seed=0):
     """Pinned-boundary linear-elastic state with a random interior bump."""
-    grid = Grid.cube(res, dim=3)
+    grid = Grid.cube(res)
     man = Euclidean(3)
     state = identity_state(grid, man, nu0=np.zeros(3))
     boundary = boundary_node_mask(grid, state.active)
@@ -99,8 +99,6 @@ def _all_partials_gradient(density, state, manifold, project):
     vols = node_volumes(grid, state.active)
     g_u = divide_by_volume(raw_u, vols)
     g_nu = divide_by_volume(raw_nu, vols)
-    if grid.dim == 2:
-        g_u[..., 2] = 0.0
     if project:
         g_nu = manifold.tangent_project(state.nu, g_nu)
         g_u[vols <= 0] = 0.0
@@ -111,13 +109,10 @@ def _all_partials_gradient(density, state, manifold, project):
 
 
 def _perturbed_state(kind, seed=4):
-    """A perturbed director state: on a 3-D ball mask with some pinned
-    nodes, or on a full 2-D grid."""
+    """A perturbed director state: on a ball mask with some pinned nodes,
+    or on the full box with none."""
     rng = np.random.default_rng(seed)
-    if kind == "ball3":
-        grid = Grid.cube(6, lo=-1.0, hi=1.0, dim=3)
-    else:
-        grid = Grid.cube(7, dim=2)
+    grid = Grid.cube(6, lo=-1.0, hi=1.0) if kind == "ball3" else Grid.cube(5)
     state = identity_state(grid, UnitSphere(), nu0=EZ)
     if kind == "ball3":
         state.active = ball_mask(grid)
@@ -125,8 +120,6 @@ def _perturbed_state(kind, seed=4):
         state.pinned_u = rim & (grid.node_coords()[..., 0] < 0.0)
         state.pinned_nu = rim & (grid.node_coords()[..., 1] < 0.0)
     state.u = state.u + 0.03 * rng.normal(size=state.u.shape)
-    if grid.dim == 2:
-        state.u[..., 2] = 0.0
     nu = rng.normal(size=state.nu.shape)
     state.nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
     return state
@@ -135,7 +128,7 @@ def _perturbed_state(kind, seed=4):
 _READ_SETS = [
     DirichletDescriptor(3),
     GinzburgLandau(ComponentDoubleWell(1.3, -1.0, 1.0, component=0), 0.7, embed_dim=3),
-    make_quasicrystal(phason_stiffness=0.8),
+    Quasicrystal(phason_stiffness=0.8),
     DeadLoad([0.0, 0.5, -1.0]),
     ExternalFieldCoupling([0.3, -0.1, 0.5]),
     SumDensity([
@@ -154,7 +147,7 @@ class TestReadOnlyWhatTheDensityReads:
     """Building only the slots a density reads and scattering only their
     partials gives the all-slots, all-partials results bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["ball3", "grid2"])
+    @pytest.mark.parametrize("kind", ["ball3", "box3"])
     @pytest.mark.parametrize("density", _READ_SETS, ids=lambda d: d.name)
     def test_bitwise_equal_to_all_slots(self, density, kind):
         state = _perturbed_state(kind)
@@ -165,7 +158,7 @@ class TestReadOnlyWhatTheDensityReads:
             want = _all_partials_gradient(density, state, man, project)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("kind", ["ball3", "grid2"])
+    @pytest.mark.parametrize("kind", ["ball3", "box3"])
     def test_zero_density(self, kind):
         state = _perturbed_state(kind)
         dens = EnergyDensity()
@@ -199,23 +192,19 @@ class TestReadOnlyWhatTheDensityReads:
 
 
 class TestRieszDuality:
-    @pytest.mark.parametrize("res,dim", [(5, 3), (7, 2)])
-    def test_gradient_matches_directional_derivative(self, res, dim):
+    @pytest.mark.parametrize("pins", ["rim", "none"])
+    def test_gradient_matches_directional_derivative(self, pins):
         dens, state, man = _elastic_toy(res=5)
-        if dim == 2:
-            grid = Grid.cube(7, dim=2)
-            state = identity_state(grid, man, nu0=np.zeros(3))
+        if pins == "none":
+            state = identity_state(Grid.cube(7), man, nu0=np.zeros(3))
             rng = np.random.default_rng(1)
             state.u = state.u + 0.02 * rng.normal(size=state.u.shape)
-            state.u[..., 2] = 0.0
             state.nu = state.nu + 0.1 * rng.normal(size=state.nu.shape)
         g_u, g_nu = riesz_gradient(dens, state, man, project=False)
         vols = node_volumes(state.grid, state.active)
         rng = np.random.default_rng(3)
         h_u = rng.normal(size=state.u.shape)
         h_nu = rng.normal(size=state.nu.shape)
-        if dim == 2:
-            h_u[..., 2] = 0.0
         t = 1e-6
         plus, minus = state.copy(), state.copy()
         plus.u = state.u + t * h_u
@@ -285,6 +274,50 @@ class TestDescent:
             out = minimize(dens, state, man, MinimizeConfig(max_iters=2000, grad_tol=1e-9))
             assert out.converged and out.iterations <= 40, (n, out.iterations)
 
+    def test_first_trial_expects_the_last_decrease(self, monkeypatch):
+        # the first trial step of iteration k > 0 is the last accepted step
+        # scaled to the same first-order decrease: t0_k = t_{k-1} s_{k-1} / s_k,
+        # s the slope <g, d>; every trial lies on the ray u_k + t d_k, so the
+        # displacements of the first and the accepted trial give t0_k / t_k
+        import complexbodies.minimize as mz
+
+        _, state, man = _elastic_toy(res=5, seed=3)
+        dens = CompressibleMacro(1.0, 1.0, 1.0)  # reads F only: d is the u block
+        vols = node_volumes(state.grid, state.active)[..., None]
+        events = []
+        energy, gradient = mz.total_energy, mz.riesz_gradient
+
+        def recording_energy(density, at):
+            events.append(("E", at.u))
+            return energy(density, at)
+
+        def recording_gradient(density, at, *args, **kw):
+            g = gradient(density, at, *args, **kw)
+            events.append(("G", at.u, g[0]))
+            return g
+
+        monkeypatch.setattr(mz, "total_energy", recording_energy)
+        monkeypatch.setattr(mz, "riesz_gradient", recording_gradient)
+        res = minimize(dens, state, man, MinimizeConfig(max_iters=8, grad_tol=0.0, log_every=1),
+                       callback=lambda it, *_: events.append(("it", it)))
+        assert res.iterations == 8 and not res.stalled
+        starts = [i for i, ev in enumerate(events) if ev[0] == "it"]
+        # at iteration k: the state and its gradient just before the callback,
+        # the first trial just after it
+        u = [events[i - 1][1] for i in starts]
+        g = [events[i - 1][2] for i in starts]
+        first = [next(ev[1] for ev in events[i:] if ev[0] == "E") for i in starts]
+        steps = res.trace[:-1, 2]
+        t0, slope = [], []
+        for k in range(len(starts) - 1):
+            accepted = u[k + 1] - u[k]
+            t0.append(steps[k] * np.linalg.norm(first[k] - u[k]) / np.linalg.norm(accepted))
+            slope.append(float(np.sum(g[k] * accepted / steps[k] * vols)))
+        assert t0[0] == pytest.approx(mz.STEP0, rel=1e-12)
+        for k in range(1, len(t0)):
+            assert t0[k] == pytest.approx(steps[k - 1] * slope[k - 1] / slope[k], rel=1e-9)
+        assert max(abs(t - mz.STEP0) for t in t0[1:]) > 1e-3
+
     def test_unread_block_gets_no_solver_and_never_moves(self, monkeypatch):
         import complexbodies.minimize as mz
 
@@ -316,7 +349,7 @@ class TestBarrier:
     def test_barrier_rejections_counted(self, monkeypatch):
         import complexbodies.minimize as mz
 
-        grid = Grid.cube(5, dim=3)
+        grid = Grid.cube(5)
         man = Euclidean(3)
         state = identity_state(grid, man, nu0=np.zeros(3))
         rng = np.random.default_rng(2)
@@ -329,11 +362,11 @@ class TestBarrier:
         assert np.all(np.diff(res.trace[:, 0]) <= 0.0)
 
     def test_inadmissible_start_raises(self):
-        grid = Grid.cube(4, dim=3)
+        grid = Grid.cube(4)
         man = Euclidean(3)
         state = identity_state(grid, man, nu0=np.zeros(3))
         state.u[..., 0] *= -1.0
-        dens = make_quasicrystal()
+        dens = Quasicrystal()
         with pytest.raises(InadmissibleStartError):
             minimize(dens, state, man)
 

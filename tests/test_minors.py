@@ -250,15 +250,6 @@ class TestBatchedHelpers:
             G = rng.normal(size=(3, 3))
             assert minors_norm_squared(G) == pytest.approx(minors3(G).norm_squared, rel=1e-12)
 
-    def test_minors_norm_squared_stacked(self):
-        rng = np.random.default_rng(19)
-        for m in (1, 2, 4):
-            F = rng.normal(size=(3, 3))
-            N = rng.normal(size=(m, 3))
-            assert minors_norm_squared(F, N) == pytest.approx(
-                minors_stacked(F, N).norm_squared, rel=1e-12
-            )
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_dominates_entries(self, seed):

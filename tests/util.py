@@ -23,7 +23,7 @@ def radial_director(points, center=(0.0, 0.0, 0.0), antipodal=False):
 def hedgehog_state(resolution=24, center=(0.0, 0.0, 0.0), antipodal=False,
                    ball=True, radius=1.0):
     """Radial point-defect director on [-1, 1]^3 with identity deformation."""
-    grid = Grid.cube(resolution, lo=-1.0, hi=1.0, dim=3)
+    grid = Grid.cube(resolution, lo=-1.0, hi=1.0)
     state = identity_state(grid, UnitSphere(), nu0=EZ)
     state.nu = radial_director(grid.node_coords(), center=center, antipodal=antipodal)
     if ball:
