@@ -8,8 +8,11 @@ volume-matching surrogate: a map that preserves orientation and satisfies
 up to quadrature slack cannot fold material onto itself.  The image measure
 is estimated by rasterizing stratified sample points pushed through the
 multilinear interpolant, counting interior voxels fully and boundary-shell
-voxels at half weight; the interior is the covered set eroded by its 2*d face
-neighbours, with voxels beyond the raster counted as uncovered.
+voxels at half weight; the interior is the covered set eroded by its six face
+neighbours, with voxels beyond the raster counted as uncovered.  The
+interpolant is summed corner by corner in the order of the table CORNERS[3],
+starting from zero, which is the order in which np.einsum adds, so the
+voxels are those of an einsum push.
 
 Defect accounting for unit-director fields: the charge density
 
@@ -60,18 +63,24 @@ class OrientationReport:
 
 
 def check_orientation(state: FieldState, tol: float = 0.0) -> OrientationReport:
-    """Count active cells whose deformation gradient fails det F > tol."""
+    """Count active cells whose deformation gradient fails det F > tol; a
+    NaN determinant fails too."""
     dets = det3(gradients(state, ("F",)).F)[state.active]
     if dets.size == 0:
         raise ShapeMismatchError("state has no active cells")
     return OrientationReport(
         cells=int(dets.size),
-        violations=int(np.sum(dets <= tol)),
+        violations=int(np.sum(~(dets > tol))),
         min_det=float(dets.min()),
     )
 
 
-# sample points pushed through the interpolant at once by check_ciarlet_necas
+# raster of check_ciarlet_necas: voxels along the widest image axis, cap on
+# samples per cell axis, deficit tolerance relative to the volume integral,
+# and sample points pushed through the interpolant per block of cells
+VOXELS_PER_AXIS = 128
+MAX_SAMPLES_PER_AXIS = 16
+TOL_REL = 0.02
 _RASTER_POINTS = 2**16
 
 
@@ -92,66 +101,89 @@ class InjectivityReport:
         return self.slack >= -self.tolerance
 
 
-def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
-                        max_samples_per_axis: int = 16,
-                        tol_rel: float = 0.02) -> InjectivityReport:
+def check_ciarlet_necas(state: FieldState) -> InjectivityReport:
     """Volume-matching injectivity surrogate on the active region.
 
     Folding shows up as image_volume < volume_integral beyond tolerance;
-    the report fails when the deficit exceeds tol_rel of the integral.
+    the report fails when the deficit exceeds TOL_REL of the integral.  A
+    non-finite corner of an active cell fails it with NaN volumes and no
+    voxels, since such a cell has no image to rasterize.
     """
-    grid = state.grid
-    d = grid.dim
-    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), grid, state.active)
-
-    corners = np.stack([state.u[c.index] for c in CORNERS[d]], axis=-2)
-    corners = corners[state.active]  # (m, 2^d, d)
-    if corners.shape[0] == 0:
+    # corners[c, ax]: coordinate ax of corner c of every active cell
+    corners = np.stack([[state.u[c.index + (ax,)][state.active] for ax in range(3)]
+                        for c in CORNERS[3]])
+    if corners.shape[2] == 0:
         raise ShapeMismatchError("state has no active cells")
+    if not np.isfinite(corners).all():
+        nan = float("nan")
+        return InjectivityReport(nan, nan, nan, voxel_count=0, samples_per_cell=0)
+    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), state.grid, state.active)
 
-    span = corners.max(axis=1) - corners.min(axis=1)  # (m, d)
-    lo = corners.reshape(-1, d).min(axis=0)
-    hi = corners.reshape(-1, d).max(axis=0)
-    extent = np.maximum(hi - lo, 1e-300)
+    cmin, cmax = corners.min(axis=0), corners.max(axis=0)  # (3, m), corner by corner
+    lo = cmin.min(axis=1)
+    extent = np.maximum(cmax.max(axis=1) - lo, 1e-300)
     # sample spacing below one voxel so a cell image has no coverage gaps;
     # if the sample cap binds, coarsen the raster instead
-    vox = extent / voxels_per_axis
-    worst = np.maximum(span.max(axis=0), 1e-300)
-    s_ax = np.clip(np.ceil(worst / (0.95 * vox)).astype(int), 2, max_samples_per_axis)
+    vox = extent / VOXELS_PER_AXIS
+    worst = np.maximum((cmax - cmin).max(axis=1), 1e-300)
+    s_ax = np.clip(np.ceil(worst / (0.95 * vox)).astype(int), 2, MAX_SAMPLES_PER_AXIS)
     vox = np.maximum(vox, worst / (0.95 * s_ax))
     pad = 2
     shape = tuple(int(np.ceil(e / v)) + 2 * pad + 1 for e, v in zip(extent, vox))
+    strides = (shape[1] * shape[2], shape[2], 1)
 
     axes = np.meshgrid(*[(np.arange(si) + 0.5) / si for si in s_ax], indexing="ij")
-    locs = np.stack([a.ravel() for a in axes], axis=-1)  # (prod s, d)
-    weights = np.ones((locs.shape[0], 2**d))
-    for c, corner in enumerate(CORNERS[d]):
+    locs = np.stack([a.ravel() for a in axes], axis=-1)  # (prod s, 3)
+    weights = np.ones((locs.shape[0], 8))
+    for c, corner in enumerate(CORNERS[3]):
         w = np.ones(locs.shape[0])
         for ax, o in enumerate(corner.offset):
             w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
         weights[:, c] = w
+    weights = weights[:, :, None]  # (points, 8, 1) against a block's cell row
 
     # coverage is a union over cells, so blocks of cells fill it in any order
     covered = np.zeros(shape, dtype=bool)
     block = max(1, _RASTER_POINTS // locs.shape[0])
-    for start in range(0, corners.shape[0], block):
-        pts = np.einsum("pc,mci->mpi", weights, corners[start:start + block]).reshape(-1, d)
-        # half-voxel origin shift: axis-aligned faces bisect their shell voxels
-        idx = np.floor((pts - lo) / vox + 0.5).astype(int) + pad
-        idx = np.clip(idx, 0, np.array(shape) - 1)
-        covered[tuple(idx.T)] = True
+    x, term, lin = (np.empty((locs.shape[0], min(block, corners.shape[2])))
+                    for _ in range(3))
+    for start in range(0, corners.shape[2], block):
+        cells = corners[:, :, start:start + block]
+        n = cells.shape[2]
+        xb, tb, lb = x[:, :n], term[:, :n], lin[:, :n]
+        lb[...] = 0.0
+        for ax in range(3):
+            # the interpolant summed corner by corner in table order, the
+            # order in which np.einsum adds from zero; 0 + w0 c0 and w0 c0
+            # differ at most in the sign of a zero, which the index ignores
+            np.multiply(weights[:, 0], cells[0, ax], out=xb)
+            for c in range(1, 8):
+                np.multiply(weights[:, c], cells[c, ax], out=tb)
+                xb += tb
+            # half-voxel origin shift: axis-aligned faces bisect their shell voxels
+            xb -= lo[ax]
+            xb /= vox[ax]
+            xb += 0.5
+            np.floor(xb, out=xb)
+            xb += pad
+            np.clip(xb, 0, shape[ax] - 1, out=xb)
+            xb *= strides[ax]
+            lb += xb  # whole numbers below 2^53, so the flat index is exact
+        covered.reshape(-1)[lb.astype(np.intp)] = True
 
-    interior = _erode(covered)
-    shell = covered & ~interior
+    # the shell is the covered set less its interior, so it is counted as
+    # the difference of the two counts
+    voxels = int(covered.sum())
+    inner = int(_erode(covered).sum())
     voxel_vol = float(np.prod(vox))
-    image_vol = (interior.sum() + 0.5 * shell.sum()) * voxel_vol
+    image_vol = (inner + 0.5 * (voxels - inner)) * voxel_vol
 
-    tol = tol_rel * max(abs(vol_int), 10.0 * voxel_vol)
+    tol = TOL_REL * max(abs(vol_int), 10.0 * voxel_vol)
     return InjectivityReport(
         volume_integral=float(vol_int),
         image_volume=float(image_vol),
         tolerance=float(tol),
-        voxel_count=int(covered.sum()),
+        voxel_count=voxels,
         samples_per_cell=int(np.prod(s_ax)),
     )
 
@@ -159,13 +191,13 @@ def check_ciarlet_necas(state: FieldState, voxels_per_axis: int = 128,
 def _erode(mask: np.ndarray) -> np.ndarray:
     """Cells of mask whose 2*d face neighbours are all in mask; cells beyond
     the array count as outside."""
-    padded = np.pad(mask, 1)
     inside = mask.copy()
     for ax, n in enumerate(mask.shape):
-        core = [slice(1, -1)] * mask.ndim
-        for s in (0, 2):
-            core[ax] = slice(s, s + n)
-            inside &= padded[tuple(core)]
+        head, tail, faces = ([slice(None)] * mask.ndim for _ in range(3))
+        head[ax], tail[ax], faces[ax] = slice(0, n - 1), slice(1, n), [0, n - 1]
+        inside[tuple(head)] &= mask[tuple(tail)]
+        inside[tuple(tail)] &= mask[tuple(head)]
+        inside[tuple(faces)] = False
     return inside
 
 

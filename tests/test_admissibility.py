@@ -5,6 +5,7 @@ import pytest
 
 from complexbodies import admissibility
 from complexbodies.admissibility import (
+    InjectivityReport,
     cell_charges,
     check_ciarlet_necas,
     check_orientation,
@@ -18,9 +19,20 @@ from complexbodies.errors import (
     SurfaceOutsideDomainError,
     WrongManifoldError,
 )
-from complexbodies.fields import Grid, ball_mask, identity_state
+from complexbodies.fields import (
+    CORNERS,
+    Grid,
+    ball_mask,
+    gradients,
+    identity_state,
+    integrate_cells,
+)
 from complexbodies.manifolds import UnitSphere, degree_of_orientation, rotation_from_vector
+from complexbodies.minors import det3
 from util import EZ, hedgehog_state, radial_director
+
+# a NaN cast to an index or an invalid comparison inside a check fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _identity(res=12, lo=0.0, hi=1.0):
@@ -49,6 +61,28 @@ class TestOrientation:
         rep = check_orientation(st)
         assert rep.passed
 
+    def test_nan_node_fails(self):
+        st = _identity(res=6)
+        st.u[3, 3, 3, 1] = np.nan
+        rep = check_orientation(st)
+        assert not rep.passed
+        assert rep.violations == 8  # the cells around the node
+        assert np.isnan(rep.min_det)
+
+
+def _fold_slab():
+    """Angle doubling (x1 + i x2) -> (x1 + i x2)^2 / r on an annular slab,
+    x3 kept: orientation fine, image covered twice."""
+    grid = Grid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0 / 12), (48, 48, 2))
+    st = identity_state(grid, UnitSphere(), nu0=EZ)
+    pts = grid.node_coords()
+    r = np.maximum(np.linalg.norm(pts[..., :2], axis=-1), 1e-9)
+    st.u[..., 0] = (pts[..., 0] ** 2 - pts[..., 1] ** 2) / r
+    st.u[..., 1] = 2.0 * pts[..., 0] * pts[..., 1] / r
+    rc = np.linalg.norm(grid.cell_centers()[..., :2], axis=-1)
+    st.active = (rc > 0.35) & (rc < 0.95)
+    return st
+
 
 class TestInjectivity:
     def test_rigid_motion_volume_match(self):
@@ -69,19 +103,10 @@ class TestInjectivity:
         assert abs(rep.volume_integral - 8.0) < 1e-9
 
     def test_angle_doubling_fold_detected(self):
-        # (x1 + i x2) -> (x1 + i x2)^2 / r on an annular slab, x3 kept:
-        # orientation fine, doubly covered image
-        grid = Grid((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0 / 12), (48, 48, 2))
-        st = identity_state(grid, UnitSphere(), nu0=EZ)
-        pts = grid.node_coords()
-        r = np.maximum(np.linalg.norm(pts[..., :2], axis=-1), 1e-9)
-        st.u[..., 0] = (pts[..., 0] ** 2 - pts[..., 1] ** 2) / r
-        st.u[..., 1] = 2.0 * pts[..., 0] * pts[..., 1] / r
-        rc = np.linalg.norm(grid.cell_centers()[..., :2], axis=-1)
-        st.active = (rc > 0.35) & (rc < 0.95)
+        st = _fold_slab()
         assert check_orientation(st).passed
         rep = check_ciarlet_necas(st)
-        volume = st.active.sum() * grid.cell_volume
+        volume = st.active.sum() * st.grid.cell_volume
         assert not rep.passed
         # the slab is covered twice: half the integral is overlap
         assert rep.slack == pytest.approx(-volume, rel=0.08)
@@ -93,6 +118,23 @@ class TestInjectivity:
             check_ciarlet_necas(st)
         with pytest.raises(ShapeMismatchError):
             check_orientation(st)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner_fails_without_raster(self, value):
+        st = _identity(res=6)
+        st.u[3, 3, 3, 1] = value
+        rep = check_ciarlet_necas(st)
+        assert not rep.passed
+        assert rep.voxel_count == 0 and rep.samples_per_cell == 0
+        assert np.isnan(rep.image_volume)
+
+    def test_non_finite_node_off_the_active_cells_is_ignored(self):
+        st = _identity(res=6)
+        st.active[:] = False
+        st.active[:3, :3, :3] = True
+        clean = check_ciarlet_necas(st)
+        st.u[5, 5, 5, 1] = np.nan
+        assert check_ciarlet_necas(st) == clean
 
     @pytest.mark.parametrize("grid", [
         Grid.cube(10),
@@ -111,6 +153,115 @@ class TestInjectivity:
         assert cells % block != 0
         monkeypatch.setattr(admissibility, "_RASTER_POINTS", block * whole.samples_per_cell)
         assert check_ciarlet_necas(st) == whole
+
+
+def _einsum_raster(state):
+    """The injectivity check as it rasterized before the corner-by-corner
+    push: all 8 corners of a block of cells pushed at once by np.einsum."""
+    grid = state.grid
+    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), grid, state.active)
+    corners = np.stack([state.u[c.index] for c in CORNERS[3]], axis=-2)
+    corners = corners[state.active]  # (m, 8, 3)
+    span = corners.max(axis=1) - corners.min(axis=1)
+    lo = corners.reshape(-1, 3).min(axis=0)
+    hi = corners.reshape(-1, 3).max(axis=0)
+    extent = np.maximum(hi - lo, 1e-300)
+    vox = extent / admissibility.VOXELS_PER_AXIS
+    worst = np.maximum(span.max(axis=0), 1e-300)
+    s_ax = np.clip(np.ceil(worst / (0.95 * vox)).astype(int), 2,
+                   admissibility.MAX_SAMPLES_PER_AXIS)
+    vox = np.maximum(vox, worst / (0.95 * s_ax))
+    pad = 2
+    shape = tuple(int(np.ceil(e / v)) + 2 * pad + 1 for e, v in zip(extent, vox))
+    axes = np.meshgrid(*[(np.arange(si) + 0.5) / si for si in s_ax], indexing="ij")
+    locs = np.stack([a.ravel() for a in axes], axis=-1)
+    weights = np.ones((locs.shape[0], 8))
+    for c, corner in enumerate(CORNERS[3]):
+        w = np.ones(locs.shape[0])
+        for ax, o in enumerate(corner.offset):
+            w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
+        weights[:, c] = w
+    covered = np.zeros(shape, dtype=bool)
+    block = max(1, admissibility._RASTER_POINTS // locs.shape[0])
+    for start in range(0, corners.shape[0], block):
+        pts = np.einsum("pc,mci->mpi", weights, corners[start:start + block]).reshape(-1, 3)
+        idx = np.floor((pts - lo) / vox + 0.5).astype(int) + pad
+        idx = np.clip(idx, 0, np.array(shape) - 1)
+        covered[tuple(idx.T)] = True
+    interior = admissibility._erode(covered)
+    shell = covered & ~interior
+    voxel_vol = float(np.prod(vox))
+    image_vol = (interior.sum() + 0.5 * shell.sum()) * voxel_vol
+    tol = admissibility.TOL_REL * max(abs(vol_int), 10.0 * voxel_vol)
+    return InjectivityReport(
+        volume_integral=float(vol_int),
+        image_volume=float(image_vol),
+        tolerance=float(tol),
+        voxel_count=int(covered.sum()),
+        samples_per_cell=int(np.prod(s_ax)),
+    )
+
+
+def _random_raster_states(count, seed):
+    """Seeded boxes of 1 to 7 cells per axis under a random affine map plus
+    nodal noise, each with a random nonempty active mask."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cells = tuple(int(n) for n in rng.integers(1, 8, size=3))
+        lo = rng.uniform(-2.0, 1.0, size=3)
+        grid = Grid(tuple(lo), tuple(lo + rng.uniform(0.2, 3.0, size=3)), cells)
+        st = identity_state(grid, UnitSphere(), nu0=EZ)
+        A = np.eye(3) + rng.uniform(-0.4, 0.4, size=(3, 3))
+        st.u = st.u @ A.T + rng.normal(size=3)
+        st.u += rng.uniform(0.0, 0.3) * min(grid.spacing) * rng.normal(size=st.u.shape)
+        st.active = rng.random(cells) < rng.uniform(0.2, 1.0)
+        st.active.flat[rng.integers(st.active.size)] = True
+        yield st
+
+
+class TestRasterReference:
+    """The corner-by-corner raster against the einsum raster kept above:
+    the whole report, image volume and voxel count included, is equal."""
+
+    def test_perturbed_box(self):
+        st = _identity(res=16)
+        st.u += 0.2 / 16 * np.random.default_rng(5).normal(size=st.u.shape)
+        rep = check_ciarlet_necas(st)
+        assert rep.samples_per_cell >= 343
+        assert rep == _einsum_raster(st)
+
+    def test_affine_shear(self):
+        st = _identity(res=48)
+        st.u[..., 0] += 0.3 * st.u[..., 1]
+        rep = check_ciarlet_necas(st)
+        assert rep.samples_per_cell == 27
+        assert rep == _einsum_raster(st)
+
+    def test_ball(self):
+        st = _identity(res=12, lo=-1.0, hi=1.0)
+        st.u = st.u + 0.1 * np.sin(3.0 * st.u[..., ::-1])
+        st.active = ball_mask(st.grid)
+        assert check_ciarlet_necas(st) == _einsum_raster(st)
+
+    def test_fold_slab(self):
+        st = _fold_slab()
+        assert check_ciarlet_necas(st) == _einsum_raster(st)
+
+    def test_slab_flattened_onto_a_voxel_face(self):
+        # the interpolant of the flat slab is exactly the face x = 59.5 voxels
+        # of the 1/128 raster, so the rounding of its corner sum picks the
+        # voxel: summing the corners in another order changes the report
+        st = _identity(res=16)
+        st.u[7:9, ..., 0] = 59.5 / 128
+        st.active[:] = False
+        st.active[[0, 7, 15]] = True
+        rep = check_ciarlet_necas(st)
+        assert rep.samples_per_cell == 729
+        assert rep == _einsum_raster(st)
+
+    def test_random_masked_states(self):
+        for st in _random_raster_states(24, seed=19):
+            assert check_ciarlet_necas(st) == _einsum_raster(st)
 
 
 def _random_masks(count, seed):
