@@ -62,15 +62,15 @@ class OrientationReport:
         return self.violations == 0
 
 
-def check_orientation(state: FieldState, tol: float = 0.0) -> OrientationReport:
-    """Count active cells whose deformation gradient fails det F > tol; a
+def check_orientation(state: FieldState) -> OrientationReport:
+    """Count active cells whose deformation gradient fails det F > 0; a
     NaN determinant fails too."""
     dets = det3(gradients(state, ("F",)).F)[state.active]
     if dets.size == 0:
         raise ShapeMismatchError("state has no active cells")
     return OrientationReport(
         cells=int(dets.size),
-        violations=int(np.sum(~(dets > tol))),
+        violations=int(np.sum(~(dets > 0.0))),
         min_det=float(dets.min()),
     )
 

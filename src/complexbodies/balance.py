@@ -27,6 +27,7 @@ terms entering it, so "small" is meaningful per law and per test.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,12 +134,14 @@ def _bump(xi):
 
 def random_compact_tests(state: FieldState, n: int, components: int,
                          seed: int = 0, manifold: Manifold | None = None,
-                         margin: int = 2) -> list[np.ndarray]:
-    """Smooth random nodal fields vanishing outside the interior.
+                         margin: int = 2) -> Iterator[np.ndarray]:
+    """Yield n smooth random nodal fields vanishing outside the interior.
 
     Gaussian-times-bump profiles with random centers and polarizations;
     when a manifold is given, fields are tangent-projected at the nodes
-    (descriptor tests).  Pinned nodes are always zeroed.
+    (descriptor tests).  Pinned nodes are always zeroed.  Each field is
+    drawn and built only when the caller asks for it, so a caller that
+    drops each field before taking the next holds one at a time.
     """
     grid = state.grid
     rng = np.random.default_rng(seed)
@@ -155,7 +158,6 @@ def random_compact_tests(state: FieldState, n: int, components: int,
     shell = 1.0
     for ax, x in enumerate(axes):
         shell = shell * _bump((x - mid[ax]) / half[ax])
-    out = []
     for _ in range(n):
         center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
         width = rng.uniform(0.15, 0.45) * float(np.min(half))
@@ -177,15 +179,14 @@ def random_compact_tests(state: FieldState, n: int, components: int,
             f[state.pinned_nu] = 0.0
         else:
             f[state.pinned_u] = 0.0
-        out.append(f)
-    return out
+        yield f
 
 
 # ---------------------------------------------------------------------------
 # weak Euler-Lagrange
 # ---------------------------------------------------------------------------
 
-def weak_el_residual(bf: BalanceFields, tests: list[tuple[np.ndarray, np.ndarray]],
+def weak_el_residual(bf: BalanceFields, tests: Iterable[tuple[np.ndarray, np.ndarray]],
                      tangent_tol: float = 1e-8) -> list[Residual]:
     """Weak equilibrium residual per test pair (h, upsilon).
 
@@ -293,17 +294,17 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
 
         eps_{jab} (P F^T)_{ab} = (A* z)_j + sum_i (N_i x S_i)-type term
 
-    holds pointwise as an algebraic consequence of invariance, with A and
-    its derivative evaluated at the raw cell average of the descriptor.
+    holds pointwise as an algebraic consequence of invariance, with A
+    evaluated at the raw cell average of the descriptor; its derivative dA
+    is one constant tensor, since A is linear in the descriptor.
     """
     if bf.manifold is None or not bf.manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
             "rotational balance needs a manifold with a rotation generator"
         )
     man = bf.manifold
-    nub = bf.gf.nu_bar
-    A = man.rotation_generator(nub)
-    dA = man.rotation_generator_gradient(nub)
+    A = man.rotation_generator(bf.gf.nu_bar)
+    dA = man.rotation_generator_gradient()  # constant; einsum broadcasts it
     PFt = np.einsum("...ik,...jk->...ij", bf.P, bf.gf.F)
     ax = np.einsum("jab,...ab->...j", LEVI, PFt)
     Az = np.einsum("...aj,...a->...j", A, bf.z)
@@ -344,7 +345,7 @@ def eshelby(bf: BalanceFields) -> EshelbyField:
 
 
 def configurational_residual(ef: EshelbyField, bf: BalanceFields,
-                             tests: list[np.ndarray],
+                             tests: Iterable[np.ndarray],
                              line: LineDefect | None = None) -> list[Residual]:
     """Distributional residual of the configurational balance per test.
 

@@ -580,7 +580,12 @@ class CompressibleMacro(EnergyDensity):
             raise ShapeMismatchError("macro coefficients must be positive")
         self.embed_dim = embed_dim  # descriptor is ignored; set for summation
         self.a, self.b, self.c = float(a), float(b), float(c)
-        self.offset = 3.0 * (self.a + self.b) if normalize_reference else 0.0
+        at_identity = 3.0 * (self.a + self.b)
+        if not np.isfinite(at_identity):
+            raise ShapeMismatchError(
+                f"macro energy at the identity, 3a + 3b, overflows (a = {a}, b = {b})"
+            )
+        self.offset = at_identity if normalize_reference else 0.0
         self.normalized = normalize_reference
         self.name = name
         self.growth_meta = None if normalize_reference else self._derive_growth()
@@ -589,9 +594,12 @@ class CompressibleMacro(EnergyDensity):
         # C1 = min(3a/4, b/2, 3/5 psi*), psi* = inf_t psi(t) over det values,
         # psi(t) = (3a/2) t^(2/3) + (3b/2) t^(4/3) + (c/2)(t - log t - 1).
         t = np.exp(np.linspace(np.log(1e-9), np.log(1e9), 20001))
-        psi = 1.5 * self.a * t ** (2.0 / 3.0) + 1.5 * self.b * t ** (4.0 / 3.0) + 0.5 * self.c * (
-            t - np.log(t) - 1.0
-        )
+        # psi(1) = (3a + 3b) / 2 is finite, so a tail that overflows to inf
+        # cannot be the minimum
+        with np.errstate(over="ignore"):
+            psi = 1.5 * self.a * t ** (2.0 / 3.0) + 1.5 * self.b * t ** (4.0 / 3.0) + 0.5 * self.c * (
+                t - np.log(t) - 1.0
+            )
         psi_star = float(psi.min())
         c1 = min(0.75 * self.a, 0.5 * self.b, 0.6 * psi_star)
         cc = self.c

@@ -14,8 +14,11 @@ the flat embedding metric.  Every manifold here exposes
   R^3-valued vector descriptors A(nu) q = q x nu; for symmetric 2-tensors it
   is the commutator [W_q, nu] with W_q the spin matrix of q; products act on
   each rotating factor with the same q.
+* rotation_generator_gradient(): dA = dA/dnu.  Every generator above is
+  linear in nu, so dA is one constant (embed_dim, 3, embed_dim) tensor;
+  callers broadcast it against per-cell arrays.
 
-All operations vectorize over leading axes: points are arrays shaped
+All other operations vectorize over leading axes: points are arrays shaped
 (..., embed_dim).  Matrix-valued descriptors are embedded row-major.
 """
 
@@ -77,8 +80,12 @@ class Manifold:
         """A(nu): (..., embed_dim, 3) with columns A e_j."""
         raise GeneratorUnavailableError(f"{self.name} has no rotation action")
 
-    def rotation_generator_gradient(self, nu: np.ndarray) -> np.ndarray:
-        """dA(nu): (..., embed_dim, 3, embed_dim), dA[A, j, B] = d A[A, j] / d nu[B]."""
+    def rotation_generator_gradient(self) -> np.ndarray:
+        """dA: (embed_dim, 3, embed_dim), dA[A, j, B] = d A[A, j] / d nu[B].
+
+        A(nu) is linear in nu, so dA is a constant; unlike every other
+        operation it takes no points and carries no leading axes.
+        """
         raise GeneratorUnavailableError(f"{self.name} has no rotation action")
 
     def constraint_violation(self, p: np.ndarray) -> np.ndarray:
@@ -123,11 +130,10 @@ class Euclidean(Manifold):
         # columns e_j x nu
         return np.einsum("ajc,...c->...aj", LEVI, nu)
 
-    def rotation_generator_gradient(self, nu):
+    def rotation_generator_gradient(self):
         if not self.rotation_generator_defined:
             raise GeneratorUnavailableError(f"{self.name} has no rotation action")
-        nu = self._check_embed(nu)
-        return np.broadcast_to(LEVI, nu.shape[:-1] + (3, 3, 3)).copy()
+        return LEVI.copy()
 
     def constraint_violation(self, p):
         p = self._check_embed(p)
@@ -161,9 +167,8 @@ class UnitSphere(Manifold):
         nu = self._check_embed(nu)
         return np.einsum("ajc,...c->...aj", LEVI, nu)
 
-    def rotation_generator_gradient(self, nu):
-        nu = self._check_embed(nu)
-        return np.broadcast_to(LEVI, nu.shape[:-1] + (3, 3, 3)).copy()
+    def rotation_generator_gradient(self):
+        return LEVI.copy()
 
     def constraint_violation(self, p):
         p = self._check_embed(p)
@@ -251,8 +256,7 @@ class SymPositive(Manifold):
             cols.append(self._as_vector(comm))
         return np.stack(cols, axis=-1)
 
-    def rotation_generator_gradient(self, nu):
-        nu = self._check_embed(nu)
+    def rotation_generator_gradient(self):
         # d(W_j nu - nu W_j)_{ab} / d nu_{cd} = W_j[a,c] delta[b,d] - delta[a,c] W_j[d,b]
         eye = np.eye(3)
         dA = np.zeros((9, 3, 9))
@@ -262,7 +266,7 @@ class SymPositive(Manifold):
             W = spin_matrix(e)
             block = np.einsum("ac,bd->abcd", W, eye) - np.einsum("ac,db->abcd", eye, W)
             dA[:, j, :] = block.reshape(9, 9)
-        return np.broadcast_to(dA, nu.shape[:-1] + (9, 3, 9)).copy()
+        return dA
 
     def constraint_violation(self, p):
         p = self._check_embed(p)
@@ -331,15 +335,13 @@ class Product(Manifold):
                 blocks.append(np.zeros(nb.shape[:-1] + (f.embed_dim, 3)))
         return np.concatenate(blocks, axis=-2)
 
-    def rotation_generator_gradient(self, nu):
+    def rotation_generator_gradient(self):
         if not self.rotation_generator_defined:
             raise GeneratorUnavailableError(f"{self.name} has no rotation action")
-        nu = self._check_embed(nu)
-        lead = nu.shape[:-1]
-        dA = np.zeros(lead + (self.embed_dim, 3, self.embed_dim))
-        for f, (a, b), nb in zip(self.factors, self._offsets, self._blocks(nu)):
+        dA = np.zeros((self.embed_dim, 3, self.embed_dim))
+        for f, (a, b) in zip(self.factors, self._offsets):
             if f.rotation_generator_defined:
-                dA[..., a:b, :, a:b] = f.rotation_generator_gradient(nb)
+                dA[a:b, :, a:b] = f.rotation_generator_gradient()
         return dA
 
     def constraint_violation(self, p):

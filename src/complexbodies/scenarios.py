@@ -708,24 +708,30 @@ def _weak_el_rows(config: ScenarioConfig, final: FieldState, density: EnergyDens
                   manifold: Manifold, bf) -> tuple[list, list]:
     """Weak residual and duality rows over random test pairs.
 
-    The 2 x N_TESTS nodal test fields live only in this call, so they are
-    freed before the checks that follow run.
+    The test pairs stream through weak_el_residual one at a time: each
+    pair's pairing with the assembled gradient is recorded as it passes,
+    then the pair is dropped, so besides the pair being built at most one
+    pair of the 2 x N_TESTS nodal test fields is alive.
     """
+    vols = node_volumes(final.grid, final.active)
+    g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
+    w = vols[..., None]
     h_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 11)
     nu_tests = random_compact_tests(
         final, N_TESTS, final.embed_dim, seed=config.seed + 12,
         manifold=manifold,
     )
-    pairs = list(zip(h_tests, nu_tests))
-    rows = weak_el_residual(bf, pairs)
-    vols = node_volumes(final.grid, final.active)
-    g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
-    w = vols[..., None]
+    pairings = []
+
+    def pairs():
+        for h, ups in zip(h_tests, nu_tests):
+            pairings.append(float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w)))
+            yield h, ups
+
+    rows = weak_el_residual(bf, pairs())
     dual = [
-        Residual(name=f"duality[{k}]",
-                 raw=r.raw - float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w)),
-                 scale=1.0 + r.scale)
-        for k, ((h, ups), r) in enumerate(zip(pairs, rows))
+        Residual(name=f"duality[{k}]", raw=r.raw - pairing, scale=1.0 + r.scale)
+        for k, (pairing, r) in enumerate(zip(pairings, rows))
     ]
     return rows, dual
 
@@ -779,12 +785,6 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
     lines = []
     report = ResidualReport()
 
-    needs_actions = any(
-        built.checks[n]
-        for n in ("weak_el", "rotational", "strong", "configurational", "eulerian")
-    )
-    bf = assemble_actions(density, final, manifold) if needs_actions else None
-
     def record(name, passed, detail):
         outcomes.append(CheckOutcome(name=name, passed=passed, detail=detail))
         lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} | {detail}")
@@ -819,6 +819,13 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             rep.passed,
             f"mode={mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
+    # the cellwise actions are assembled only now, so the checks above run
+    # without them alive; every check from here to eulerian reads them
+    needs_actions = any(
+        built.checks[n]
+        for n in ("weak_el", "rotational", "strong", "configurational", "eulerian")
+    )
+    bf = assemble_actions(density, final, manifold) if needs_actions else None
     if built.checks["weak_el"]:
         rows, dual = _weak_el_rows(config, final, density, manifold, bf)
         report.add(rows)

@@ -8,10 +8,13 @@ The rotational balance is validated on densities whose invariance is an
 algebraic identity, and falsified on a deliberately anchored one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from complexbodies.balance import (
+    _TINY,
     Residual,
     _bump,
     ResidualReport,
@@ -56,13 +59,20 @@ from complexbodies.fields import (
     node_volumes,
 )
 from complexbodies.manifolds import (
+    LEVI,
     Euclidean,
     Interval,
     Product,
+    SymPositive,
     UnitSphere,
+    degree_of_orientation,
     rotation_from_vector,
 )
 from complexbodies.minimize import riesz_gradient
+from complexbodies.scenarios import N_TESTS, ScenarioConfig, _weak_el_rows
+
+# an overflow or an invalid operation inside a balance fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _sphere_state(res=8, bulge=0.04):
@@ -244,8 +254,8 @@ class TestRandomTests:
 
     def test_deterministic_and_distinct(self):
         state, _ = _sphere_state()
-        a = random_compact_tests(state, 3, 3, seed=9)
-        b = random_compact_tests(state, 3, 3, seed=9)
+        a = list(random_compact_tests(state, 3, 3, seed=9))
+        b = list(random_compact_tests(state, 3, 3, seed=9))
         for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
         assert not np.array_equal(a[0], a[1])
@@ -261,8 +271,8 @@ class TestWeakResidual:
         state, man = make_state()
         density = make_density()
         bf = assemble_actions(density, state, man)
-        hs = random_compact_tests(state, 3, 3, seed=21)
-        us = random_compact_tests(state, 3, man.embed_dim, seed=22, manifold=man)
+        hs = list(random_compact_tests(state, 3, 3, seed=21))
+        us = list(random_compact_tests(state, 3, man.embed_dim, seed=22, manifold=man))
         residuals = weak_el_residual(bf, list(zip(hs, us)))
         t = 1e-6
         for res, h, ups in zip(residuals, hs, us):
@@ -285,8 +295,8 @@ class TestWeakResidual:
         state, man = make_state()
         density = make_density()
         bf = assemble_actions(density, state, man)
-        hs = random_compact_tests(state, 4, 3, seed=31)
-        us = random_compact_tests(state, 4, man.embed_dim, seed=32, manifold=man)
+        hs = list(random_compact_tests(state, 4, 3, seed=31))
+        us = list(random_compact_tests(state, 4, man.embed_dim, seed=32, manifold=man))
         residuals = weak_el_residual(bf, list(zip(hs, us)))
         g = riesz_gradient(density, state, man, project=True)
         for res, h, ups in zip(residuals, hs, us):
@@ -346,6 +356,61 @@ class TestWeakResidual:
         assert Residual("r", 0.0, 0.0).ratio == 0.0
         assert Residual("r", 1.0, 0.0).ratio == np.inf
         assert Residual("r", -0.5, 2.0).ratio == 0.25
+
+
+def _list_weak_el_rows(seed, state, density, man, bf):
+    """_weak_el_rows with every test field built before the first residual."""
+    hs = list(random_compact_tests(state, N_TESTS, 3, seed=seed + 11))
+    us = list(random_compact_tests(state, N_TESTS, state.embed_dim, seed=seed + 12,
+                                   manifold=man))
+    pairs = list(zip(hs, us))
+    rows = weak_el_residual(bf, pairs)
+    vols = node_volumes(state.grid, state.active)
+    g_u, g_nu = riesz_gradient(density, state, man, project=True, vols=vols)
+    w = vols[..., None]
+    dual = [
+        Residual(name=f"duality[{k}]",
+                 raw=r.raw - float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w)),
+                 scale=1.0 + r.scale)
+        for k, ((h, ups), r) in enumerate(zip(pairs, rows))
+    ]
+    return rows, dual
+
+
+class TestStreamedWeakEL:
+    @pytest.mark.parametrize("body", ["ball", "box"])
+    def test_rows_equal_list_reference(self, body):
+        if body == "ball":
+            state, man = _sphere_state(res=10)
+            state.active = ball_mask(state.grid, radius=0.45)
+            state.pinned_u = state.pinned_nu = boundary_node_mask(state.grid, state.active)
+            density = _sphere_density()
+        else:
+            state, man = _phason_state(res=10)
+            density = _phason_density()
+        bf = assemble_actions(density, state, man)
+        config = ScenarioConfig(name="stream", seed=5)
+        rows, dual = _weak_el_rows(config, state, density, man, bf)
+        ref_rows, ref_dual = _list_weak_el_rows(5, state, density, man, bf)
+        assert len(rows) == len(dual) == N_TESTS
+        assert rows == ref_rows
+        assert dual == ref_dual
+
+    def test_peak_memory_below_the_held_fields(self):
+        state, man = _phason_state(res=24)
+        density = Quasicrystal()
+        bf = assemble_actions(density, state, man)
+        config = ScenarioConfig(name="stream", seed=3)
+        field_bytes = state.u.nbytes + state.nu.nbytes
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _weak_el_rows(config, state, density, man, bf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding all N_TESTS pairs at once would alone exceed the bound
+        assert peak - entry < N_TESTS * field_bytes, (peak - entry) / state.u.nbytes
 
 
 class TestStrongResiduals:
@@ -415,7 +480,62 @@ class TestStrongResiduals:
         )
 
 
+def _per_cell_rotational_balance(bf):
+    """rotational_balance with dA copied into every cell before the contraction."""
+    man = bf.manifold
+    nub = bf.gf.nu_bar
+    A = man.rotation_generator(nub)
+    dA0 = man.rotation_generator_gradient()
+    dA = np.broadcast_to(dA0, nub.shape[:-1] + dA0.shape).copy()
+    PFt = np.einsum("...ik,...jk->...ij", bf.P, bf.gf.F)
+    ax = np.einsum("jab,...ab->...j", LEVI, PFt)
+    Az = np.einsum("...aj,...a->...j", A, bf.z)
+    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, bf.gf.N, bf.S)
+    res = ax - Az - dAS
+    act = bf.state.active
+
+    def sup(f):
+        vals = f[act]
+        return float(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
+
+    Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(bf.z))
+    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(bf.gf.N), np.abs(bf.S))
+    scale = sup(PFt) + sup(Az_abs) + sup(dAS_abs) + _TINY
+    out = res.copy()
+    out[~act] = 0.0
+    return Residual("rotational", sup(res), scale), out
+
+
+def _generic_state(man, res=7, seed=0):
+    """A perturbed placement and a random nodal descriptor on man."""
+    grid = Grid.cube(res, -0.5, 0.5)
+    rng = np.random.default_rng(seed)
+    state = identity_state(grid, man, nu0=man.random_point(rng))
+    state.nu = man.project(man.random_point(rng, grid.nodes))
+    state.u = state.u + 0.03 * rng.normal(size=state.u.shape)
+    return state
+
+
 class TestRotationalBalance:
+    @pytest.mark.parametrize(
+        "man", [Euclidean(3), UnitSphere(), SymPositive(), degree_of_orientation()],
+        ids=lambda m: m.name,
+    )
+    def test_constant_generator_gradient_matches_per_cell_copy(self, man):
+        state = _generic_state(man)
+        density = SumDensity(
+            [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=man.embed_dim),
+             DirichletDescriptor(man.embed_dim),
+             EasyAxisAnchoring(np.linspace(0.2, 0.9, man.embed_dim), weight=0.3,
+                               embed_dim=man.embed_dim)]
+        )
+        bf = assemble_actions(density, state, man)
+        rep = rotational_balance(bf)
+        ref, ref_field = _per_cell_rotational_balance(bf)
+        assert rep.residual == ref
+        assert np.array_equal(rep.residual_field, ref_field)
+        assert rep.ratio > 0.0
+
     def test_objective_director_density_closes(self):
         state, man = _sphere_state()
         density = SumDensity(
@@ -528,7 +648,7 @@ class TestEshelbyAndConfigurational:
         state, man = _sphere_state(res=10)
         bf = assemble_actions(DirichletDescriptor(3), state, man)
         ef = eshelby(bf)
-        phi = random_compact_tests(state, 1, 3, seed=13)[0]
+        phi = next(random_compact_tests(state, 1, 3, seed=13))
         line = LineDefect(
             points=np.array([[-0.2, -0.1, 0.0], [0.25, 0.15, 0.1]]),
             multiplicities=np.array([2]),

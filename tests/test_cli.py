@@ -151,6 +151,9 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
     ("kind = interval\n\n[density]\nkind = porous-landau",
      "kind = euclidean3\n\n[density]\nkind = microcracked\nlam = -1",
      "got lam = -1.0"),
+    ("kind = interval\n\n[density]\nkind = porous-landau",
+     "kind = euclidean3\n\n[density]\nkind = quasicrystal\na = 1e308",
+     "3a + 3b, overflows"),
     ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
     ("seed = 3", "seed = -1", "seed must not be negative"),
 ])

@@ -254,9 +254,16 @@ _DENSITY_KEYS = [
 ] + [
     ("orientation-landau", "degree-of-orientation", key)
     for key in ("stiffness", "well_depth", "beta_a", "beta_b")
+] + [
+    ("quasicrystal", "euclidean3", key)
+    for key in ("a", "b", "c", "phason_stiffness", "kappa")
+] + [
+    ("smectic", "layer-director", key)
+    for key in ("k1", "k2", "penalty")
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_DENSITY_KEYS),
        value=st.floats(allow_nan=True, allow_infinity=True))
