@@ -418,10 +418,16 @@ def _flat(a) -> np.ndarray:
 def isotropic_elasticity(lam: float, mu: float) -> np.ndarray:
     """C_{ijhk} = lam d_ij d_hk + mu (d_ih d_jk + d_ik d_jh)."""
     d = np.eye(3)
-    return (
-        lam * np.einsum("ij,hk->ijhk", d, d)
-        + mu * (np.einsum("ih,jk->ijhk", d, d) + np.einsum("ik,jh->ijhk", d, d))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (
+            lam * np.einsum("ij,hk->ijhk", d, d)
+            + mu * (np.einsum("ih,jk->ijhk", d, d) + np.einsum("ik,jh->ijhk", d, d))
+        )
+    if not np.all(np.isfinite(C)):
+        raise ShapeMismatchError(
+            f"isotropic stiffness overflows (lam = {lam}, mu = {mu})"
+        )
+    return C
 
 
 def _strain(F) -> np.ndarray:
