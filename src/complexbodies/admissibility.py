@@ -1,18 +1,14 @@
 """Admissibility checks and topological defect accounting.
 
-Orientation: det F > 0 cell by cell.  Global injectivity uses the
-volume-matching surrogate: a map that preserves orientation and satisfies
+Orientation: det F > 0 cell by cell.  Global injectivity is certified
+exactly on the Kuhn (Freudenthal) P1 interpolant of u: each cell splits into
+the 6 path simplices from corner 000 to 111, on each of which u is affine.
+With an affine rim map of positive determinant, det F > 0 on every simplex
+implies injectivity (Ball, 1981), and the Ciarlet-Necas condition
 
-    measure(u(active region)) >= integral of det F
+    integral of det F <= measure(u(active region))
 
-up to quadrature slack cannot fold material onto itself.  The image measure
-is estimated by rasterizing stratified sample points pushed through the
-multilinear interpolant, counting interior voxels fully and boundary-shell
-voxels at half weight; the interior is the covered set eroded by its six face
-neighbours, with voxels beyond the raster counted as uncovered.  The
-interpolant is summed corner by corner in the order of the table CORNERS[3],
-starting from zero, which is the order in which np.einsum adds, so the
-voxels are those of an einsum push.
+holds with equality, both sides being det A times the body's volume.
 
 Defect accounting for unit-director fields: the charge density
 
@@ -24,8 +20,8 @@ numbers: each cell boundary is split into triangles and the signed solid
 angles of the director triples are summed.  Shared faces cancel, so charges
 telescope over any cell region to the degree of the region's boundary.
 Cells of winding magnitude at least one half cluster into defects under full
-3^d adjacency, numbered in C order of their first cell.  Both the erosion and
-the clustering are written in numpy, so the package imports no scipy.
+3^d adjacency, numbered in C order of their first cell.  The clustering is
+written in numpy, so the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -43,12 +39,15 @@ from .errors import (
 from .fields import (
     CORNERS,
     FieldState,
+    boundary_node_mask,
     gradients,
     incident_node_mask,
-    integrate_cells,
 )
 from .manifolds import LEVI, UnitSphere
 from .minors import det3
+
+# nodal index (all cells at once) of each cell corner, by its offset
+_CORNER_INDEX = {c.offset: c.index for c in CORNERS[3]}
 
 
 @dataclass(frozen=True)
@@ -75,22 +74,18 @@ def check_orientation(state: FieldState) -> OrientationReport:
     )
 
 
-# raster of check_ciarlet_necas: voxels along the widest image axis, cap on
-# samples per cell axis, deficit tolerance relative to the volume integral,
-# and sample points pushed through the interpolant per block of cells
-VOXELS_PER_AXIS = 128
-MAX_SAMPLES_PER_AXIS = 16
-TOL_REL = 0.02
-_RASTER_POINTS = 2**16
+# rim fit of check_ciarlet_necas: the largest residual of the affine
+# least-squares fit, relative to 1 + max |u| on the rim
+RIM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class InjectivityReport:
     volume_integral: float
     image_volume: float
-    tolerance: float
-    voxel_count: int
-    samples_per_cell: int
+    violations: int
+    min_det: float
+    rim_affine: bool
 
     @property
     def slack(self) -> float:
@@ -98,107 +93,58 @@ class InjectivityReport:
 
     @property
     def passed(self) -> bool:
-        return self.slack >= -self.tolerance
+        return self.violations == 0 and self.rim_affine and self.image_volume > 0.0
 
 
 def check_ciarlet_necas(state: FieldState) -> InjectivityReport:
-    """Volume-matching injectivity surrogate on the active region.
+    """Exact injectivity certificate for the Kuhn P1 interpolant of u.
 
-    Folding shows up as image_volume < volume_integral beyond tolerance;
-    the report fails when the deficit exceeds TOL_REL of the integral.  A
-    non-finite corner of an active cell fails it with NaN volumes and no
-    voxels, since such a cell has no image to rasterize.
+    Each active cell splits into the 6 path simplices from corner 000 to
+    111; on each, u is affine and det F is exact.  If u is an affine map
+    x -> A x + c with det A > 0 on the rim (boundary_node_mask) and det F > 0
+    on every simplex, the map is injective (Ball 1981) and its image volume
+    is det A |Omega| = integral of det F (Ciarlet-Necas 1987), so slack is
+    round-off.  A non-finite determinant counts as a violation; a rim that
+    is not affine fails with a NaN image volume.
     """
-    # corners[c, ax]: coordinate ax of corner c of every active cell
-    corners = np.stack([[state.u[c.index + (ax,)][state.active] for ax in range(3)]
-                        for c in CORNERS[3]])
-    if corners.shape[2] == 0:
+    grid, active = state.grid, state.active
+    if not active.any():
         raise ShapeMismatchError("state has no active cells")
-    if not np.isfinite(corners).all():
-        nan = float("nan")
-        return InjectivityReport(nan, nan, nan, voxel_count=0, samples_per_cell=0)
-    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), state.grid, state.active)
+    total, violations, min_det = 0.0, 0, np.inf
+    F = np.empty(grid.cells + (3, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for path in itertools.permutations(range(3)):
+            # column ax of F: the path's step along axis ax, over h
+            offset = [0, 0, 0]
+            for ax in path:
+                prev = state.u[_CORNER_INDEX[tuple(offset)]]
+                offset[ax] = 1
+                np.subtract(state.u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
+                F[..., :, ax] /= grid.spacing[ax]
+            dets = det3(F)[active]
+            dets[~np.isfinite(dets)] = np.nan
+            total += dets.sum()
+            violations += int(np.sum(~(dets > 0.0)))
+            min_det = np.minimum(min_det, dets.min())
+    volume = float(active.sum()) * grid.cell_volume
 
-    cmin, cmax = corners.min(axis=0), corners.max(axis=0)  # (3, m), corner by corner
-    lo = cmin.min(axis=1)
-    extent = np.maximum(cmax.max(axis=1) - lo, 1e-300)
-    # sample spacing below one voxel so a cell image has no coverage gaps;
-    # if the sample cap binds, coarsen the raster instead
-    vox = extent / VOXELS_PER_AXIS
-    worst = np.maximum((cmax - cmin).max(axis=1), 1e-300)
-    s_ax = np.clip(np.ceil(worst / (0.95 * vox)).astype(int), 2, MAX_SAMPLES_PER_AXIS)
-    vox = np.maximum(vox, worst / (0.95 * s_ax))
-    pad = 2
-    shape = tuple(int(np.ceil(e / v)) + 2 * pad + 1 for e, v in zip(extent, vox))
-    strides = (shape[1] * shape[2], shape[2], 1)
-
-    axes = np.meshgrid(*[(np.arange(si) + 0.5) / si for si in s_ax], indexing="ij")
-    locs = np.stack([a.ravel() for a in axes], axis=-1)  # (prod s, 3)
-    weights = np.ones((locs.shape[0], 8))
-    for c, corner in enumerate(CORNERS[3]):
-        w = np.ones(locs.shape[0])
-        for ax, o in enumerate(corner.offset):
-            w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
-        weights[:, c] = w
-    weights = weights[:, :, None]  # (points, 8, 1) against a block's cell row
-
-    # coverage is a union over cells, so blocks of cells fill it in any order
-    covered = np.zeros(shape, dtype=bool)
-    block = max(1, _RASTER_POINTS // locs.shape[0])
-    x, term, lin = (np.empty((locs.shape[0], min(block, corners.shape[2])))
-                    for _ in range(3))
-    for start in range(0, corners.shape[2], block):
-        cells = corners[:, :, start:start + block]
-        n = cells.shape[2]
-        xb, tb, lb = x[:, :n], term[:, :n], lin[:, :n]
-        lb[...] = 0.0
-        for ax in range(3):
-            # the interpolant summed corner by corner in table order, the
-            # order in which np.einsum adds from zero; 0 + w0 c0 and w0 c0
-            # differ at most in the sign of a zero, which the index ignores
-            np.multiply(weights[:, 0], cells[0, ax], out=xb)
-            for c in range(1, 8):
-                np.multiply(weights[:, c], cells[c, ax], out=tb)
-                xb += tb
-            # half-voxel origin shift: axis-aligned faces bisect their shell voxels
-            xb -= lo[ax]
-            xb /= vox[ax]
-            xb += 0.5
-            np.floor(xb, out=xb)
-            xb += pad
-            np.clip(xb, 0, shape[ax] - 1, out=xb)
-            xb *= strides[ax]
-            lb += xb  # whole numbers below 2^53, so the flat index is exact
-        covered.reshape(-1)[lb.astype(np.intp)] = True
-
-    # the shell is the covered set less its interior, so it is counted as
-    # the difference of the two counts
-    voxels = int(covered.sum())
-    inner = int(_erode(covered).sum())
-    voxel_vol = float(np.prod(vox))
-    image_vol = (inner + 0.5 * (voxels - inner)) * voxel_vol
-
-    tol = TOL_REL * max(abs(vol_int), 10.0 * voxel_vol)
+    rim = boundary_node_mask(grid, active)
+    x, y = grid.node_coords()[rim], state.u[rim]
+    rim_affine, image = False, float("nan")
+    if np.isfinite(y).all():
+        X = np.hstack([x - x.mean(axis=0), np.ones((x.shape[0], 1))])
+        coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        residual = np.abs(X @ coef - y).max()
+        rim_affine = bool(residual <= RIM_TOL * (1.0 + np.abs(y).max()))
+        if rim_affine:
+            image = float(np.linalg.det(coef[:3].T)) * volume
     return InjectivityReport(
-        volume_integral=float(vol_int),
-        image_volume=float(image_vol),
-        tolerance=float(tol),
-        voxel_count=voxels,
-        samples_per_cell=int(np.prod(s_ax)),
+        volume_integral=float(total) * grid.cell_volume / 6.0,
+        image_volume=image,
+        violations=violations,
+        min_det=float(min_det),
+        rim_affine=rim_affine,
     )
-
-
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """Cells of mask whose 2*d face neighbours are all in mask; cells beyond
-    the array count as outside."""
-    inside = mask.copy()
-    for ax, n in enumerate(mask.shape):
-        head, tail, faces = ([slice(None)] * mask.ndim for _ in range(3))
-        head[ax], tail[ax], faces[ax] = slice(0, n - 1), slice(1, n), [0, n - 1]
-        inside[tuple(head)] &= mask[tuple(tail)]
-        inside[tuple(tail)] &= mask[tuple(head)]
-        inside[tuple(faces)] = False
-    return inside
 
 
 def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -317,10 +263,10 @@ def cell_charges(state: FieldState, manifold=None) -> np.ndarray:
     defect sits inside that cell.
     """
     nhat = _require_director(state, manifold)
-    index = {c.offset: c.index for c in CORNERS[3]}
     total = np.zeros(state.grid.cells)
     for o1, o2, o3 in _CELL_TRIANGLES:
-        total += _solid_angle(nhat[index[o1]], nhat[index[o2]], nhat[index[o3]])
+        total += _solid_angle(nhat[_CORNER_INDEX[o1]], nhat[_CORNER_INDEX[o2]],
+                              nhat[_CORNER_INDEX[o3]])
     total /= 4.0 * np.pi
     total[~state.active] = 0.0
     return total
@@ -348,16 +294,15 @@ class DefectReport:
         return 4.0 * np.pi * self.boundary_degree
 
 
-def defect_charges(state: FieldState, manifold=None, threshold: float = 0.5,
-                   margin: int = 3) -> DefectReport:
+def defect_charges(state: FieldState, manifold=None, margin: int = 3) -> DefectReport:
     """Locate and charge point defects of a director field.
 
-    Cells whose winding magnitude exceeds threshold are clustered by
+    Cells of winding magnitude at least one half are clustered by
     adjacency; each cluster reports its net integer charge, the charge-cell
     centroid, and a bounding box grown by margin cells.
     """
     q = cell_charges(state, manifold)
-    marked = np.abs(q) >= threshold
+    marked = np.abs(q) >= 0.5
     labels, n = _label(marked)
     grid = state.grid
     centers = grid.cell_centers()

@@ -54,6 +54,9 @@ from .manifolds import LEVI, Manifold
 from .minors import det3
 
 _TINY = 1e-300
+# largest drift of a descriptor test field off the tangent space, relative
+# to 1 + its sup norm, that weak_el_residual accepts
+TANGENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,8 @@ def random_compact_tests(state: FieldState, n: int, components: int,
 # weak Euler-Lagrange
 # ---------------------------------------------------------------------------
 
-def weak_el_residual(bf: BalanceFields, tests: Iterable[tuple[np.ndarray, np.ndarray]],
-                     tangent_tol: float = 1e-8) -> list[Residual]:
+def weak_el_residual(bf: BalanceFields,
+                     tests: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Residual]:
     """Weak equilibrium residual per test pair (h, upsilon).
 
     Quadrature of -b . h + P : Dh + zeta . upsilon + S : Dupsilon over the
@@ -204,18 +207,16 @@ def weak_el_residual(bf: BalanceFields, tests: Iterable[tuple[np.ndarray, np.nda
             raise ShapeMismatchError("test fields must match nodal shapes")
         if man is not None:
             drift = np.max(np.abs(ups - man.tangent_project(state.nu, ups)))
-            if drift > tangent_tol * (1.0 + np.max(np.abs(ups))):
+            if drift > TANGENT_TOL * (1.0 + np.max(np.abs(ups))):
                 raise NonTangentTestError(
                     f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
                 )
-        hbar = cell_average(h, grid)
-        Dh = cell_gradient(h, grid)
-        ubar = cell_average(ups, grid)
-        Dv = cell_gradient(ups, grid)
-        t1 = -np.einsum("...i,...i->...", bf.b, hbar)
-        t2 = np.einsum("...ij,...ij->...", bf.P, Dh[..., :, :])
-        t3 = np.einsum("...a,...a->...", bf.zeta_ambient, ubar)
-        t4 = np.einsum("...ai,...ai->...", bf.S, Dv)
+        # each average and gradient dies in its own term, so at most one
+        # cellwise gradient of the pair is alive at a time
+        t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
+        t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
+        t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
+        t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
         raw = integrate_cells(t1 + t2 + t3 + t4, grid, state.active)
         scale = integrate_cells(
             np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, state.active

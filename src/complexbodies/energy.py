@@ -990,13 +990,13 @@ class StateBatch:
 
 
 def sample_states(rng: np.random.Generator, n: int, embed_dim: int,
-                  spread: float = 0.4, wide: bool = False) -> StateBatch:
+                  wide: bool = False) -> StateBatch:
     """Random admissible pointwise states: det F > 0 by construction.
 
     F = R1 diag(lambda) R2 with rotations and lognormal singular values;
     wide stretches the magnitude range for growth probing.
     """
-    sigma = 1.2 if wide else spread
+    sigma = 1.2 if wide else 0.4
     from .manifolds import rotation_from_vector
 
     lam = rng.lognormal(0.0, sigma, size=(n, 3))
@@ -1027,17 +1027,14 @@ class GrowthReport:
 
 
 def check_growth(density: EnergyDensity, spec: GrowthSpec | None = None,
-                 sampler=None, n: int = 10_000, seed: int = 0) -> GrowthReport:
+                 n: int = 10_000, seed: int = 0) -> GrowthReport:
     """Sample states and verify e >= bound; slack = e - bound per sample."""
     if spec is None:
         spec = density.growth_meta
     if spec is None:
         raise GeneratorUnavailableError(f"{density.name} documents no growth bound")
     rng = np.random.default_rng(seed)
-    if sampler is None:
-        batch = sample_states(rng, n, density.embed_dim, wide=True)
-    else:
-        batch = sampler(rng, n)
+    batch = sample_states(rng, n, density.embed_dim, wide=True)
     e = density.eval(batch.x, batch.u, batch.F, batch.nu, batch.N)
     bound = spec.bound(batch.F, batch.N)
     slack = e - bound

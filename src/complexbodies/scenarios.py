@@ -58,6 +58,7 @@ from .energy import (
 from .errors import (
     ComplexBodiesError,
     ConfigError,
+    ProjectionUndefinedError,
     ScenarioFailedError,
     ShapeMismatchError,
 )
@@ -344,7 +345,10 @@ def build_manifold(kind: str, params: dict) -> Manifold:
         return Euclidean(3)
     if kind == "interval":
         p = _take(params, {"lo": 0.0, "hi": 1.0}, "interval")
-        return Interval(p["lo"], p["hi"])
+        try:
+            return Interval(p["lo"], p["hi"])
+        except ShapeMismatchError as exc:
+            raise ConfigError(f"[manifold] interval: {exc}") from None
     if kind == "degree-of-orientation":
         _take(params, {}, "degree-of-orientation")
         return degree_of_orientation()
@@ -454,10 +458,16 @@ def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDen
 
 def _pin(state: FieldState, which: str, mask: np.ndarray, values: np.ndarray,
          manifold: Manifold | None = None) -> None:
+    """Pin the masked nodes to values; descriptor data is projected onto the
+    manifold on the pinned nodes only, so data off the mask is never projected."""
+    values = values[mask]
     if which == "nu" and manifold is not None:
-        values = manifold.project(values)
+        try:
+            values = manifold.project(values)
+        except ProjectionUndefinedError as exc:
+            raise ConfigError(f"[boundary] descriptor data on the rim: {exc}") from None
     target = state.u if which == "u" else state.nu
-    target[mask] = values[mask]
+    target[mask] = values
     if which == "u":
         state.pinned_u |= mask
     else:
@@ -523,8 +533,12 @@ def apply_boundary(kind: str, params: dict, state: FieldState,
             {"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
             "affine-stretch",
         )
-        A = np.eye(3) + p["gamma"] * np.diag([p["e1"], p["e2"], p["e3"]])
-        if np.linalg.det(A) <= 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.eye(3) + p["gamma"] * np.diag([p["e1"], p["e2"], p["e3"]])
+            det = np.linalg.det(A)
+        if not (np.isfinite(A).all() and np.isfinite(det)):
+            raise ConfigError("affine-stretch overflows: its matrix or determinant is not finite")
+        if det <= 0:
             raise ConfigError("affine-stretch flips orientation; reduce gamma")
         vals = np.einsum("ij,...j->...i", A, coords)
         _pin(state, "u", rim, vals)
@@ -802,7 +816,8 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             "injectivity",
             rep.passed,
             f"volume_integral={_fg(rep.volume_integral)} image_volume={_fg(rep.image_volume)} "
-            f"slack={_fg(rep.slack)} tol={_fg(rep.tolerance)}",
+            f"slack={_fg(rep.slack)} violations={rep.violations} min_det={_fg(rep.min_det)} "
+            f"rim_affine={rep.rim_affine}",
         )
     if built.checks["growth"]:
         rep = check_growth(density, n=GROWTH_SAMPLES, seed=config.seed)

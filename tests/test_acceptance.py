@@ -374,19 +374,19 @@ def test_09_admissibility_screens_maps():
     rigid.u = base.u @ R.T + np.array([0.1, 0.2, -0.3])
     rig = check_ciarlet_necas(rigid)
     rigid_ok = (check_orientation(rigid).passed and rig.passed
-                and abs(rig.slack) <= 0.02 * rig.volume_integral)
+                and abs(rig.slack) <= 1e-12 * rig.volume_integral)
 
     dilated = base.copy()
     dilated.u = 1.5 * base.u
     dil = check_ciarlet_necas(dilated)
     dilation_ok = (check_orientation(dilated).passed and dil.passed
-                   and abs(dil.slack) <= 0.02 * dil.volume_integral)
+                   and abs(dil.slack) <= 1e-12 * dil.volume_integral)
 
     ok = reflection_rejected and folding_rejected and rigid_ok and dilation_ok
     _criterion(ok, f"admissibility: reflection rejected={reflection_rejected}, "
                    f"fold rejected={folding_rejected}, rigid slack "
-                   f"{abs(rig.slack) / rig.volume_integral:.4f}, dilation slack "
-                   f"{abs(dil.slack) / dil.volume_integral:.4f} (raster tol 0.02)")
+                   f"{abs(rig.slack) / rig.volume_integral:.1e}, dilation slack "
+                   f"{abs(dil.slack) / dil.volume_integral:.1e} (tol 1e-12)")
 
 
 def test_10_quasicrystal_growth_bound_holds_in_bulk():

@@ -1,11 +1,13 @@
 """Orientation, injectivity, and defect-charge oracles."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from complexbodies import admissibility
 from complexbodies.admissibility import (
-    InjectivityReport,
     cell_charges,
     check_ciarlet_necas,
     check_orientation,
@@ -19,16 +21,10 @@ from complexbodies.errors import (
     SurfaceOutsideDomainError,
     WrongManifoldError,
 )
-from complexbodies.fields import (
-    CORNERS,
-    Grid,
-    ball_mask,
-    gradients,
-    identity_state,
-    integrate_cells,
-)
+from complexbodies.fields import Grid, ball_mask, identity_state, interior_node_mask
 from complexbodies.manifolds import UnitSphere, degree_of_orientation, rotation_from_vector
-from complexbodies.minors import det3
+from complexbodies.minimize import minimize
+from complexbodies.scenarios import materialize, preset_config
 from util import EZ, hedgehog_state, radial_director
 
 # a NaN cast to an index or an invalid comparison inside a check fails the test
@@ -90,17 +86,18 @@ class TestInjectivity:
         R = rotation_from_vector(np.array([0.3, -0.2, 0.5]))
         st.u = st.u @ R.T + np.array([0.1, 0.2, -0.3])
         rep = check_ciarlet_necas(st)
-        assert rep.passed
-        assert abs(rep.image_volume - 1.0) < 0.02
-        assert abs(rep.volume_integral - 1.0) < 1e-10
+        assert rep.passed and rep.rim_affine
+        assert rep.image_volume == pytest.approx(1.0, rel=1e-12)
+        assert rep.volume_integral == pytest.approx(1.0, rel=1e-12)
 
     def test_dilation_volume_match(self):
         st = _identity(res=12)
         st.u = 2.0 * st.u
         rep = check_ciarlet_necas(st)
         assert rep.passed
-        assert abs(rep.image_volume - 8.0) < 0.16
-        assert abs(rep.volume_integral - 8.0) < 1e-9
+        assert rep.image_volume == pytest.approx(8.0, rel=1e-12)
+        assert rep.volume_integral == pytest.approx(8.0, rel=1e-12)
+        assert rep.min_det == pytest.approx(8.0, rel=1e-12)
 
     def test_angle_doubling_fold_detected(self):
         st = _fold_slab()
@@ -108,8 +105,10 @@ class TestInjectivity:
         rep = check_ciarlet_necas(st)
         volume = st.active.sum() * st.grid.cell_volume
         assert not rep.passed
-        # the slab is covered twice: half the integral is overlap
-        assert rep.slack == pytest.approx(-volume, rel=0.08)
+        # the rim is not affine, so no image volume is certified ...
+        assert not rep.rim_affine and np.isnan(rep.image_volume)
+        # ... and the slab is covered twice
+        assert rep.volume_integral == pytest.approx(2.0 * volume, rel=1e-3)
 
     def test_empty_active_raises(self):
         st = _identity(res=4)
@@ -125,8 +124,8 @@ class TestInjectivity:
         st.u[3, 3, 3, 1] = value
         rep = check_ciarlet_necas(st)
         assert not rep.passed
-        assert rep.voxel_count == 0 and rep.samples_per_cell == 0
-        assert np.isnan(rep.image_volume)
+        assert rep.violations > 0 and np.isnan(rep.min_det)
+        assert np.isnan(rep.volume_integral) and np.isnan(rep.slack)
 
     def test_non_finite_node_off_the_active_cells_is_ignored(self):
         st = _identity(res=6)
@@ -136,73 +135,61 @@ class TestInjectivity:
         st.u[5, 5, 5, 1] = np.nan
         assert check_ciarlet_necas(st) == clean
 
-    @pytest.mark.parametrize("grid", [
-        Grid.cube(10),
-        Grid((0.0, 0.0, 0.45), (1.0, 1.0, 0.55), (24, 24, 2)),
-    ], ids=["cube", "slab"])
-    def test_chunked_raster_equals_unchunked(self, monkeypatch, grid):
-        st = identity_state(grid, UnitSphere(), nu0=EZ)
-        rng = np.random.default_rng(3)
-        st.u = st.u + 0.3 / max(grid.cells) * rng.normal(size=st.u.shape)
-        rc = np.linalg.norm(st.grid.cell_centers() - 0.5, axis=-1)
-        st.active = rc < 0.45
-        monkeypatch.setattr(admissibility, "_RASTER_POINTS", 2**62)
-        whole = check_ciarlet_necas(st)
-        cells = int(st.active.sum())
-        block = 7
-        assert cells % block != 0
-        monkeypatch.setattr(admissibility, "_RASTER_POINTS", block * whole.samples_per_cell)
-        assert check_ciarlet_necas(st) == whole
+    @pytest.mark.parametrize("res", [6, 8, 12, 24])
+    def test_identity_on_the_ball_passes(self, res):
+        st = _identity(res=res, lo=-1.0, hi=1.0)
+        st.active = ball_mask(st.grid)
+        rep = check_ciarlet_necas(st)
+        volume = st.active.sum() * st.grid.cell_volume
+        assert rep.passed and rep.violations == 0
+        assert rep.volume_integral == pytest.approx(volume, rel=1e-12)
+        assert abs(rep.slack) <= 1e-12 * volume
+
+    def test_affine_shear_passes_on_a_coarse_grid(self):
+        st = _identity(res=4)
+        st.u[..., 0] += 0.3 * st.u[..., 1]
+        rep = check_ciarlet_necas(st)
+        assert rep.passed
+        assert rep.image_volume == pytest.approx(1.0, rel=1e-12)
+
+    def test_microcracked_minimizer_passes(self):
+        cfg = dataclasses.replace(preset_config("microcracked-vector"), resolution=8)
+        built = materialize(cfg)
+        mres = minimize(built.density, built.state, built.manifold, cfg.minimize)
+        assert mres.converged
+        rep = check_ciarlet_necas(mres.state)
+        assert rep.passed
+        assert abs(rep.slack) <= 1e-12 * rep.volume_integral
+
+    def test_interior_fold_fails(self):
+        # one node pushed 1.5 h along x through its neighbour: every cell
+        # keeps det F > 0 at its centre, yet 6 simplices turn inside out
+        st = _identity(res=12)
+        st.u[6, 6, 6, 0] += 1.5 / 12
+        assert check_orientation(st).passed
+        rep = check_ciarlet_necas(st)
+        assert not rep.passed and rep.rim_affine
+        assert rep.violations == 6
+        assert rep.min_det == pytest.approx(-0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_volume_integral_is_fixed_by_an_affine_rim(self, seed):
+        rng = np.random.default_rng(seed)
+        st = _identity(res=int(rng.integers(3, 10)), lo=-1.0, hi=1.0)
+        if seed % 2:
+            st.active = ball_mask(st.grid)
+        A = np.eye(3) + rng.uniform(-0.3, 0.3, size=(3, 3))
+        st.u = st.u @ A.T + rng.normal(size=3)
+        inner = interior_node_mask(st.grid, st.active)
+        st.u[inner] += 0.4 * st.grid.spacing[0] * rng.normal(size=(int(inner.sum()), 3))
+        rep = check_ciarlet_necas(st)
+        volume = st.active.sum() * st.grid.cell_volume
+        assert rep.rim_affine
+        assert rep.image_volume == pytest.approx(np.linalg.det(A) * volume, rel=1e-12)
+        assert rep.volume_integral == pytest.approx(rep.image_volume, rel=1e-12)
 
 
-def _einsum_raster(state):
-    """The injectivity check as it rasterized before the corner-by-corner
-    push: all 8 corners of a block of cells pushed at once by np.einsum."""
-    grid = state.grid
-    vol_int = integrate_cells(det3(gradients(state, ("F",)).F), grid, state.active)
-    corners = np.stack([state.u[c.index] for c in CORNERS[3]], axis=-2)
-    corners = corners[state.active]  # (m, 8, 3)
-    span = corners.max(axis=1) - corners.min(axis=1)
-    lo = corners.reshape(-1, 3).min(axis=0)
-    hi = corners.reshape(-1, 3).max(axis=0)
-    extent = np.maximum(hi - lo, 1e-300)
-    vox = extent / admissibility.VOXELS_PER_AXIS
-    worst = np.maximum(span.max(axis=0), 1e-300)
-    s_ax = np.clip(np.ceil(worst / (0.95 * vox)).astype(int), 2,
-                   admissibility.MAX_SAMPLES_PER_AXIS)
-    vox = np.maximum(vox, worst / (0.95 * s_ax))
-    pad = 2
-    shape = tuple(int(np.ceil(e / v)) + 2 * pad + 1 for e, v in zip(extent, vox))
-    axes = np.meshgrid(*[(np.arange(si) + 0.5) / si for si in s_ax], indexing="ij")
-    locs = np.stack([a.ravel() for a in axes], axis=-1)
-    weights = np.ones((locs.shape[0], 8))
-    for c, corner in enumerate(CORNERS[3]):
-        w = np.ones(locs.shape[0])
-        for ax, o in enumerate(corner.offset):
-            w = w * (locs[:, ax] if o else 1.0 - locs[:, ax])
-        weights[:, c] = w
-    covered = np.zeros(shape, dtype=bool)
-    block = max(1, admissibility._RASTER_POINTS // locs.shape[0])
-    for start in range(0, corners.shape[0], block):
-        pts = np.einsum("pc,mci->mpi", weights, corners[start:start + block]).reshape(-1, 3)
-        idx = np.floor((pts - lo) / vox + 0.5).astype(int) + pad
-        idx = np.clip(idx, 0, np.array(shape) - 1)
-        covered[tuple(idx.T)] = True
-    interior = admissibility._erode(covered)
-    shell = covered & ~interior
-    voxel_vol = float(np.prod(vox))
-    image_vol = (interior.sum() + 0.5 * shell.sum()) * voxel_vol
-    tol = admissibility.TOL_REL * max(abs(vol_int), 10.0 * voxel_vol)
-    return InjectivityReport(
-        volume_integral=float(vol_int),
-        image_volume=float(image_vol),
-        tolerance=float(tol),
-        voxel_count=int(covered.sum()),
-        samples_per_cell=int(np.prod(s_ax)),
-    )
-
-
-def _random_raster_states(count, seed):
+def _random_masked_states(count, seed):
     """Seeded boxes of 1 to 7 cells per axis under a random affine map plus
     nodal noise, each with a random nonempty active mask."""
     rng = np.random.default_rng(seed)
@@ -219,49 +206,47 @@ def _random_raster_states(count, seed):
         yield st
 
 
-class TestRasterReference:
-    """The corner-by-corner raster against the einsum raster kept above:
-    the whole report, image volume and voxel count included, is equal."""
+def _simplex_dets(state):
+    """det F on every path simplex of every active cell, one at a time: the
+    determinant of the edges from the first vertex in the image over that in
+    the reference."""
+    x = state.grid.node_coords()
+    dets = []
+    for cell in np.argwhere(state.active):
+        for path in itertools.permutations(range(3)):
+            verts = [np.zeros(3, dtype=int)]
+            for ax in path:
+                verts.append(verts[-1] + np.eye(3, dtype=int)[ax])
+            nodes = [tuple(cell + v) for v in verts]
+            du = np.array([state.u[n] - state.u[nodes[0]] for n in nodes[1:]])
+            dx = np.array([x[n] - x[nodes[0]] for n in nodes[1:]])
+            dets.append(np.linalg.det(du) / np.linalg.det(dx))
+    return np.array(dets)
 
-    def test_perturbed_box(self):
-        st = _identity(res=16)
-        st.u += 0.2 / 16 * np.random.default_rng(5).normal(size=st.u.shape)
+
+class TestSimplexReference:
+    """The check against a loop over cells and simplices that shares none of
+    its arithmetic."""
+
+    def _agrees(self, st):
+        dets = _simplex_dets(st)
         rep = check_ciarlet_necas(st)
-        assert rep.samples_per_cell >= 343
-        assert rep == _einsum_raster(st)
-
-    def test_affine_shear(self):
-        st = _identity(res=48)
-        st.u[..., 0] += 0.3 * st.u[..., 1]
-        rep = check_ciarlet_necas(st)
-        assert rep.samples_per_cell == 27
-        assert rep == _einsum_raster(st)
-
-    def test_ball(self):
-        st = _identity(res=12, lo=-1.0, hi=1.0)
-        st.u = st.u + 0.1 * np.sin(3.0 * st.u[..., ::-1])
-        st.active = ball_mask(st.grid)
-        assert check_ciarlet_necas(st) == _einsum_raster(st)
-
-    def test_fold_slab(self):
-        st = _fold_slab()
-        assert check_ciarlet_necas(st) == _einsum_raster(st)
-
-    def test_slab_flattened_onto_a_voxel_face(self):
-        # the interpolant of the flat slab is exactly the face x = 59.5 voxels
-        # of the 1/128 raster, so the rounding of its corner sum picks the
-        # voxel: summing the corners in another order changes the report
-        st = _identity(res=16)
-        st.u[7:9, ..., 0] = 59.5 / 128
-        st.active[:] = False
-        st.active[[0, 7, 15]] = True
-        rep = check_ciarlet_necas(st)
-        assert rep.samples_per_cell == 729
-        assert rep == _einsum_raster(st)
+        assert rep.violations == int(np.sum(dets <= 0.0))
+        assert rep.min_det == pytest.approx(dets.min(), rel=1e-12, abs=1e-12)
+        assert rep.volume_integral == pytest.approx(
+            dets.sum() * st.grid.cell_volume / 6.0, rel=1e-12)
 
     def test_random_masked_states(self):
-        for st in _random_raster_states(24, seed=19):
-            assert check_ciarlet_necas(st) == _einsum_raster(st)
+        for st in _random_masked_states(24, seed=19):
+            self._agrees(st)
+
+    def test_perturbed_box(self):
+        st = _identity(res=6)
+        st.u += 0.4 / 6 * np.random.default_rng(5).normal(size=st.u.shape)
+        self._agrees(st)
+
+    def test_fold_slab(self):
+        self._agrees(_fold_slab())
 
 
 def _random_masks(count, seed):
@@ -280,7 +265,7 @@ def _random_masks(count, seed):
 
 
 class TestNdimageReplacements:
-    """_label and _erode against scipy.ndimage, which only the tests import."""
+    """_label against scipy.ndimage, which only the tests import."""
 
     def test_label_matches_ndimage(self):
         from scipy import ndimage
@@ -290,14 +275,6 @@ class TestNdimageReplacements:
             labels, m = admissibility._label(mask)
             assert m == n
             assert np.array_equal(labels, expected)
-
-    def test_erode_matches_ndimage(self):
-        from scipy import ndimage
-
-        for mask in _random_masks(240, seed=12):
-            cross = ndimage.generate_binary_structure(mask.ndim, 1)
-            assert np.array_equal(admissibility._erode(mask),
-                                  ndimage.binary_erosion(mask, structure=cross))
 
 
 class TestChargeDensityField:

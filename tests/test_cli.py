@@ -154,6 +154,7 @@ def test_out_of_range_minimize_setting_exits_two(tmp_path, capsys, key, old, new
     ("kind = interval\n\n[density]\nkind = porous-landau",
      "kind = euclidean3\n\n[density]\nkind = quasicrystal\na = 1e308",
      "3a + 3b, overflows"),
+    ("kind = interval", "kind = interval\nlo = 1\nhi = 0", "empty interval [1.0, 0.0]"),
     ("resolution = 6", "resolution = 6\nhi = inf", "[grid] hi"),
     ("seed = 3", "seed = -1", "seed must not be negative"),
 ])
@@ -162,6 +163,41 @@ def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):
     assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+# rim director data nu_slope (x - centre) on a sphere; the box centre is an
+# interior node, where that data vanishes
+SPHERE_STRETCH = """
+[scenario]
+name = sphere-stretch
+
+[grid]
+resolution = 4
+
+[manifold]
+kind = unit-sphere
+
+[density]
+kind = dirichlet
+
+[boundary]
+kind = affine-stretch
+nu_slope = 0.25
+"""
+
+
+def test_rim_data_is_projected_on_the_rim_only(tmp_path, capsys):
+    code = main(["run", _write(tmp_path, SPHERE_STRETCH), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_zero_rim_director_exits_two(tmp_path, capsys):
+    config = _write(tmp_path, SPHERE_STRETCH.replace("nu_slope = 0.25", "nu_slope = 0"))
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "zero vector" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -231,7 +267,7 @@ def scipy_modules():
 
 import complexbodies.scenarios, complexbodies.cli
 assert not scipy_modules(), scipy_modules()
-# a run whose checks include the defect clusters and the injectivity raster
+# a run whose checks include the defect clusters and the injectivity check
 complexbodies.cli.main(["run", "nematic-hedgehog", "--resolution", "6",
                         "--check", "injectivity=on", "--out", sys.argv[1]])
 assert not scipy_modules(), scipy_modules()

@@ -281,6 +281,34 @@ def test_any_density_value_builds_or_is_config_error(case, value):
         pass
 
 
+# every numeric key of [manifold] interval and of each [boundary] and [init]
+# kind, as (preset that uses the kind, section, key)
+_SECTION_KEYS = [
+    (name, section, key)
+    for name in preset_names()
+    for section in ("manifold", "boundary", "init")
+    for key in getattr(preset_config(name), f"{section}_params")
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_SECTION_KEYS),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+# det A of the stretch overflows although A is finite
+@example(case=("microcracked-vector", "boundary", "gamma"), value=1e200)
+@example(case=("porous-interval", "manifold", "lo"), value=2.0)
+def test_any_section_value_materializes_or_is_config_error(case, value):
+    name, section, key = case
+    cfg = preset_config(name)
+    params = {**getattr(cfg, f"{section}_params"), key: value}
+    cfg = dataclasses.replace(cfg, resolution=3, **{f"{section}_params": params})
+    try:
+        materialize(parse_config(format_config(cfg)))
+    except ConfigError:
+        pass
+
+
 def test_config_constructor_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(name="x", resolution=1)
