@@ -39,7 +39,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         out = Path(args.out_root) / name
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             result = run(cfg, out_dir=out)
             verdict = "PASS"
@@ -47,7 +47,7 @@ def main(argv=None):
             result = exc.result
             verdict = "FAIL"
             failures += 1
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         mres = result.minimize_result
         if not mres.converged:
             failures += verdict == "PASS"  # a failed run is counted already

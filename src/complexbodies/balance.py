@@ -5,12 +5,16 @@ From a state and a density this module assembles the conjugate actions
     P = de/dF   (first Piola-Kirchhoff stress)
     S = de/dN   (microstress)
     z = de/dnu over internal parts, beta = -de/dnu over external parts,
-    zeta = z - beta (net substructural action), b = -de/du (body force)
+    zeta = z - beta (net substructural action, kept in the ambient
+    embedding, where it pairs with the assembled gradient exactly),
+    b = -de/du (body force)
 
 and evaluates every balance the theory provides:
 
-* weak Euler-Lagrange residual against compactly supported nodal test
-  pairs (h, upsilon), dual-exact to the minimizer's assembled gradient;
+* weak Euler-Lagrange residual of one compactly supported nodal test
+  pair (h, upsilon), dual-exact to the minimizer's assembled gradient;
+  the test fields are drawn up front and built on demand, one builder per
+  field, so pairs can be checked in any order or concurrently;
 * strong interior residuals Div P + b and Div S - zeta (tangent-projected);
 * the rotational balance: the axial vector of P F^T must equal
   A* z + (DA)* S, with A the manifold's rotation generator evaluated at the
@@ -27,8 +31,9 @@ terms entering it, so "small" is meaningful per law and per test.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +59,9 @@ from .manifolds import LEVI, Manifold
 from .minors import det3
 
 _TINY = 1e-300
+# cells per slab of the rotational balance, which holds a dozen cellwise
+# temporaries of one slab at a time instead of the whole grid's
+_SLAB_CELLS = 4096
 # largest drift of a descriptor test field off the tangent space, relative
 # to 1 + its sup norm, that weak_el_residual accepts
 TANGENT_TOL = 1e-8
@@ -80,18 +88,18 @@ class BalanceFields:
     gf: GradientField
     P: np.ndarray
     S: np.ndarray
-    zeta: np.ndarray          # tangent-projected net action, for reporting
     zeta_ambient: np.ndarray  # raw embedding derivative, for exact duality
     z: np.ndarray
-    beta: np.ndarray
     b: np.ndarray
-    e_val: np.ndarray
-    de_dx: np.ndarray
 
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
                      manifold: Manifold | None = None) -> BalanceFields:
-    """Cellwise conjugate actions; zeta is reported in the cotangent space."""
+    """Cellwise conjugate actions P, S, z - beta, z and b.
+
+    The energy and its x-partial, which only the configurational balance
+    reads, are taken there from gf when it runs.
+    """
     gf = gradients(state)
     args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
     P = density.d_F(*args)
@@ -103,12 +111,6 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
             beta = beta - part.d_nu(*args)
         else:
             z = z + part.d_nu(*args)
-    zeta_ambient = z - beta
-    if manifold is not None:
-        base = manifold.project(gf.nu_bar)
-        zeta = manifold.tangent_project(base, zeta_ambient)
-    else:
-        zeta = zeta_ambient.copy()
     return BalanceFields(
         state=state,
         density=density,
@@ -116,13 +118,9 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
         gf=gf,
         P=P,
         S=S,
-        zeta=zeta,
-        zeta_ambient=zeta_ambient,
+        zeta_ambient=z - beta,
         z=z,
-        beta=beta,
         b=-density.d_u(*args),
-        e_val=density.eval(*args),
-        de_dx=density.d_x(*args),
     )
 
 
@@ -137,14 +135,16 @@ def _bump(xi):
 
 def random_compact_tests(state: FieldState, n: int, components: int,
                          seed: int = 0, manifold: Manifold | None = None,
-                         margin: int = 2) -> Iterator[np.ndarray]:
-    """Yield n smooth random nodal fields vanishing outside the interior.
+                         margin: int = 2) -> list[Callable[[], np.ndarray]]:
+    """Draw n smooth random nodal fields vanishing outside the interior.
 
     Gaussian-times-bump profiles with random centers and polarizations;
     when a manifold is given, fields are tangent-projected at the nodes
-    (descriptor tests).  Pinned nodes are always zeroed.  Each field is
-    drawn and built only when the caller asks for it, so a caller that
-    drops each field before taking the next holds one at a time.
+    (descriptor tests).  Pinned nodes are always zeroed.  Every random
+    draw is made here, in order, and one builder per field is returned:
+    calling it builds that field anew.  The fields therefore do not depend
+    on when, in which order or on which thread they are built, and a caller
+    that drops each field after use holds only the ones it is using.
     """
     grid = state.grid
     rng = np.random.default_rng(seed)
@@ -161,12 +161,8 @@ def random_compact_tests(state: FieldState, n: int, components: int,
     shell = 1.0
     for ax, x in enumerate(axes):
         shell = shell * _bump((x - mid[ax]) / half[ax])
-    for _ in range(n):
-        center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
-        width = rng.uniform(0.15, 0.45) * float(np.min(half))
-        pol = rng.normal(size=components)
-        phase = rng.uniform(0, 2 * np.pi, size=grid.dim)
-        freq = rng.uniform(1.0, 3.0, size=grid.dim)
+
+    def build(center, width, pol, phase, freq):
         r2 = 0.0
         wave = 1.0
         for ax, x in enumerate(axes):
@@ -182,47 +178,59 @@ def random_compact_tests(state: FieldState, n: int, components: int,
             f[state.pinned_nu] = 0.0
         else:
             f[state.pinned_u] = 0.0
-        yield f
+        return f
+
+    builders = []
+    for _ in range(n):
+        center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
+        width = rng.uniform(0.15, 0.45) * float(np.min(half))
+        pol = rng.normal(size=components)
+        phase = rng.uniform(0, 2 * np.pi, size=grid.dim)
+        freq = rng.uniform(1.0, 3.0, size=grid.dim)
+        builders.append(partial(build, center, width, pol, phase, freq))
+    return builders
 
 
 # ---------------------------------------------------------------------------
 # weak Euler-Lagrange
 # ---------------------------------------------------------------------------
 
-def weak_el_residual(bf: BalanceFields,
-                     tests: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Residual]:
-    """Weak equilibrium residual per test pair (h, upsilon).
+def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
+                     k: int = 0) -> Residual:
+    """Weak equilibrium residual of test pair k, (h, upsilon).
 
     Quadrature of -b . h + P : Dh + zeta . upsilon + S : Dupsilon over the
     active cells, using the raw embedding action so the value agrees with
     the assembled minimizer gradient to round-off.  upsilon must be tangent
-    at the nodal descriptor.
+    at the nodal descriptor.  Only bf is shared and it is only read, so
+    pairs may be checked on concurrent threads.
     """
     state = bf.state
     grid = state.grid
     man = bf.manifold
-    out = []
-    for k, (h, ups) in enumerate(tests):
-        if h.shape != state.u.shape or ups.shape != state.nu.shape:
-            raise ShapeMismatchError("test fields must match nodal shapes")
-        if man is not None:
-            drift = np.max(np.abs(ups - man.tangent_project(state.nu, ups)))
-            if drift > TANGENT_TOL * (1.0 + np.max(np.abs(ups))):
-                raise NonTangentTestError(
-                    f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
-                )
-        # each average and gradient dies in its own term, so at most one
-        # cellwise gradient of the pair is alive at a time
-        t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
-        t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
-        t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
-        t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
-        raw = integrate_cells(t1 + t2 + t3 + t4, grid, state.active)
-        scale = integrate_cells(
-            np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, state.active
-        )
-        out.append(Residual(name=f"weak_el[{k}]", raw=raw, scale=scale))
-    return out
+    if h.shape != state.u.shape or ups.shape != state.nu.shape:
+        raise ShapeMismatchError("test fields must match nodal shapes")
+    if man is not None:
+        # the projection, its difference from upsilon and both absolute
+        # values share one nodal buffer, freed before the terms are built
+        buf = man.tangent_project(state.nu, ups)
+        drift = np.max(np.abs(np.subtract(ups, buf, out=buf), out=buf))
+        if drift > TANGENT_TOL * (1.0 + np.max(np.abs(ups, out=buf))):
+            raise NonTangentTestError(
+                f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
+            )
+        del buf
+    # each average and gradient dies in its own term, so at most one
+    # cellwise gradient of the pair is alive at a time
+    t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
+    t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
+    t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
+    t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
+    raw = integrate_cells(t1 + t2 + t3 + t4, grid, state.active)
+    scale = integrate_cells(
+        np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, state.active
+    )
+    return Residual(name=f"weak_el[{k}]", raw=raw, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +306,46 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     holds pointwise as an algebraic consequence of invariance, with A
     evaluated at the raw cell average of the descriptor; its derivative dA
     is one constant tensor, since A is linear in the descriptor.
+
+    The cells are taken in slabs along the first axis, so the terms of one
+    slab are alive at a time; each sup is the max over the slabs, which is
+    exact.  A slab without an active cell is skipped.
     """
     if bf.manifold is None or not bf.manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
             "rotational balance needs a manifold with a rotation generator"
         )
     man = bf.manifold
-    A = man.rotation_generator(bf.gf.nu_bar)
     dA = man.rotation_generator_gradient()  # constant; einsum broadcasts it
-    PFt = np.einsum("...ik,...jk->...ij", bf.P, bf.gf.F)
-    ax = np.einsum("jab,...ab->...j", LEVI, PFt)
-    Az = np.einsum("...aj,...a->...j", A, bf.z)
-    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, bf.gf.N, bf.S)
-    res = ax - Az - dAS
+    dA_abs = np.abs(dA)
     act = bf.state.active
-
-    def sup(f):
-        vals = f[act]
-        return float(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
-
-    # the scale ignores cancellations inside each term, so a balance whose
-    # ingredients are all round-off still reports a tiny ratio
-    Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(bf.z))
-    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(bf.gf.N), np.abs(bf.S))
-    scale = sup(PFt) + sup(Az_abs) + sup(dAS_abs) + _TINY
-    residual = Residual("rotational", sup(res), scale)
-    out = res.copy()
-    out[~act] = 0.0
+    out = np.zeros(act.shape + (3,))
+    # per-slab sups of the residual, of P F^T and of the two bounding terms
+    peaks = ([], [], [], [])
+    rows = max(1, _SLAB_CELLS // int(np.prod(act.shape[1:])))
+    for lo in range(0, act.shape[0], rows):
+        sl = slice(lo, lo + rows)
+        a = act[sl]
+        if not a.any():
+            continue
+        F, N, S, z = bf.gf.F[sl], bf.gf.N[sl], bf.S[sl], bf.z[sl]
+        A = man.rotation_generator(bf.gf.nu_bar[sl])
+        PFt = np.einsum("...ik,...jk->...ij", bf.P[sl], F)
+        ax = np.einsum("jab,...ab->...j", LEVI, PFt)
+        Az = np.einsum("...aj,...a->...j", A, z)
+        dAS = np.einsum("...ajb,...bi,...ai->...j", dA, N, S)
+        res = ax - Az - dAS
+        out[sl] = np.where(a[..., None], res, 0.0)
+        # the scale ignores cancellations inside each term, so a balance
+        # whose ingredients are all round-off still reports a tiny ratio
+        Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
+        dAS_abs = np.einsum("...ajb,...bi,...ai->...j", dA_abs, np.abs(N), np.abs(S))
+        for peak, f in zip(peaks, (res, PFt, Az_abs, dAS_abs)):
+            vals = f[a]
+            peak.append(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
+    # np.max keeps a nan, as the sup over all cells at once did
+    sup_res, sup_PFt, sup_Az, sup_dAS = (float(np.max(peak)) for peak in peaks)
+    residual = Residual("rotational", sup_res, sup_PFt + sup_Az + sup_dAS + _TINY)
     return RotationalReport(residual_field=out, residual=residual)
 
 
@@ -339,9 +360,10 @@ class EshelbyField:
 
 def eshelby(bf: BalanceFields) -> EshelbyField:
     """Energy-momentum tensor PP = e I - F^T P - N^T S, cellwise."""
-    PP = bf.e_val[..., None, None] * np.eye(3)
-    PP = PP - np.einsum("...ki,...kj->...ij", bf.gf.F, bf.P)
-    PP = PP - np.einsum("...ai,...aj->...ij", bf.gf.N, bf.S)
+    gf = bf.gf
+    PP = bf.density.eval(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)[..., None, None] * np.eye(3)
+    PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
+    PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
     return EshelbyField(PP=PP)
 
 
@@ -356,6 +378,8 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
     """
     state = bf.state
     grid = state.grid
+    gf = bf.gf
+    de_dx = bf.density.d_x(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
     out = []
     for k, phi in enumerate(tests):
         if phi.shape != state.u.shape:
@@ -363,7 +387,7 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
         Dphi = cell_gradient(phi, grid)
         phibar = cell_average(phi, grid)
         t1 = np.einsum("...ij,...ij->...", ef.PP, Dphi)
-        t2 = np.einsum("...i,...i->...", bf.de_dx, phibar)
+        t2 = np.einsum("...i,...i->...", de_dx, phibar)
         raw = integrate_cells(t1 + t2, grid, state.active)
         scale = integrate_cells(np.abs(t1) + np.abs(t2), grid, state.active)
         label = "configurational" if line is None else "configurational_with_line"

@@ -17,7 +17,9 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -718,34 +720,48 @@ class ScenarioResult:
         raise KeyError(name)
 
 
-def _weak_el_rows(config: ScenarioConfig, final: FieldState, density: EnergyDensity,
-                  manifold: Manifold, bf) -> tuple[list, list]:
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _weak_el_rows(config: ScenarioConfig, bf, g_u: np.ndarray, g_nu: np.ndarray,
+                  vols: np.ndarray) -> tuple[list, list]:
     """Weak residual and duality rows over random test pairs.
 
-    The test pairs stream through weak_el_residual one at a time: each
-    pair's pairing with the assembled gradient is recorded as it passes,
-    then the pair is dropped, so besides the pair being built at most one
-    pair of the 2 x N_TESTS nodal test fields is alive.
+    (g_u, g_nu) is the assembled gradient with lumped volumes vols.  The
+    N_TESTS pairs run on min(2, usable cores) worker threads; numpy's loops
+    release the interpreter lock, so two pairs proceed at once.  A worker
+    builds its pair from the builders drawn here, takes the pair's pairing
+    with the gradient and its weak_el_residual row, and drops the pair, so
+    at most one pair per worker is alive.  Every value is computed by the
+    same operations whichever worker runs it, and the rows come back in
+    pair order, so the rows and ratios are the same bit for bit on any
+    number of workers.  A failing pair raises the error of the first
+    failing pair, as a serial loop would.
     """
-    vols = node_volumes(final.grid, final.active)
-    g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
+    final = bf.state
     w = vols[..., None]
     h_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 11)
     nu_tests = random_compact_tests(
         final, N_TESTS, final.embed_dim, seed=config.seed + 12,
-        manifold=manifold,
+        manifold=bf.manifold,
     )
-    pairings = []
 
-    def pairs():
-        for h, ups in zip(h_tests, nu_tests):
-            pairings.append(float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w)))
-            yield h, ups
+    def check_pair(k):
+        h = h_tests[k]()
+        ups = nu_tests[k]()
+        pairing = float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w))
+        return weak_el_residual(bf, h, ups, k), pairing
 
-    rows = weak_el_residual(bf, pairs())
+    with ThreadPoolExecutor(max_workers=min(2, _usable_cores())) as pool:
+        done = list(pool.map(check_pair, range(N_TESTS)))
+    rows = [r for r, _ in done]
     dual = [
         Residual(name=f"duality[{k}]", raw=r.raw - pairing, scale=1.0 + r.scale)
-        for k, (pairing, r) in enumerate(zip(pairings, rows))
+        for k, (r, pairing) in enumerate(done)
     ]
     return rows, dual
 
@@ -834,6 +850,11 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             rep.passed,
             f"mode={mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
+    # the duality check's gradient is taken before the actions, so its
+    # working set is freed before theirs is allocated
+    if built.checks["weak_el"]:
+        vols = node_volumes(final.grid, final.active)
+        g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
     # the cellwise actions are assembled only now, so the checks above run
     # without them alive; every check from here to eulerian reads them
     needs_actions = any(
@@ -842,7 +863,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
     )
     bf = assemble_actions(density, final, manifold) if needs_actions else None
     if built.checks["weak_el"]:
-        rows, dual = _weak_el_rows(config, final, density, manifold, bf)
+        rows, dual = _weak_el_rows(config, bf, g_u, g_nu, vols)
         report.add(rows)
         report.add(dual)
         worst = max(r.ratio for r in rows)
@@ -874,7 +895,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
     if built.checks["configurational"]:
         ef = eshelby(bf)
         phi_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 13)
-        rows = configurational_residual(ef, bf, phi_tests)
+        rows = configurational_residual(ef, bf, (build() for build in phi_tests))
         report.add(rows)
         worst = max(r.ratio for r in rows)
         record(

@@ -230,7 +230,7 @@ def _converged_ratio(name, res, grad_tol=None):
     mres = minimize(built.density, built.state, built.manifold, cfg.minimize)
     assert mres.converged, f"{name} at {res}^3 did not converge"
     bf = assemble_actions(built.density, mres.state, built.manifold)
-    tests = random_compact_tests(mres.state, 20, 3, seed=707)
+    tests = [build() for build in random_compact_tests(mres.state, 20, 3, seed=707)]
     rows = configurational_residual(eshelby(bf), bf, tests)
     return max(r.ratio for r in rows)
 

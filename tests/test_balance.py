@@ -8,11 +8,13 @@ The rotational balance is validated on densities whose invariance is an
 algebraic identity, and falsified on a deliberately anchored one.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from complexbodies import balance
 from complexbodies.balance import (
     _TINY,
     Residual,
@@ -53,8 +55,10 @@ from complexbodies.fields import (
     Grid,
     ball_mask,
     boundary_node_mask,
+    cell_average,
     cell_gradient,
     identity_state,
+    integrate_cells,
     interior_node_mask,
     node_volumes,
 )
@@ -69,6 +73,7 @@ from complexbodies.manifolds import (
     rotation_from_vector,
 )
 from complexbodies.minimize import riesz_gradient
+from complexbodies import scenarios
 from complexbodies.scenarios import N_TESTS, ScenarioConfig, _weak_el_rows
 
 # an overflow or an invalid operation inside a balance fails the test
@@ -148,6 +153,15 @@ def _phason_density():
     )
 
 
+def _built(builders):
+    return [build() for build in builders]
+
+
+def _rows(bf, hs, us):
+    """weak_el_residual of every pair, in order."""
+    return [weak_el_residual(bf, h, ups, k) for k, (h, ups) in enumerate(zip(hs, us))]
+
+
 def _pairing(state, g, test):
     g_u, g_nu = g
     h, ups = test
@@ -163,14 +177,16 @@ class TestAssembly:
             [DirichletDescriptor(3), ExternalFieldCoupling(h_field), DeadLoad([0.1, 0.0, -0.3])]
         )
         bf = assemble_actions(density, state, man)
+        args = (bf.gf.x, bf.gf.u_bar, bf.gf.F, bf.gf.nu_bar, bf.gf.N)
         assert np.allclose(bf.b, np.array([0.1, 0.0, -0.3]), atol=0)
-        assert np.allclose(bf.beta, h_field, atol=0)
+        # the external coupling's partial is beta = -h, which the net
+        # action subtracts; the internal action z collects none of it
+        external = density.parts[1]
+        assert external.external
+        assert np.allclose(external.d_nu(*args), -h_field, atol=0)
         assert np.allclose(bf.z, 0.0, atol=0)
         assert np.allclose(bf.zeta_ambient, -h_field, atol=0)
-        # reported zeta lives in the cotangent space of the projected average
-        base = man.project(bf.gf.nu_bar)
-        drift = bf.zeta - man.tangent_project(base, bf.zeta)
-        assert np.max(np.abs(drift)) < 1e-14
+        assert np.array_equal(bf.zeta_ambient, bf.z + external.d_nu(*args))
 
     def test_actions_match_density_partials(self):
         state, man = _sphere_state()
@@ -180,7 +196,18 @@ class TestAssembly:
         assert np.array_equal(bf.P, density.d_F(*args))
         assert np.array_equal(bf.S, density.d_N(*args))
         assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
-        assert np.array_equal(bf.e_val, density.eval(*args))
+        assert np.array_equal(bf.b, -density.d_u(*args))
+        # the energy and its x-partial are read from the density when the
+        # configurational balance runs
+        PP = density.eval(*args)[..., None, None] * np.eye(3)
+        PP = PP - np.einsum("...ki,...kj->...ij", bf.gf.F, bf.P)
+        PP = PP - np.einsum("...ai,...aj->...ij", bf.gf.N, bf.S)
+        assert np.array_equal(eshelby(bf).PP, PP)
+        phi = random_compact_tests(state, 1, 3, seed=3)[0]()
+        t2 = np.einsum("...i,...i->...", density.d_x(*args), cell_average(phi, state.grid))
+        t1 = np.einsum("...ij,...ij->...", PP, cell_gradient(phi, state.grid))
+        res = configurational_residual(eshelby(bf), bf, [phi])[0]
+        assert res.raw == integrate_cells(t1 + t2, state.grid, state.active)
 
 
 def _per_node_compact_tests(state, n, components, seed=0, manifold=None, margin=2):
@@ -235,7 +262,7 @@ class TestRandomTests:
         state.pinned_nu = rim & (state.grid.node_coords()[..., 0] < 0.2)
         components = man.embed_dim if on_manifold else 3
         kw = dict(seed=17, manifold=man if on_manifold else None)
-        fast = random_compact_tests(state, 6, components, **kw)
+        fast = _built(random_compact_tests(state, 6, components, **kw))
         slow = _per_node_compact_tests(state, 6, components, **kw)
         for f, g in zip(fast, slow, strict=True):
             assert np.array_equal(f, g)
@@ -243,7 +270,7 @@ class TestRandomTests:
 
     def test_compact_support_and_tangency(self):
         state, man = _sphere_state()
-        fields = random_compact_tests(state, 4, 3, seed=5, manifold=man, margin=2)
+        fields = _built(random_compact_tests(state, 4, 3, seed=5, manifold=man, margin=2))
         inside = interior_node_mask(state.grid, state.active, margin=2)
         for f in fields:
             assert f.shape == state.nu.shape
@@ -254,10 +281,12 @@ class TestRandomTests:
 
     def test_deterministic_and_distinct(self):
         state, _ = _sphere_state()
-        a = list(random_compact_tests(state, 3, 3, seed=9))
-        b = list(random_compact_tests(state, 3, 3, seed=9))
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa, fb)
+        a = _built(random_compact_tests(state, 3, 3, seed=9))
+        b = random_compact_tests(state, 3, 3, seed=9)
+        # a builder gives the same field in any order and on every call
+        for fa, build in reversed(list(zip(a, b))):
+            assert np.array_equal(fa, build())
+            assert np.array_equal(fa, build())
         assert not np.array_equal(a[0], a[1])
 
 
@@ -271,9 +300,9 @@ class TestWeakResidual:
         state, man = make_state()
         density = make_density()
         bf = assemble_actions(density, state, man)
-        hs = list(random_compact_tests(state, 3, 3, seed=21))
-        us = list(random_compact_tests(state, 3, man.embed_dim, seed=22, manifold=man))
-        residuals = weak_el_residual(bf, list(zip(hs, us)))
+        hs = _built(random_compact_tests(state, 3, 3, seed=21))
+        us = _built(random_compact_tests(state, 3, man.embed_dim, seed=22, manifold=man))
+        residuals = _rows(bf, hs, us)
         t = 1e-6
         for res, h, ups in zip(residuals, hs, us):
             plus = state.copy()
@@ -295,9 +324,9 @@ class TestWeakResidual:
         state, man = make_state()
         density = make_density()
         bf = assemble_actions(density, state, man)
-        hs = list(random_compact_tests(state, 4, 3, seed=31))
-        us = list(random_compact_tests(state, 4, man.embed_dim, seed=32, manifold=man))
-        residuals = weak_el_residual(bf, list(zip(hs, us)))
+        hs = _built(random_compact_tests(state, 4, 3, seed=31))
+        us = _built(random_compact_tests(state, 4, man.embed_dim, seed=32, manifold=man))
+        residuals = _rows(bf, hs, us)
         g = riesz_gradient(density, state, man, project=True)
         for res, h, ups in zip(residuals, hs, us):
             pair = _pairing(state, g, (h, ups))
@@ -332,9 +361,9 @@ class TestWeakResidual:
         )
         assert out.converged
         bf = assemble_actions(density, out.state, man)
-        hs = random_compact_tests(out.state, 20, 3, seed=41)
-        us = random_compact_tests(out.state, 20, 3, seed=42, manifold=man)
-        residuals = weak_el_residual(bf, list(zip(hs, us)))
+        hs = _built(random_compact_tests(out.state, 20, 3, seed=41))
+        us = _built(random_compact_tests(out.state, 20, 3, seed=42, manifold=man))
+        residuals = _rows(bf, hs, us)
         worst = max(r.ratio for r in residuals)
         assert worst < 1e-6, worst
 
@@ -343,14 +372,14 @@ class TestWeakResidual:
         bf = assemble_actions(DirichletDescriptor(3), state, man)
         h = np.zeros(state.u.shape)
         bad = np.ones(state.nu.shape)  # radial component survives
-        with pytest.raises(NonTangentTestError):
-            weak_el_residual(bf, [(h, bad)])
+        with pytest.raises(NonTangentTestError, match="test 4:"):
+            weak_el_residual(bf, h, bad, 4)
 
     def test_rejects_wrong_shapes(self):
         state, man = _sphere_state()
         bf = assemble_actions(DirichletDescriptor(3), state, man)
         with pytest.raises(ShapeMismatchError):
-            weak_el_residual(bf, [(np.zeros((2, 2, 2, 3)), np.zeros(state.nu.shape))])
+            weak_el_residual(bf, np.zeros((2, 2, 2, 3)), np.zeros(state.nu.shape))
 
     def test_zero_over_zero_ratio_is_zero(self):
         assert Residual("r", 0.0, 0.0).ratio == 0.0
@@ -359,12 +388,12 @@ class TestWeakResidual:
 
 
 def _list_weak_el_rows(seed, state, density, man, bf):
-    """_weak_el_rows with every test field built before the first residual."""
-    hs = list(random_compact_tests(state, N_TESTS, 3, seed=seed + 11))
-    us = list(random_compact_tests(state, N_TESTS, state.embed_dim, seed=seed + 12,
-                                   manifold=man))
+    """_weak_el_rows serially, with every test field built before the first residual."""
+    hs = _built(random_compact_tests(state, N_TESTS, 3, seed=seed + 11))
+    us = _built(random_compact_tests(state, N_TESTS, state.embed_dim, seed=seed + 12,
+                                     manifold=man))
     pairs = list(zip(hs, us))
-    rows = weak_el_residual(bf, pairs)
+    rows = _rows(bf, hs, us)
     vols = node_volumes(state.grid, state.active)
     g_u, g_nu = riesz_gradient(density, state, man, project=True, vols=vols)
     w = vols[..., None]
@@ -377,35 +406,80 @@ def _list_weak_el_rows(seed, state, density, man, bf):
     return rows, dual
 
 
+def _pooled_weak_el_rows(seed, state, density, man, bf):
+    """_weak_el_rows with the gradient that _run_checks hands it."""
+    vols = node_volumes(state.grid, state.active)
+    g_u, g_nu = riesz_gradient(density, state, man, project=True, vols=vols)
+    return _weak_el_rows(ScenarioConfig(name="stream", seed=seed), bf, g_u, g_nu, vols)
+
+
+def _ball_sphere_case():
+    state, man = _sphere_state(res=10)
+    state.active = ball_mask(state.grid, radius=0.45)
+    state.pinned_u = state.pinned_nu = boundary_node_mask(state.grid, state.active)
+    return state, man, _sphere_density()
+
+
 class TestStreamedWeakEL:
     @pytest.mark.parametrize("body", ["ball", "box"])
-    def test_rows_equal_list_reference(self, body):
+    def test_rows_equal_list_reference(self, body, monkeypatch):
         if body == "ball":
-            state, man = _sphere_state(res=10)
-            state.active = ball_mask(state.grid, radius=0.45)
-            state.pinned_u = state.pinned_nu = boundary_node_mask(state.grid, state.active)
-            density = _sphere_density()
+            state, man, density = _ball_sphere_case()
         else:
             state, man = _phason_state(res=10)
             density = _phason_density()
         bf = assemble_actions(density, state, man)
-        config = ScenarioConfig(name="stream", seed=5)
-        rows, dual = _weak_el_rows(config, state, density, man, bf)
         ref_rows, ref_dual = _list_weak_el_rows(5, state, density, man, bf)
-        assert len(rows) == len(dual) == N_TESTS
-        assert rows == ref_rows
-        assert dual == ref_dual
+        # the pool runs min(2, usable cores) workers: one and two, switching
+        # threads often, so a write to shared state would show in the rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(scenarios, "_usable_cores", lambda cores=cores: cores)
+                rows, dual = _pooled_weak_el_rows(5, state, density, man, bf)
+                assert len(rows) == len(dual) == N_TESTS
+                assert rows == ref_rows
+                assert dual == ref_dual
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_non_tangent_pair_raises_as_serially(self, cores, monkeypatch):
+        state, man, density = _ball_sphere_case()
+        bf = assemble_actions(density, state, man)
+        draw = scenarios.random_compact_tests
+
+        def radial_at_3_and_5(final, n, components, manifold=None, **kw):
+            builders = draw(final, n, components, manifold=manifold, **kw)
+            if manifold is not None:
+                for k in (3, 5):
+                    builders[k] = lambda b=builders[k]: b() + final.nu
+            return builders
+
+        monkeypatch.setattr(scenarios, "random_compact_tests", radial_at_3_and_5)
+        hs = _built(radial_at_3_and_5(state, N_TESTS, 3, seed=16))
+        us = _built(radial_at_3_and_5(state, N_TESTS, 3, seed=17, manifold=man))
+        with pytest.raises(NonTangentTestError) as serial:
+            _rows(bf, hs, us)
+        assert str(serial.value).startswith("test 3:")
+        monkeypatch.setattr(scenarios, "_usable_cores", lambda: cores)
+        with pytest.raises(NonTangentTestError) as pooled:
+            _pooled_weak_el_rows(5, state, density, man, bf)
+        assert str(pooled.value) == str(serial.value)
 
     def test_peak_memory_below_the_held_fields(self):
         state, man = _phason_state(res=24)
         density = Quasicrystal()
         bf = assemble_actions(density, state, man)
         config = ScenarioConfig(name="stream", seed=3)
+        vols = node_volumes(state.grid, state.active)
+        g_u, g_nu = riesz_gradient(density, state, man, project=True, vols=vols)
         field_bytes = state.u.nbytes + state.nu.nbytes
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            _weak_el_rows(config, state, density, man, bf)
+            _weak_el_rows(config, bf, g_u, g_nu, vols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,6 +590,15 @@ def _generic_state(man, res=7, seed=0):
     return state
 
 
+def _anchored_density(man):
+    return SumDensity(
+        [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=man.embed_dim),
+         DirichletDescriptor(man.embed_dim),
+         EasyAxisAnchoring(np.linspace(0.2, 0.9, man.embed_dim), weight=0.3,
+                           embed_dim=man.embed_dim)]
+    )
+
+
 class TestRotationalBalance:
     @pytest.mark.parametrize(
         "man", [Euclidean(3), UnitSphere(), SymPositive(), degree_of_orientation()],
@@ -523,13 +606,27 @@ class TestRotationalBalance:
     )
     def test_constant_generator_gradient_matches_per_cell_copy(self, man):
         state = _generic_state(man)
-        density = SumDensity(
-            [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=man.embed_dim),
-             DirichletDescriptor(man.embed_dim),
-             EasyAxisAnchoring(np.linspace(0.2, 0.9, man.embed_dim), weight=0.3,
-                               embed_dim=man.embed_dim)]
-        )
-        bf = assemble_actions(density, state, man)
+        bf = assemble_actions(_anchored_density(man), state, man)
+        rep = rotational_balance(bf)
+        ref, ref_field = _per_cell_rotational_balance(bf)
+        assert rep.residual == ref
+        assert np.array_equal(rep.residual_field, ref_field)
+        assert rep.ratio > 0.0
+
+    @pytest.mark.parametrize("body", ["box", "ball"])
+    @pytest.mark.parametrize("man", [UnitSphere(), SymPositive()], ids=lambda m: m.name)
+    def test_slabs_match_the_whole_grid_reference(self, man, body):
+        # 17^3 cells take two slabs, of 14 and 3 rows; the ball of radius
+        # 0.35 leaves the second slab without an active cell
+        state = _generic_state(man, res=17)
+        if body == "ball":
+            state.active = ball_mask(state.grid, radius=0.35)
+        cells = state.active.shape
+        rows = balance._SLAB_CELLS // (cells[1] * cells[2])
+        assert rows < cells[0]
+        slabs = [state.active[lo:lo + rows].any() for lo in range(0, cells[0], rows)]
+        assert all(slabs) == (body == "box")
+        bf = assemble_actions(_anchored_density(man), state, man)
         rep = rotational_balance(bf)
         ref, ref_field = _per_cell_rotational_balance(bf)
         assert rep.residual == ref
@@ -640,7 +737,7 @@ class TestEshelbyAndConfigurational:
         bf = assemble_actions(density, state, man)
         ef = eshelby(bf)
         assert np.max(np.std(ef.PP.reshape(-1, 9), axis=0)) < 1e-13
-        tests = random_compact_tests(state, 3, 3, seed=7)
+        tests = _built(random_compact_tests(state, 3, 3, seed=7))
         for res in configurational_residual(ef, bf, tests):
             assert abs(res.raw) <= 1e-12 * (1.0 + res.scale), res.name
 
@@ -648,7 +745,7 @@ class TestEshelbyAndConfigurational:
         state, man = _sphere_state(res=10)
         bf = assemble_actions(DirichletDescriptor(3), state, man)
         ef = eshelby(bf)
-        phi = next(random_compact_tests(state, 1, 3, seed=13))
+        phi = random_compact_tests(state, 1, 3, seed=13)[0]()
         line = LineDefect(
             points=np.array([[-0.2, -0.1, 0.0], [0.25, 0.15, 0.1]]),
             multiplicities=np.array([2]),
@@ -756,7 +853,7 @@ class TestEulerianDescription:
         eres = eulerian_cauchy_residual(bf, [(phi, dphi)])[0]
         h = phi(state.u)
         ups = np.zeros(state.nu.shape)
-        lres = weak_el_residual(bf, [(h, ups)])[0]
+        lres = weak_el_residual(bf, h, ups)
         assert abs(eres.raw - lres.raw) <= 1e-12 * (1.0 + abs(lres.raw))
         assert eres.scale > 0
 

@@ -9,6 +9,7 @@ checked for exact headers and byte-identical repeats under a fixed seed.
 
 import dataclasses
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +499,24 @@ def test_run_artifacts_bitwise_deterministic(tmp_path):
     for fname in ARTIFACTS:
         a = (tmp_path / "one" / fname).read_bytes()
         b = (tmp_path / "two" / fname).read_bytes()
+        assert a == b, fname
+
+
+def test_run_joins_its_worker_threads(tmp_path):
+    before = threading.active_count()
+    run(_tiny_porous(), out_dir=tmp_path)
+    assert threading.active_count() == before
+
+
+def test_artifacts_bitwise_on_one_and_two_workers(tmp_path, monkeypatch):
+    # the weak-EL pairs run on min(2, usable cores) worker threads
+    cfg = dataclasses.replace(preset_config("quasicrystal-shear"), resolution=8)
+    for cores in (1, 2):
+        monkeypatch.setattr(scenarios, "_usable_cores", lambda cores=cores: cores)
+        run(cfg, out_dir=tmp_path / str(cores))
+    for fname in ARTIFACTS:
+        a = (tmp_path / "1" / fname).read_bytes()
+        b = (tmp_path / "2" / fname).read_bytes()
         assert a == b, fname
 
 
