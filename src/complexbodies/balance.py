@@ -65,6 +65,10 @@ _SLAB_CELLS = 4096
 # largest drift of a descriptor test field off the tangent space, relative
 # to 1 + its sup norm, that weak_el_residual accepts
 TANGENT_TOL = 1e-8
+# cells between the support of a random test field and the active boundary,
+# and between the active boundary and a node where strong residuals are read
+TEST_MARGIN = 2
+STRONG_MARGIN = 1
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,8 @@ def _bump(xi):
     return np.clip(1.0 - xi**2, 0.0, None) ** 2
 
 
-def random_compact_tests(state: FieldState, n: int, components: int,
-                         seed: int = 0, manifold: Manifold | None = None,
-                         margin: int = 2) -> list[Callable[[], np.ndarray]]:
+def random_compact_tests(state: FieldState, n: int, components: int, seed: int = 0,
+                         manifold: Manifold | None = None) -> list[Callable[[], np.ndarray]]:
     """Draw n smooth random nodal fields vanishing outside the interior.
 
     Gaussian-times-bump profiles with random centers and polarizations;
@@ -157,7 +160,7 @@ def random_compact_tests(state: FieldState, n: int, components: int,
     hi = np.asarray(grid.hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    interior = interior_node_mask(grid, state.active, margin=margin)
+    interior = interior_node_mask(grid, state.active, margin=TEST_MARGIN)
     shell = 1.0
     for ax, x in enumerate(axes):
         shell = shell * _bump((x - mid[ax]) / half[ax])
@@ -246,7 +249,7 @@ class StrongResiduals:
     capriz_residual: Residual
 
 
-def strong_residuals(bf: BalanceFields, margin: int = 1) -> StrongResiduals:
+def strong_residuals(bf: BalanceFields) -> StrongResiduals:
     """Nodal Div P + b and Div S - zeta, reported on interior nodes.
 
     The discrete divergence is the exact negative adjoint of the cell
@@ -267,7 +270,7 @@ def strong_residuals(bf: BalanceFields, margin: int = 1) -> StrongResiduals:
         divS_t = bf.manifold.tangent_project(state.nu, divS)
     else:
         divS_t = divS
-    inside = interior_node_mask(grid, state.active, margin=margin)
+    inside = interior_node_mask(grid, state.active, margin=STRONG_MARGIN)
 
     def sup(f):
         if not inside.any():
@@ -428,14 +431,13 @@ def cauchy_stress(bf: BalanceFields) -> np.ndarray:
     return sigma
 
 
-def eulerian_cauchy_residual(bf: BalanceFields, tests: list, sigma: np.ndarray | None = None) -> list[Residual]:
+def eulerian_cauchy_residual(bf: BalanceFields, tests: list) -> list[Residual]:
     """Spatial weak balance by pullback: int sigma : Dphi(y) det F - b . phi(y).
 
     tests are (phi, dphi) callables on spatial points y; quadrature runs over
     the reference cells with y = the deformed cell average.
     """
-    if sigma is None:
-        sigma = cauchy_stress(bf)
+    sigma = cauchy_stress(bf)
     state = bf.state
     grid = state.grid
     det = det3(bf.gf.F)

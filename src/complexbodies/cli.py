@@ -71,8 +71,12 @@ def _parse_check_flag(raw: str) -> tuple[str, bool]:
 
 def _load_config(ref: str):
     path = Path(ref)
-    if path.exists():
-        return parse_config(path.read_text())
+    if path.exists() and not path.is_dir():
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {ref!r}: {exc}") from None
+        return parse_config(text)
     if ref in preset_names():
         return preset_config(ref)
     raise ConfigError(f"{ref!r} is neither a config file nor a preset; "

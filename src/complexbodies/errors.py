@@ -31,10 +31,6 @@ class GeneratorUnavailableError(ComplexBodiesError):
     """The requested generator (rotation action, convexity form) is not defined."""
 
 
-class InteriorNodeSelectedError(ComplexBodiesError):
-    """A boundary-data region selected a node that is not on the boundary."""
-
-
 class WrongManifoldError(ComplexBodiesError):
     """The operation requires a specific descriptor manifold (unit sphere)."""
 

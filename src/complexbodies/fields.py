@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InteriorNodeSelectedError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .manifolds import Manifold
 
 
@@ -433,47 +433,23 @@ def boundary_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarr
     return incident_node_mask(grid, active) & ~interior_node_mask(grid, active, margin=1)
 
 
-def apply_dirichlet(
-    state: FieldState,
-    which: str,
-    region,
-    values,
-    manifold: Manifold | None = None,
-) -> FieldState:
-    """Pin boundary nodes selected by ``region`` to ``values``.
-
-    region: vectorized predicate on node coordinates (nodes..., dim) -> bool.
-    values: constant array or vectorized callable on coordinates.  Descriptor
-    values are projected onto the manifold when one is passed.  Selecting a
-    node interior to the active body raises InteriorNodeSelectedError.
-    """
+def pin(state: FieldState, which: str, mask: np.ndarray, values: np.ndarray,
+        manifold: Manifold | None = None) -> None:
+    """Pin the nodes of a nodal bool mask to values, a nodal array shaped
+    like the field u or nu.  Descriptor values are projected onto the
+    manifold, when one is passed, on the masked nodes only, so data off the
+    mask is never projected."""
     if which not in ("u", "nu"):
         raise ShapeMismatchError(f"which must be 'u' or 'nu', got {which!r}")
-    grid = state.grid
-    coords = grid.node_coords()
-    sel = np.asarray(region(coords), dtype=bool)
-    if sel.shape != grid.nodes:
-        raise ShapeMismatchError("region predicate must return a nodal bool mask")
-    relevant = sel & incident_node_mask(grid, state.active)
-    bad = relevant & interior_node_mask(grid, state.active, margin=1)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise InteriorNodeSelectedError(f"region selected interior node {idx}")
-    if callable(values):
-        vals = np.asarray(values(coords), dtype=float)
-    else:
-        vals = np.broadcast_to(np.asarray(values, dtype=float), coords.shape[:-1] + (np.shape(values)[-1],))
-    target = state.u if which == "u" else state.nu
-    if vals.shape != target.shape:
-        raise ShapeMismatchError(f"values shaped {vals.shape}, field needs {target.shape}")
+    values = values[mask]
     if which == "nu" and manifold is not None:
-        vals = manifold.project(vals)
-    target[relevant] = vals[relevant]
+        values = manifold.project(values)
     if which == "u":
-        state.pinned_u |= relevant
+        state.u[mask] = values
+        state.pinned_u |= mask
     else:
-        state.pinned_nu |= relevant
-    return state
+        state.nu[mask] = values
+        state.pinned_nu |= mask
 
 
 def ball_mask(grid: Grid, center: tuple[float, ...] | None = None, radius: float | None = None) -> np.ndarray:

@@ -73,6 +73,7 @@ from .fields import (
     identity_state,
     incident_node_mask,
     node_volumes,
+    pin,
 )
 from .manifolds import Euclidean, Interval, Manifold, Product, SymPositive, UnitSphere
 from .manifolds import degree_of_orientation, layer_director
@@ -167,6 +168,10 @@ def _as_float(section: str, key: str, raw: str) -> float:
     return value
 
 
+def _as_str(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
 def _as_bool(section: str, key: str, raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("on", "true", "yes", "1"):
@@ -193,7 +198,7 @@ _RETIRED = {
         "max_backtracks": (_as_int, "40"),
         "bb_steps": (_as_bool, "on"),
         "step_max": (_as_float, "1000000"),
-        "block_mode": (lambda s, k, raw: raw.strip(), "joint"),
+        "block_mode": (_as_str, "joint"),
     },
     "checks": {"relaxed_formula": (_as_bool, "off")},
 }
@@ -238,14 +243,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"unknown [scenario] keys: {sorted(sc)}")
 
     gr = section("grid")
-    if "resolution" in gr:
-        kwargs["resolution"] = _as_int("grid", "resolution", gr.pop("resolution"))
-    if "lo" in gr:
-        kwargs["lo"] = _as_float("grid", "lo", gr.pop("lo"))
-    if "hi" in gr:
-        kwargs["hi"] = _as_float("grid", "hi", gr.pop("hi"))
-    if "shape" in gr:
-        kwargs["shape"] = gr.pop("shape").strip()
+    for key, read in (("resolution", _as_int), ("lo", _as_float), ("hi", _as_float),
+                      ("shape", _as_str)):
+        if key in gr:
+            kwargs[key] = read("grid", key, gr.pop(key))
     if gr:
         raise ConfigError(f"unknown [grid] keys: {sorted(gr)}")
 
@@ -314,18 +315,41 @@ def format_config(config: ScenarioConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# registries: manifolds, densities, boundary data, initial fields
+# registries: one table per section, kind -> (defaults, builder)
 # ---------------------------------------------------------------------------
 
-def _take(params: dict, defaults: dict, context: str) -> dict:
+def _build(section: str, table: dict, kind: str, params: dict, *args):
+    """Call the builder of a section's kind on its defaults updated by params.
+
+    An unknown kind or key, or a value the builder's constructor rejects, is
+    a config error; the known kinds and keys are read off the table.
+    """
+    if kind not in table:
+        raise ConfigError(f"unknown {section} kind {kind!r}; known: {', '.join(table)}")
+    defaults, builder = table[kind]
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(
-            f"unknown {context} parameters {sorted(unknown)}; known: {sorted(defaults)}"
+            f"unknown {kind} parameters {sorted(unknown)}; known: {sorted(defaults)}"
         )
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
+    try:
+        return builder({**defaults, **params}, *args)
+    except ShapeMismatchError as exc:
+        raise ConfigError(f"[{section}] {kind}: {exc}") from None
+
+
+MANIFOLDS = {
+    "unit-sphere": ({}, lambda p: UnitSphere()),
+    "euclidean1": ({}, lambda p: Euclidean(1)),
+    "euclidean3": ({}, lambda p: Euclidean(3)),
+    "interval": ({"lo": 0.0, "hi": 1.0}, lambda p: Interval(p["lo"], p["hi"])),
+    "degree-of-orientation": ({}, lambda p: degree_of_orientation()),
+    "layer-director": ({}, lambda p: layer_director()),
+}
+
+
+def build_manifold(kind: str, params: dict) -> Manifold:
+    return _build("manifold", MANIFOLDS, kind, params)
 
 
 def _nonnegative(p: dict, kind: str, *keys: str) -> None:
@@ -335,145 +359,73 @@ def _nonnegative(p: dict, kind: str, *keys: str) -> None:
             raise ConfigError(f"[density] {kind}: {key} must not be negative, got {p[key]}")
 
 
-def build_manifold(kind: str, params: dict) -> Manifold:
-    if kind == "unit-sphere":
-        _take(params, {}, "unit-sphere")
-        return UnitSphere()
-    if kind == "euclidean1":
-        _take(params, {}, "euclidean1")
-        return Euclidean(1)
-    if kind == "euclidean3":
-        _take(params, {}, "euclidean3")
-        return Euclidean(3)
-    if kind == "interval":
-        p = _take(params, {"lo": 0.0, "hi": 1.0}, "interval")
-        try:
-            return Interval(p["lo"], p["hi"])
-        except ShapeMismatchError as exc:
-            raise ConfigError(f"[manifold] interval: {exc}") from None
-    if kind == "degree-of-orientation":
-        _take(params, {}, "degree-of-orientation")
-        return degree_of_orientation()
-    if kind == "layer-director":
-        _take(params, {}, "layer-director")
-        return layer_director()
-    raise ConfigError(
-        "unknown manifold kind "
-        f"{kind!r}; known: unit-sphere, euclidean1, euclidean3, interval, "
-        "degree-of-orientation, layer-director"
+def _orientation_landau(p: dict, manifold: Manifold) -> EnergyDensity:
+    _nonnegative(p, "orientation-landau", "well_depth")
+    well = ComponentDoubleWell(p["well_depth"], p["beta_a"], p["beta_b"], component=3)
+    return GinzburgLandau(well, p["stiffness"], 4, name="orientation-landau",
+                          well_nonnegative=True)
+
+
+def _microcracked(p: dict, manifold: Manifold) -> EnergyDensity:
+    _nonnegative(p, "microcracked", "restore", "grad_stiffness")
+    if not (p["mu"] > 0 and 3 * p["lam"] + 2 * p["mu"] > 0):
+        # isotropic C is positive definite on symmetric strains iff both hold
+        raise ConfigError(
+            "[density] microcracked: lam and mu need mu > 0 and 3 lam + 2 mu > 0, "
+            f"got lam = {p['lam']}, mu = {p['mu']}"
+        )
+    eye = np.eye(3)
+    a2 = 0.5 * p["couple"] * (
+        np.einsum("ia,jk->ijak", eye, eye) + np.einsum("ja,ik->ijak", eye, eye)
     )
+    a5 = p["grad_stiffness"] * np.einsum("ac,ij->aicj", eye, eye)
+    return QuadraticVector(isotropic_elasticity(p["lam"], p["mu"]), A2=a2, A3=p["restore"] * eye,
+                           A5=a5, centrosymmetric=True, name="microcracked-vector")
 
 
-def _coupling_trace(kappa: float) -> np.ndarray:
+def _quasicrystal(p: dict, manifold: Manifold) -> EnergyDensity:
     # B : (F, N) = kappa tr(F^T N); ambient indices contract with each other,
     # which is the rotation-invariant bilinear coupling.
     eye = np.eye(3)
-    return kappa * np.einsum("ia,jk->ijak", eye, eye)
+    coupling = p["kappa"] * np.einsum("ia,jk->ijak", eye, eye) if p["kappa"] != 0.0 else None
+    return Quasicrystal(CompressibleMacro(p["a"], p["b"], p["c"]),
+                        phason_stiffness=p["phason_stiffness"], coupling=coupling)
+
+
+def _smectic(p: dict, manifold: Manifold) -> EnergyDensity:
+    base = SmecticA(p["k1"], p["k2"])
+    if p["penalty"] == 0.0:
+        return base
+    # the layer energy alone is degenerate along divergence-free director
+    # perturbations; a small quadratic penalty keeps descent conditioned
+    pen = GinzburgLandau(None, p["penalty"], 4, name="compression-penalty")
+    return SumDensity([base, pen], name="smectic-layers")
+
+
+def _porous_landau(p: dict, manifold: Manifold) -> EnergyDensity:
+    _nonnegative(p, "porous-landau", "well_depth")
+    well = ComponentDoubleWell(p["well_depth"], p["pore_a"], p["pore_b"], component=0)
+    return GinzburgLandau(well, p["stiffness"], 1, name="porous-landau",
+                          well_nonnegative=True)
+
+
+DENSITIES = {
+    "dirichlet": ({}, lambda p, manifold: DirichletDescriptor(embed_dim=manifold.embed_dim)),
+    "orientation-landau": ({"stiffness": 1.0, "well_depth": 3.0, "beta_a": 0.0, "beta_b": 0.8},
+                           _orientation_landau),
+    "microcracked": ({"lam": 1.2, "mu": 0.9, "couple": 0.35, "restore": 0.6,
+                      "grad_stiffness": 0.15}, _microcracked),
+    "quasicrystal": ({"a": 1.0, "b": 1.0, "c": 0.6, "phason_stiffness": 1.0, "kappa": 0.0},
+                     _quasicrystal),
+    "smectic": ({"k1": 1.0, "k2": 1.0, "penalty": 0.2}, _smectic),
+    "porous-landau": ({"stiffness": 0.25, "well_depth": 1.0, "pore_a": 0.0, "pore_b": 1.0},
+                      _porous_landau),
+}
 
 
 def build_density(kind: str, params: dict, manifold: Manifold) -> EnergyDensity:
     """Build a registered density; a parameter its constructor rejects is a config error."""
-    try:
-        return _construct_density(kind, params, manifold)
-    except ShapeMismatchError as exc:
-        raise ConfigError(f"[density] {kind}: {exc}") from None
-
-
-def _construct_density(kind: str, params: dict, manifold: Manifold) -> EnergyDensity:
-    if kind == "dirichlet":
-        _take(params, {}, "dirichlet")
-        return DirichletDescriptor(embed_dim=manifold.embed_dim)
-    if kind == "orientation-landau":
-        p = _take(
-            params,
-            {"stiffness": 1.0, "well_depth": 3.0, "beta_a": 0.0, "beta_b": 0.8},
-            "orientation-landau",
-        )
-        _nonnegative(p, "orientation-landau", "well_depth")
-        well = ComponentDoubleWell(p["well_depth"], p["beta_a"], p["beta_b"], component=3)
-        return GinzburgLandau(well, p["stiffness"], 4, name="orientation-landau",
-                              well_nonnegative=True)
-    if kind == "microcracked":
-        p = _take(
-            params,
-            {"lam": 1.2, "mu": 0.9, "couple": 0.35, "restore": 0.6,
-             "grad_stiffness": 0.15},
-            "microcracked",
-        )
-        _nonnegative(p, "microcracked", "restore", "grad_stiffness")
-        if not (p["mu"] > 0 and 3 * p["lam"] + 2 * p["mu"] > 0):
-            # isotropic C is positive definite on symmetric strains iff both hold
-            raise ConfigError(
-                "[density] microcracked: lam and mu need mu > 0 and 3 lam + 2 mu > 0, "
-                f"got lam = {p['lam']}, mu = {p['mu']}"
-            )
-        eye = np.eye(3)
-        a2 = 0.5 * p["couple"] * (
-            np.einsum("ia,jk->ijak", eye, eye) + np.einsum("ja,ik->ijak", eye, eye)
-        )
-        a5 = p["grad_stiffness"] * np.einsum("ac,ij->aicj", eye, eye)
-        return QuadraticVector(
-            isotropic_elasticity(p["lam"], p["mu"]),
-            A2=a2,
-            A3=p["restore"] * eye,
-            A5=a5,
-            centrosymmetric=True,
-            name="microcracked-vector",
-        )
-    if kind == "quasicrystal":
-        p = _take(
-            params,
-            {"a": 1.0, "b": 1.0, "c": 0.6, "phason_stiffness": 1.0, "kappa": 0.0},
-            "quasicrystal",
-        )
-        coupling = _coupling_trace(p["kappa"]) if p["kappa"] != 0.0 else None
-        return Quasicrystal(
-            CompressibleMacro(p["a"], p["b"], p["c"]),
-            phason_stiffness=p["phason_stiffness"],
-            coupling=coupling,
-        )
-    if kind == "smectic":
-        p = _take(params, {"k1": 1.0, "k2": 1.0, "penalty": 0.2}, "smectic")
-        base = SmecticA(p["k1"], p["k2"])
-        if p["penalty"] == 0.0:
-            return base
-        # the layer energy alone is degenerate along divergence-free director
-        # perturbations; a small quadratic penalty keeps descent conditioned
-        pen = GinzburgLandau(None, p["penalty"], 4, name="compression-penalty")
-        return SumDensity([base, pen], name="smectic-layers")
-    if kind == "porous-landau":
-        p = _take(
-            params,
-            {"stiffness": 0.25, "well_depth": 1.0, "pore_a": 0.0, "pore_b": 1.0},
-            "porous-landau",
-        )
-        _nonnegative(p, "porous-landau", "well_depth")
-        well = ComponentDoubleWell(p["well_depth"], p["pore_a"], p["pore_b"], component=0)
-        return GinzburgLandau(well, p["stiffness"], 1, name="porous-landau",
-                              well_nonnegative=True)
-    raise ConfigError(
-        "unknown density kind "
-        f"{kind!r}; known: dirichlet, orientation-landau, microcracked, "
-        "quasicrystal, smectic, porous-landau"
-    )
-
-
-def _pin(state: FieldState, which: str, mask: np.ndarray, values: np.ndarray,
-         manifold: Manifold | None = None) -> None:
-    """Pin the masked nodes to values; descriptor data is projected onto the
-    manifold on the pinned nodes only, so data off the mask is never projected."""
-    values = values[mask]
-    if which == "nu" and manifold is not None:
-        try:
-            values = manifold.project(values)
-        except ProjectionUndefinedError as exc:
-            raise ConfigError(f"[boundary] descriptor data on the rim: {exc}") from None
-    target = state.u if which == "u" else state.nu
-    target[mask] = values
-    if which == "u":
-        state.pinned_u |= mask
-    else:
-        state.pinned_nu |= mask
+    return _build("density", DENSITIES, kind, params, manifold)
 
 
 def _safe_radial(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -488,10 +440,10 @@ def _box_center(grid: Grid) -> np.ndarray:
     return 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
 
 
-def _defect_anchor(grid: Grid) -> np.ndarray:
-    """Center of the cell containing the box center.
+def _radial(x: np.ndarray, grid: Grid) -> np.ndarray:
+    """Unit vectors from the center of the cell containing the box center.
 
-    Radial fields are anchored here rather than at the box center itself: a
+    Radial fields are anchored there rather than at the box center itself: a
     singular point on a grid node sits on the corner of eight cells and the
     per-cell winding splits into spurious multi-charge fragments.  The total
     flux and the detected charge do not depend on the half-spacing shift.
@@ -503,133 +455,142 @@ def _defect_anchor(grid: Grid) -> np.ndarray:
         0,
         np.asarray(grid.cells) - 1,
     )
-    return lo + (idx + 0.5) * h
+    return _safe_radial(x, lo + (idx + 0.5) * h)
+
+
+def _stretch(p: dict) -> np.ndarray:
+    """The matrix of the affine kinds: I + gamma diag(e1, e2, e3)."""
+    return np.eye(3) + p["gamma"] * np.diag([p["e1"], p["e2"], p["e3"]])
+
+
+def _sheared(p: dict, x: np.ndarray) -> np.ndarray:
+    """The simple shear x + gamma x2 e1 of the shear kinds."""
+    u = x.copy()
+    u[..., 0] += p["gamma"] * x[..., 1]
+    return u
+
+
+def _slope(p: dict, x: np.ndarray, state: FieldState) -> np.ndarray:
+    """nu_slope (x - c) in the first min(3, embed) components of nu."""
+    k = min(3, state.embed_dim)
+    return p["nu_slope"] * (x - _box_center(state.grid))[..., :k]
+
+
+# A boundary builder gets the node coordinates x and the rim, the nodes on
+# the boundary of the body, and returns its Dirichlet data as a list of
+# (which, mask, values) pins, each mask inside the rim.
+
+def _radial_orientation_rim(p: dict, state: FieldState, x, rim) -> list:
+    beta = np.full(state.grid.nodes + (1,), p["beta"])
+    return [("nu", rim, np.concatenate([_radial(x, state.grid), beta], axis=-1))]
+
+
+def _affine_stretch_rim(p: dict, state: FieldState, x, rim) -> list:
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _stretch(p)
+        det = np.linalg.det(A)
+    if not (np.isfinite(A).all() and np.isfinite(det)):
+        raise ConfigError("affine-stretch overflows: its matrix or determinant is not finite")
+    if det <= 0:
+        raise ConfigError("affine-stretch flips orientation; reduce gamma")
+    nu = np.zeros(state.nu.shape)
+    nu[..., : min(3, state.embed_dim)] = _slope(p, x, state)
+    return [("u", rim, np.einsum("ij,...j->...i", A, x)), ("nu", rim, nu)]
+
+
+def _tilted_layers_rim(p: dict, state: FieldState, x, rim) -> list:
+    nu = np.zeros(state.grid.nodes + (4,))
+    nu[..., 0] = x[..., 2] + p["tilt"] * x[..., 0]
+    nu[..., 3] = 1.0
+    return [("nu", rim, nu)]
+
+
+def _two_face_ramp_rim(p: dict, state: FieldState, x, rim) -> list:
+    grid = state.grid
+    lo_face = rim & (np.abs(x[..., 0] - grid.lo[0]) < 0.5 * grid.spacing[0])
+    hi_face = rim & (np.abs(x[..., 0] - grid.hi[0]) < 0.5 * grid.spacing[0])
+    return [("nu", lo_face, np.full(state.nu.shape, p["a"])),
+            ("nu", hi_face, np.full(state.nu.shape, p["b"]))]
+
+
+BOUNDARIES = {
+    "none": ({}, lambda p, state, x, rim: []),
+    "radial-director": ({}, lambda p, state, x, rim: [("nu", rim, _radial(x, state.grid))]),
+    "radial-orientation": ({"beta": 0.8}, _radial_orientation_rim),
+    "affine-stretch": ({"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
+                       _affine_stretch_rim),
+    "simple-shear": ({"gamma": 0.3}, lambda p, state, x, rim: [("u", rim, _sheared(p, x))]),
+    "tilted-layers": ({"tilt": 0.1}, _tilted_layers_rim),
+    "two-face-ramp": ({"a": 0.0, "b": 1.0}, _two_face_ramp_rim),
+}
 
 
 def apply_boundary(kind: str, params: dict, state: FieldState,
                    manifold: Manifold) -> None:
-    grid = state.grid
-    coords = grid.node_coords()
-    rim = boundary_node_mask(grid, state.active)
-    if kind == "none":
-        _take(params, {}, "none")
-        return
-    if kind == "radial-director":
-        _take(params, {}, "radial-director")
-        _pin(state, "nu", rim, _safe_radial(coords, _defect_anchor(grid)), manifold)
-        return
-    if kind == "radial-orientation":
-        p = _take(params, {"beta": 0.8}, "radial-orientation")
-        vals = np.concatenate(
-            [
-                _safe_radial(coords, _defect_anchor(grid)),
-                np.full(grid.nodes + (1,), p["beta"]),
-            ],
-            axis=-1,
-        )
-        _pin(state, "nu", rim, vals, manifold)
-        return
-    if kind == "affine-stretch":
-        p = _take(
-            params,
-            {"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
-            "affine-stretch",
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            A = np.eye(3) + p["gamma"] * np.diag([p["e1"], p["e2"], p["e3"]])
-            det = np.linalg.det(A)
-        if not (np.isfinite(A).all() and np.isfinite(det)):
-            raise ConfigError("affine-stretch overflows: its matrix or determinant is not finite")
-        if det <= 0:
-            raise ConfigError("affine-stretch flips orientation; reduce gamma")
-        vals = np.einsum("ij,...j->...i", A, coords)
-        _pin(state, "u", rim, vals)
-        nu_vals = np.zeros(state.nu.shape)
-        nu_vals[..., : min(3, state.embed_dim)] = (
-            p["nu_slope"] * (coords - _box_center(grid))[..., : min(3, state.embed_dim)]
-        )
-        _pin(state, "nu", rim, nu_vals, manifold)
-        return
-    if kind == "simple-shear":
-        p = _take(params, {"gamma": 0.3}, "simple-shear")
-        vals = coords.copy()
-        vals[..., 0] += p["gamma"] * coords[..., 1]
-        _pin(state, "u", rim, vals)
-        return
-    if kind == "tilted-layers":
-        p = _take(params, {"tilt": 0.1}, "tilted-layers")
-        vals = np.zeros(grid.nodes + (4,))
-        vals[..., 0] = coords[..., 2] + p["tilt"] * coords[..., 0]
-        vals[..., 3] = 1.0
-        _pin(state, "nu", rim, vals, manifold)
-        return
-    if kind == "two-face-ramp":
-        p = _take(params, {"a": 0.0, "b": 1.0}, "two-face-ramp")
-        h0 = grid.spacing[0]
-        lo_face = rim & (np.abs(coords[..., 0] - grid.lo[0]) < 0.5 * h0)
-        hi_face = rim & (np.abs(coords[..., 0] - grid.hi[0]) < 0.5 * h0)
-        _pin(state, "nu", lo_face, np.full(state.nu.shape, p["a"]), manifold)
-        _pin(state, "nu", hi_face, np.full(state.nu.shape, p["b"]), manifold)
-        return
-    raise ConfigError(
-        "unknown boundary kind "
-        f"{kind!r}; known: none, radial-director, radial-orientation, "
-        "affine-stretch, simple-shear, tilted-layers, two-face-ramp"
-    )
+    """Pin the Dirichlet data of a registered boundary kind."""
+    rim = boundary_node_mask(state.grid, state.active)
+    pins = _build("boundary", BOUNDARIES, kind, params, state, state.grid.node_coords(), rim)
+    for which, mask, values in pins:
+        try:
+            pin(state, which, mask, values, manifold)
+        except ProjectionUndefinedError as exc:
+            raise ConfigError(f"[boundary] descriptor data on the rim: {exc}") from None
+
+
+# An init builder gets the node coordinates x and xi, x mapped onto
+# [0, 1]^3, and writes the initial fields into the state in place.
+
+def _bump(xi: np.ndarray) -> np.ndarray:
+    return np.prod(np.sin(np.pi * xi), axis=-1)
+
+
+def _radial_init(p: dict, state: FieldState, x, xi) -> None:
+    state.nu[...] = _radial(x, state.grid)
+
+
+def _radial_orientation_init(p: dict, state: FieldState, x, xi) -> None:
+    state.nu[..., :3] = _radial(x, state.grid)
+    state.nu[..., 3] = p["beta"]
+
+
+def _affine_init(p: dict, state: FieldState, x, xi) -> None:
+    state.u[...] = np.einsum("ij,...j->...i", _stretch(p), x)
+    state.nu[..., : min(3, state.embed_dim)] = _slope(p, x, state)
+
+
+def _shear_init(p: dict, state: FieldState, x, xi) -> None:
+    state.u[...] = _sheared(p, x)
+
+
+def _layers_init(p: dict, state: FieldState, x, xi) -> None:
+    state.nu[..., 0] = x[..., 2] + p["tilt"] * x[..., 0] + p["amp"] * _bump(xi)
+    state.nu[..., 1:3] = 0.0
+    state.nu[..., 3] = 1.0
+
+
+def _ramp_init(p: dict, state: FieldState, x, xi) -> None:
+    state.nu[..., 0] = p["a"] + (p["b"] - p["a"]) * xi[..., 0] + p["amp"] * _bump(xi)
+
+
+INITS = {
+    "identity": ({}, lambda p, state, x, xi: None),
+    "radial": ({}, _radial_init),
+    "radial-orientation": ({"beta": 0.8}, _radial_orientation_init),
+    "affine": ({"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
+               _affine_init),
+    "shear": ({"gamma": 0.3}, _shear_init),
+    "layers": ({"tilt": 0.1, "amp": 0.05}, _layers_init),
+    "ramp": ({"a": 0.0, "b": 1.0, "amp": 0.05}, _ramp_init),
+}
 
 
 def apply_init(kind: str, params: dict, state: FieldState,
                manifold: Manifold) -> None:
+    """Write the initial fields of a registered init kind into state."""
     grid = state.grid
-    coords = grid.node_coords()
-    center = _box_center(grid)
-    span = np.asarray(grid.hi) - np.asarray(grid.lo)
-    xi = (coords - np.asarray(grid.lo)) / span
-    if kind == "identity":
-        _take(params, {}, "identity")
-        return
-    if kind == "radial":
-        _take(params, {}, "radial")
-        state.nu[...] = _safe_radial(coords, _defect_anchor(grid))
-        return
-    if kind == "radial-orientation":
-        p = _take(params, {"beta": 0.8}, "radial-orientation")
-        state.nu[..., :3] = _safe_radial(coords, _defect_anchor(grid))
-        state.nu[..., 3] = p["beta"]
-        return
-    if kind == "affine":
-        p = _take(
-            params,
-            {"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
-            "affine",
-        )
-        A = np.eye(3) + p["gamma"] * np.diag([p["e1"], p["e2"], p["e3"]])
-        state.u[...] = np.einsum("ij,...j->...i", A, coords)
-        state.nu[..., : min(3, state.embed_dim)] = (
-            p["nu_slope"] * (coords - center)[..., : min(3, state.embed_dim)]
-        )
-        return
-    if kind == "shear":
-        p = _take(params, {"gamma": 0.3}, "shear")
-        state.u[..., 0] = coords[..., 0] + p["gamma"] * coords[..., 1]
-        return
-    if kind == "layers":
-        p = _take(params, {"tilt": 0.1, "amp": 0.05}, "layers")
-        bump = np.prod(np.sin(np.pi * xi), axis=-1)
-        state.nu[..., 0] = coords[..., 2] + p["tilt"] * coords[..., 0] + p["amp"] * bump
-        state.nu[..., 1:3] = 0.0
-        state.nu[..., 3] = 1.0
-        return
-    if kind == "ramp":
-        p = _take(params, {"a": 0.0, "b": 1.0, "amp": 0.05}, "ramp")
-        bump = np.prod(np.sin(np.pi * xi), axis=-1)
-        state.nu[..., 0] = p["a"] + (p["b"] - p["a"]) * xi[..., 0] + p["amp"] * bump
-        return
-    raise ConfigError(
-        "unknown init kind "
-        f"{kind!r}; known: identity, radial, radial-orientation, affine, "
-        "shear, layers, ramp"
-    )
+    x = grid.node_coords()
+    xi = (x - np.asarray(grid.lo)) / (np.asarray(grid.hi) - np.asarray(grid.lo))
+    _build("init", INITS, kind, params, state, x, xi)
 
 
 def _default_nu0(manifold: Manifold) -> np.ndarray:
@@ -653,7 +614,6 @@ class BuiltScenario:
     manifold: Manifold
     density: EnergyDensity
     state: FieldState
-    checks: dict
 
 
 def materialize(config: ScenarioConfig) -> BuiltScenario:
@@ -675,7 +635,7 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
     state.nu[...] = manifold.project(state.nu)
     apply_boundary(config.boundary_kind, config.boundary_params, state, manifold)
 
-    checks = dict(config.checks)
+    checks = config.checks
     if checks["growth"] and density.growth_meta is None:
         raise ConfigError(
             f"growth check enabled but density {density.name!r} documents no growth bound"
@@ -686,7 +646,7 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
         )
     if checks["defects"] and not isinstance(manifold, UnitSphere):
         raise ConfigError("defect accounting needs a unit-director descriptor")
-    return BuiltScenario(manifold=manifold, density=density, state=state, checks=checks)
+    return BuiltScenario(manifold=manifold, density=density, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +771,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
     final = mres.state
     manifold = built.manifold
     density = built.density
+    checks = config.checks
     outcomes = []
     lines = []
     report = ResidualReport()
@@ -819,14 +780,14 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
         outcomes.append(CheckOutcome(name=name, passed=passed, detail=detail))
         lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} | {detail}")
 
-    if built.checks["orientation"]:
+    if checks["orientation"]:
         rep = check_orientation(final)
         record(
             "orientation",
             rep.passed,
             f"cells={rep.cells} violations={rep.violations} min_det={_fg(rep.min_det)}",
         )
-    if built.checks["injectivity"]:
+    if checks["injectivity"]:
         rep = check_ciarlet_necas(final)
         record(
             "injectivity",
@@ -835,14 +796,14 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"slack={_fg(rep.slack)} violations={rep.violations} min_det={_fg(rep.min_det)} "
             f"rim_affine={rep.rim_affine}",
         )
-    if built.checks["growth"]:
+    if checks["growth"]:
         rep = check_growth(density, n=GROWTH_SAMPLES, seed=config.seed)
         record(
             "growth",
             rep.passed,
             f"samples={rep.samples} violations={rep.violations} min_slack={_fg(rep.min_slack)}",
         )
-    if built.checks["convexity"]:
+    if checks["convexity"]:
         mode = "in_minors_and_N" if density.minors_form() is not None else "in_N"
         rep = check_convexity(density, mode=mode, n_segments=600, seed=config.seed)
         record(
@@ -852,17 +813,17 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
         )
     # the duality check's gradient is taken before the actions, so its
     # working set is freed before theirs is allocated
-    if built.checks["weak_el"]:
+    if checks["weak_el"]:
         vols = node_volumes(final.grid, final.active)
         g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
     # the cellwise actions are assembled only now, so the checks above run
     # without them alive; every check from here to eulerian reads them
     needs_actions = any(
-        built.checks[n]
+        checks[n]
         for n in ("weak_el", "rotational", "strong", "configurational", "eulerian")
     )
     bf = assemble_actions(density, final, manifold) if needs_actions else None
-    if built.checks["weak_el"]:
+    if checks["weak_el"]:
         rows, dual = _weak_el_rows(config, bf, g_u, g_nu, vols)
         report.add(rows)
         report.add(dual)
@@ -874,7 +835,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"worst_ratio={_fg(worst)} tol={_fg(WEAK_TOL)} "
             f"duality={_fg(worst_dual)} tol={_fg(DUALITY_TOL)}",
         )
-    if built.checks["rotational"]:
+    if checks["rotational"]:
         rep = rotational_balance(bf)
         report.add(rep.residual)
         record(
@@ -882,7 +843,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             rep.ratio <= ROTATIONAL_TOL,
             f"ratio={_fg(rep.ratio)} tol={_fg(ROTATIONAL_TOL)}",
         )
-    if built.checks["strong"]:
+    if checks["strong"]:
         sr = strong_residuals(bf)
         report.add([sr.cauchy_residual, sr.capriz_residual])
         worst = max(sr.cauchy_residual.ratio, sr.capriz_residual.ratio)
@@ -892,7 +853,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"cauchy={_fg(sr.cauchy_residual.ratio)} "
             f"capriz={_fg(sr.capriz_residual.ratio)} tol={_fg(STRONG_TOL)}",
         )
-    if built.checks["configurational"]:
+    if checks["configurational"]:
         ef = eshelby(bf)
         phi_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 13)
         rows = configurational_residual(ef, bf, (build() for build in phi_tests))
@@ -903,7 +864,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             worst <= CONFIGURATIONAL_TOL,
             f"worst_ratio={_fg(worst)} tol={_fg(CONFIGURATIONAL_TOL)}",
         )
-    if built.checks["eulerian"]:
+    if checks["eulerian"]:
         tests = _spatial_tests(final, N_TESTS, config.seed + 14)
         rows = eulerian_cauchy_residual(bf, tests)
         report.add(rows)
@@ -913,7 +874,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             worst <= EULERIAN_TOL,
             f"worst_ratio={_fg(worst)} tol={_fg(EULERIAN_TOL)}",
         )
-    if built.checks["defects"]:
+    if checks["defects"]:
         rep = defect_charges(final, manifold)
         flux = d_field_boundary_flux(final, manifold)
         expected = int(round(rep.boundary_degree))
@@ -958,7 +919,10 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
     if out is None:
         raise ConfigError("no output directory: set [scenario] out or pass one explicitly")
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from None
 
     mres = minimize(built.density, built.state, built.manifold, config.minimize,
                     callback=_log_progress)
@@ -1016,7 +980,6 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
 def _preset_nematic_hedgehog() -> ScenarioConfig:
     return ScenarioConfig(
         name="nematic-hedgehog",
-        resolution=16,
         lo=-1.0,
         hi=1.0,
         shape="ball",
@@ -1040,7 +1003,6 @@ def _preset_nematic_hedgehog() -> ScenarioConfig:
 def _preset_degree_of_orientation() -> ScenarioConfig:
     return ScenarioConfig(
         name="degree-of-orientation",
-        resolution=16,
         lo=-1.0,
         hi=1.0,
         shape="ball",
@@ -1067,10 +1029,6 @@ def _preset_degree_of_orientation() -> ScenarioConfig:
 def _preset_microcracked_vector() -> ScenarioConfig:
     return ScenarioConfig(
         name="microcracked-vector",
-        resolution=16,
-        lo=0.0,
-        hi=1.0,
-        shape="box",
         manifold_kind="euclidean3",
         density_kind="microcracked",
         density_params={"lam": 1.2, "mu": 0.9, "couple": 0.35, "restore": 0.6,
@@ -1095,10 +1053,6 @@ def _preset_microcracked_vector() -> ScenarioConfig:
 def _preset_quasicrystal_shear() -> ScenarioConfig:
     return ScenarioConfig(
         name="quasicrystal-shear",
-        resolution=16,
-        lo=0.0,
-        hi=1.0,
-        shape="box",
         manifold_kind="euclidean3",
         density_kind="quasicrystal",
         density_params={"a": 1.0, "b": 1.0, "c": 0.6, "phason_stiffness": 1.0,
@@ -1123,10 +1077,6 @@ def _preset_quasicrystal_shear() -> ScenarioConfig:
 def _preset_smectic_layers() -> ScenarioConfig:
     return ScenarioConfig(
         name="smectic-layers",
-        resolution=16,
-        lo=0.0,
-        hi=1.0,
-        shape="box",
         manifold_kind="layer-director",
         density_kind="smectic",
         density_params={"k1": 1.0, "k2": 1.0, "penalty": 0.2},
@@ -1146,10 +1096,6 @@ def _preset_smectic_layers() -> ScenarioConfig:
 def _preset_porous_interval() -> ScenarioConfig:
     return ScenarioConfig(
         name="porous-interval",
-        resolution=16,
-        lo=0.0,
-        hi=1.0,
-        shape="box",
         manifold_kind="interval",
         manifold_params={"lo": 0.0, "hi": 1.0},
         density_kind="porous-landau",

@@ -210,7 +210,7 @@ class TestAssembly:
         assert res.raw == integrate_cells(t1 + t2, state.grid, state.active)
 
 
-def _per_node_compact_tests(state, n, components, seed=0, manifold=None, margin=2):
+def _per_node_compact_tests(state, n, components, seed=0, manifold=None):
     """random_compact_tests evaluated on the full node_coords array per test."""
     grid = state.grid
     rng = np.random.default_rng(seed)
@@ -219,7 +219,7 @@ def _per_node_compact_tests(state, n, components, seed=0, manifold=None, margin=
     hi = np.asarray(grid.hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    interior = interior_node_mask(grid, state.active, margin=margin)
+    interior = interior_node_mask(grid, state.active, margin=balance.TEST_MARGIN)
     out = []
     for _ in range(n):
         center = mid + (rng.uniform(-0.4, 0.4, size=grid.dim)) * half
@@ -270,8 +270,8 @@ class TestRandomTests:
 
     def test_compact_support_and_tangency(self):
         state, man = _sphere_state()
-        fields = _built(random_compact_tests(state, 4, 3, seed=5, manifold=man, margin=2))
-        inside = interior_node_mask(state.grid, state.active, margin=2)
+        fields = _built(random_compact_tests(state, 4, 3, seed=5, manifold=man))
+        inside = interior_node_mask(state.grid, state.active, margin=balance.TEST_MARGIN)
         for f in fields:
             assert f.shape == state.nu.shape
             assert np.all(f[~inside] == 0.0)
@@ -333,7 +333,7 @@ class TestWeakResidual:
             assert abs(res.raw - pair) <= 1e-12 * (1.0 + res.scale), res.name
 
     def test_converged_minimizer_has_tiny_ratios(self):
-        from complexbodies.fields import apply_dirichlet
+        from complexbodies.fields import pin
         from complexbodies.minimize import MinimizeConfig, minimize
         from complexbodies.energy import QuadraticVector
 
@@ -342,10 +342,8 @@ class TestWeakResidual:
         state = identity_state(grid, man, nu0=np.zeros(3))
         bdry = boundary_node_mask(grid, state.active)
         shear = np.eye(3) + np.array([[0.0, 0.15, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        apply_dirichlet(
-            state, "u", lambda x: bdry, lambda x: np.einsum("ij,...j->...i", shear, x), man
-        )
-        apply_dirichlet(state, "nu", lambda x: bdry, np.array([0.4, 0.0, 0.0]), man)
+        pin(state, "u", bdry, np.einsum("ij,...j->...i", shear, grid.node_coords()))
+        pin(state, "nu", bdry, np.broadcast_to([0.4, 0.0, 0.0], state.nu.shape), man)
         rng = np.random.default_rng(2)
         bump = 0.05 * rng.normal(size=state.u.shape)
         bump[state.pinned_u] = 0.0
@@ -506,7 +504,7 @@ class TestStrongResiduals:
         c = grid.node_coords()
         state.u = state.u + alpha * c**2
         bf = assemble_actions(density, state, man)
-        rep = strong_residuals(bf, margin=1)
+        rep = strong_residuals(bf)
         assert rep.cauchy_residual.ratio < 1e-12, rep.cauchy_residual
         assert rep.cauchy_residual.scale > 0.01
 
@@ -523,7 +521,7 @@ class TestStrongResiduals:
         c = grid.node_coords()
         state.nu = (-0.5 * h_field) * c[..., :1] ** 2
         bf = assemble_actions(density, state, man)
-        rep = strong_residuals(bf, margin=1)
+        rep = strong_residuals(bf)
         assert rep.capriz_residual.ratio < 1e-12, rep.capriz_residual
         assert rep.capriz_residual.scale > 1.0
 

@@ -124,6 +124,31 @@ def test_invalid_config_file_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_directory_as_config_exits_two(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err
+
+
+def test_binary_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_output_directory_exits_two(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out = afile / sub if sub else afile
+    assert main(["run", "porous-interval", "--resolution", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err
+    assert afile.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("key, old, new", [
     ("grad_tol", "grad_tol = 1e-07", "grad_tol = nan"),
     ("max_iters", "max_iters = 3000", "max_iters = -5"),

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexbodies.errors import InteriorNodeSelectedError, ShapeMismatchError
+from complexbodies.errors import ShapeMismatchError
 from complexbodies.fields import (
     FieldState,
     Grid,
-    apply_dirichlet,
     ball_mask,
     boundary_node_mask,
     cell_average,
@@ -32,6 +31,7 @@ from complexbodies.fields import (
     integrate_cells,
     interior_node_mask,
     node_volumes,
+    pin,
     scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
 )
@@ -385,30 +385,40 @@ class TestDirichlet:
     def test_pin_face(self):
         g = Grid.cube(4, 0.0, 1.0)
         st_ = identity_state(g, Euclidean(3), np.zeros(3))
-        apply_dirichlet(st_, "u", lambda x: x[..., 0] < 1e-12, lambda x: 0.0 * x[..., :3] + 7.0)
+        face = g.node_coords()[..., 0] < 1e-12
+        pin(st_, "u", face, np.full(st_.u.shape, 7.0))
         assert st_.pinned_u[0].all()
         assert not st_.pinned_u[1:].any()
         assert np.allclose(st_.u[0], 7.0)
-
-    def test_interior_selection_rejected(self):
-        g = Grid.cube(4, 0.0, 1.0)
-        st_ = identity_state(g, Euclidean(3), np.zeros(3))
-        with pytest.raises(InteriorNodeSelectedError):
-            apply_dirichlet(st_, "u", lambda x: np.abs(x[..., 0] - 0.5) < 0.2, np.zeros(3))
+        assert not st_.pinned_nu.any()
 
     def test_nu_values_projected(self):
         g = Grid.cube(4, 0.0, 1.0)
         sphere = UnitSphere()
         st_ = identity_state(g, sphere, np.array([0.0, 0.0, 1.0]))
-        apply_dirichlet(
-            st_,
-            "nu",
-            lambda x: x[..., 2] < 1e-12,
-            lambda x: np.stack([2.0 + 0 * x[..., 0], 0 * x[..., 0], 0 * x[..., 0]], axis=-1),
-            manifold=sphere,
-        )
+        face = g.node_coords()[..., 2] < 1e-12
+        pin(st_, "nu", face, np.broadcast_to([2.0, 0.0, 0.0], st_.nu.shape), manifold=sphere)
         assert np.allclose(st_.nu[:, :, 0], [1.0, 0.0, 0.0])
         assert st_.pinned_nu[:, :, 0].all()
+
+    def test_zero_data_off_the_mask_is_not_projected(self):
+        # a zero director has no nearest unit vector; off the mask it is never read
+        g = Grid.cube(4, 0.0, 1.0)
+        sphere = UnitSphere()
+        st_ = identity_state(g, sphere, np.array([0.0, 0.0, 1.0]))
+        face = g.node_coords()[..., 0] < 1e-12
+        data = np.zeros(st_.nu.shape)
+        data[face] = [0.0, 3.0, 0.0]
+        pin(st_, "nu", face, data, manifold=sphere)
+        assert np.array_equal(st_.nu[face], np.broadcast_to([0.0, 1.0, 0.0], st_.nu[face].shape))
+        assert np.array_equal(st_.nu[~face], np.broadcast_to([0.0, 0.0, 1.0], st_.nu[~face].shape))
+        assert np.array_equal(st_.pinned_nu, face)
+
+    def test_unknown_field_rejected(self):
+        g = Grid.cube(2, 0.0, 1.0)
+        st_ = identity_state(g, Euclidean(3), np.zeros(3))
+        with pytest.raises(ShapeMismatchError):
+            pin(st_, "v", np.ones(g.nodes, dtype=bool), np.zeros(st_.u.shape))
 
     def test_ball_boundary_data(self):
         g = Grid.cube(8, -1.0, 1.0)
@@ -416,19 +426,12 @@ class TestDirichlet:
         st_ = identity_state(g, sphere, np.array([0.0, 0.0, 1.0]))
         st_.active = ball_mask(g)
         bnd = boundary_node_mask(g, st_.active)
-
-        def region(x):
-            return bnd
-
-        def hedgehog(x):
-            r = np.linalg.norm(x, axis=-1, keepdims=True)
-            safe = np.maximum(r, 1e-12)
-            out = x / safe
-            out[..., 2] = np.where(r[..., 0] < 1e-12, 1.0, out[..., 2])
-            return out
-
-        apply_dirichlet(st_, "nu", region, hedgehog, manifold=sphere)
-        assert st_.pinned_nu[bnd].all()
+        x = g.node_coords()
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        hedgehog = x / np.maximum(r, 1e-12)
+        hedgehog[..., 2] = np.where(r[..., 0] < 1e-12, 1.0, hedgehog[..., 2])
+        pin(st_, "nu", bnd, hedgehog, manifold=sphere)
+        assert np.array_equal(st_.pinned_nu, bnd)
         assert np.allclose(np.linalg.norm(st_.nu[bnd], axis=-1), 1.0, atol=1e-12)
 
 

@@ -21,7 +21,6 @@ from complexbodies.energy import (
 from complexbodies.errors import ConfigError, InadmissibleStartError
 from complexbodies.fields import (
     Grid,
-    apply_dirichlet,
     ball_mask,
     boundary_node_mask,
     divide_by_volume,
@@ -29,6 +28,7 @@ from complexbodies.fields import (
     identity_state,
     incident_node_mask,
     node_volumes,
+    pin,
     scatter_cell_average_adjoint,
     scatter_gradient_adjoint,
 )
@@ -44,16 +44,8 @@ def _elastic_toy(res=6, perturb=0.02, seed=0):
     man = Euclidean(3)
     state = identity_state(grid, man, nu0=np.zeros(3))
     boundary = boundary_node_mask(grid, state.active)
-
-    def on_boundary(x):
-        eps = 1e-9
-        inside = np.ones(x.shape[:-1], dtype=bool)
-        for ax in range(3):
-            inside &= (x[..., ax] > eps) & (x[..., ax] < 1.0 - eps)
-        return ~inside
-
-    apply_dirichlet(state, "u", on_boundary, lambda x: x, man)
-    apply_dirichlet(state, "nu", on_boundary, np.zeros(3), man)
+    pin(state, "u", boundary, grid.node_coords())
+    pin(state, "nu", boundary, np.zeros(state.nu.shape), man)
     rng = np.random.default_rng(seed)
     bump_u = perturb * rng.normal(size=state.u.shape)
     bump_nu = perturb * rng.normal(size=state.nu.shape)
@@ -75,8 +67,8 @@ def _hedgehog_problem(res=8):
     state = hedgehog_state(resolution=res, ball=True, radius=1.0)
     man = UnitSphere()
     bdry = boundary_node_mask(state.grid, state.active)
-    apply_dirichlet(state, "nu", lambda x: bdry, lambda x: radial_director(x), man)
-    apply_dirichlet(state, "u", lambda x: bdry, lambda x: x, man)
+    pin(state, "nu", bdry, radial_director(state.grid.node_coords()), man)
+    pin(state, "u", bdry, state.grid.node_coords())
     return DirichletDescriptor(3), state, man
 
 

@@ -246,21 +246,13 @@ def test_retired_key_parses_only_at_its_value(section, key, value, other):
         parse_config(MINIMAL + f"\n[{section}]\n{key} = {other}\n")
 
 
+# every key of every density kind, with the manifold of a preset that uses
+# the kind; the keys come from the density table, so a new key is fuzzed too
+_DENSITY_MANIFOLD = {cfg.density_kind: cfg.manifold_kind for cfg in presets()}
 _DENSITY_KEYS = [
-    ("microcracked", "euclidean3", key)
-    for key in ("lam", "mu", "couple", "restore", "grad_stiffness")
-] + [
-    ("porous-landau", "interval", key)
-    for key in ("stiffness", "well_depth", "pore_a", "pore_b")
-] + [
-    ("orientation-landau", "degree-of-orientation", key)
-    for key in ("stiffness", "well_depth", "beta_a", "beta_b")
-] + [
-    ("quasicrystal", "euclidean3", key)
-    for key in ("a", "b", "c", "phason_stiffness", "kappa")
-] + [
-    ("smectic", "layer-director", key)
-    for key in ("k1", "k2", "penalty")
+    (kind, _DENSITY_MANIFOLD[kind], key)
+    for kind, (defaults, _) in scenarios.DENSITIES.items()
+    for key in defaults
 ]
 
 
@@ -375,6 +367,35 @@ def test_materialize_unknown_boundary_and_init():
         materialize(_tiny_porous(init_kind="vortex"))
     with pytest.raises(ConfigError):
         materialize(_tiny_porous(boundary_params={"slope": 2.0}))
+
+
+def test_unknown_kind_and_key_messages():
+    with pytest.raises(ConfigError) as err:
+        materialize(_tiny_porous(init_kind="vortex"))
+    assert str(err.value) == ("unknown init kind 'vortex'; known: identity, radial, "
+                              "radial-orientation, affine, shear, layers, ramp")
+    with pytest.raises(ConfigError) as err:
+        build_manifold("interval", {"radius": 2.0, "a": 1.0})
+    assert str(err.value) == "unknown interval parameters ['a', 'radius']; known: ['hi', 'lo']"
+
+
+_TABLES = {"manifold": scenarios.MANIFOLDS, "density": scenarios.DENSITIES,
+           "boundary": scenarios.BOUNDARIES, "init": scenarios.INITS}
+
+
+def test_readme_documents_every_kind_with_its_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format")[1].split("\n### ")[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `([\w-]+)` \| ([^|]*) \|", section, re.M)
+    documented = {}
+    for sec, kind, keys in rows:
+        defaults = {k: float(v) for k, v in re.findall(r"`(\w+) = ([^`]+)`", keys)}
+        documented.setdefault(sec, {})[kind] = defaults
+    assert len(rows) == sum(len(table) for table in _TABLES.values())
+    assert documented == {
+        sec: {kind: defaults for kind, (defaults, _) in table.items()}
+        for sec, table in _TABLES.items()
+    }
 
 
 def test_growth_check_needs_documented_bound():
@@ -595,9 +616,10 @@ def test_preset_catalogue_is_complete():
 
 @pytest.mark.parametrize("name", preset_names())
 def test_presets_materialize(name):
-    built = materialize(preset_config(name))
+    cfg = preset_config(name)
+    built = materialize(cfg)
     assert built.state.active.any()
-    assert any(built.checks.values())
+    assert any(cfg.checks.values())
 
 
 def test_preset_configs_are_fresh_copies():
