@@ -31,11 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ShapeMismatchError,
-    SurfaceOutsideDomainError,
-    WrongManifoldError,
-)
+from .errors import ShapeMismatchError, WrongManifoldError
 from .fields import (
     CORNERS,
     FieldState,
@@ -277,8 +273,6 @@ class DefectCluster:
     charge: int
     center: np.ndarray
     cell_count: int
-    box_lo: np.ndarray
-    box_hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -294,36 +288,29 @@ class DefectReport:
         return 4.0 * np.pi * self.boundary_degree
 
 
-def defect_charges(state: FieldState, manifold=None, margin: int = 3) -> DefectReport:
+def defect_charges(state: FieldState, manifold=None) -> DefectReport:
     """Locate and charge point defects of a director field.
 
     Cells of winding magnitude at least one half are clustered by
-    adjacency; each cluster reports its net integer charge, the charge-cell
-    centroid, and a bounding box grown by margin cells.
+    adjacency; each cluster reports its net integer charge and the
+    charge-cell centroid.
     """
     q = cell_charges(state, manifold)
     marked = np.abs(q) >= 0.5
     labels, n = _label(marked)
-    grid = state.grid
-    centers = grid.cell_centers()
-    h = np.asarray(grid.spacing)
+    centers = state.grid.cell_centers()
     clusters = []
     for k in range(1, n + 1):
         sel = labels == k
-        idx = np.argwhere(sel)
         charge = float(q[sel].sum())
         w = np.abs(q[sel])
         w = w / w.sum()
         center = np.einsum("m,mi->i", w, centers[sel])
-        lo = (idx.min(axis=0) - margin) * h + np.asarray(grid.lo)
-        hi = (idx.max(axis=0) + 1 + margin) * h + np.asarray(grid.lo)
         clusters.append(
             DefectCluster(
                 charge=int(round(charge)),
                 center=center,
                 cell_count=int(sel.sum()),
-                box_lo=lo,
-                box_hi=hi,
             )
         )
     clusters.sort(key=lambda c: -abs(c.charge))
@@ -334,28 +321,6 @@ def defect_charges(state: FieldState, manifold=None, margin: int = 3) -> DefectR
         total_charge=int(round(sum(c.charge for c in clusters))),
         boundary_degree=boundary_degree,
     )
-
-
-def degree_on_surface(state: FieldState, region: np.ndarray, manifold=None) -> float:
-    """Covering degree of the director on the boundary of a cell region.
-
-    region is a boolean cell mask; its cells must all be active so the
-    enclosing surface carries well-defined director data.  Shared interior
-    faces cancel exactly, leaving the boundary-surface degree.
-    """
-    region = np.asarray(region, dtype=bool)
-    if region.shape != state.grid.cells:
-        raise ShapeMismatchError(
-            f"region mask must match cells {state.grid.cells}, got {region.shape}"
-        )
-    if not region.any():
-        raise ShapeMismatchError("empty surface region")
-    if np.any(region & ~state.active):
-        raise SurfaceOutsideDomainError(
-            "surface region leaves the active domain; degree undefined there"
-        )
-    q = cell_charges(state, manifold)
-    return float(q[region].sum())
 
 
 def d_field_boundary_flux(state: FieldState, manifold=None) -> float:

@@ -23,7 +23,7 @@ and evaluates every balance the theory provides:
   PP = e I - F^T P - N^T S, optionally corrected by a line-defect term
   4 pi sum_segments mult * length * (T ox T) : Dphi(midpoint);
 * the Eulerian Cauchy balance via pullback quadrature of the spatial weak
-  form with sigma = (det F)^plus-minus-1... sigma = P F^T / det F.
+  form with the Cauchy stress sigma = P F^T / det F.
 
 Ratios always divide a raw residual by the accumulated magnitude of the
 terms entering it, so "small" is meaningful per law and per test.

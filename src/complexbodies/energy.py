@@ -33,29 +33,28 @@ term changes no finite value, only the sign of an all-zero output.
 
 Shipped constitutive families:
 
-* quadratic linear-elastic coupling densities for tensor- and vector-valued
-  descriptors, evaluated on the infinitesimal strain surrogate
-  sym(F) - I, with the centrosymmetric reductions (tensor case drops the
-  strain-gradient couplings A2, A4; vector case drops A1, A4);
+* a quadratic linear-elastic coupling density for a vector-valued
+  descriptor, evaluated on the infinitesimal strain surrogate sym(F) - I,
+  with the centrosymmetric reduction (drops the couplings A1, A4);
 * generalized Ginzburg-Landau: substructural potential plus (1/2) k |N|^2;
 * pure descriptor Dirichlet density (1/2)|N|^2;
-* compressible macroscopic stored energies with a convex volumetric barrier
-  t - log t - 1, plus a minors-power form c |M(F)|^r + theta(det F);
+* a compressible macroscopic stored energy with a convex volumetric
+  barrier t - log t - 1;
 * quasicrystal density: macro part + (1/2) K |Dnu|^2 phason stiffness with
   optional strain/phason-gradient coupling;
 * smectic-A layer energy (1/2) k1 (|grad l| - 1)^2 + (1/2) k2 (div n)^2;
 * dead loads, external field couplings, and a deliberately frame-breaking
   easy-axis fixture for rotational-balance tests.
 
+A polyconvex density is written once, as its generating function
+g(F, cof F, det F, N) in minors space: eval evaluates g at the minors of F,
+and the convexity check probes the same g.
+
 Coercivity hypotheses are data (GrowthSpec): a lower bound
 
-    e >= C1 (|M(F)|^r + |N|^s) + theta(det F)          (minors variant)
-    e >= C1 (|F|^2 + |cof F|^(3/2) + |N|^s) + theta(det F)   (H3 variant)
+    e >= C1 (|M(F)|^r + |N|^s) + theta(det F)
 
 with optional terms switched off for energies controlling only one field.
-The H3 variant keeps the 3/2 cofactor exponent; a quadratic-exponent
-restatement exists in the literature for the same hypothesis and is noted
-here but not implemented.
 """
 
 from __future__ import annotations
@@ -94,45 +93,33 @@ def log_barrier_prime(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthSpec:
-    """Documented coercivity bound for a density.
-
-    variant H2 uses the full minors magnitude |M(F)|^r; H3 uses
-    |F|^2 + |cof F|^(3/2).  include flags zero out terms for densities that
-    control only the deformation or only the descriptor gradient.
+    """Documented coercivity bound for a density: the full minors magnitude
+    |M(F)|^r, the gradient term |N|^s and the barrier theta(det F).  include
+    flags zero out terms for densities that control only the deformation or
+    only the descriptor gradient.
     """
 
     c1: float
     r: float = 4.0 / 3.0
     s: float = 2.0
     theta: Callable[[np.ndarray], np.ndarray] | None = None
-    variant: str = "H2"
     include_minor_term: bool = True
     include_gradient_term: bool = True
-    description: str = ""
 
     def __post_init__(self):
         if not self.c1 > 0:
             raise ShapeMismatchError("growth constant C1 must be positive")
-        if self.include_minor_term and self.variant == "H2" and not self.r > 1:
+        if self.include_minor_term and not self.r > 1:
             raise ShapeMismatchError("minors exponent r must exceed 1")
         if self.include_gradient_term and not self.s > 1:
             raise ShapeMismatchError("gradient exponent s must exceed 1")
-        if self.variant not in ("H2", "H3"):
-            raise ShapeMismatchError(f"unknown growth variant {self.variant!r}")
 
     def bound(self, F: np.ndarray, N: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=float)
         N = np.asarray(N, dtype=float)
         out = np.zeros(F.shape[:-2])
         if self.include_minor_term:
-            if self.variant == "H2":
-                out = out + self.c1 * minors_norm_squared(F) ** (self.r / 2.0)
-            else:
-                cof = cofactor(F)
-                out = out + self.c1 * (
-                    np.einsum("...ij,...ij->...", F, F)
-                    + np.einsum("...ij,...ij->...", cof, cof) ** 0.75
-                )
+            out = out + self.c1 * minors_norm_squared(F) ** (self.r / 2.0)
         if self.include_gradient_term:
             out = out + self.c1 * np.einsum("...ai,...ai->...", N, N) ** (self.s / 2.0)
         if self.theta is not None:
@@ -263,7 +250,6 @@ class DirichletDescriptor(EnergyDensity):
             s=2.0,
             include_minor_term=False,
             theta=None,
-            description="pure descriptor-gradient control, minors and barrier absent",
         )
 
     def eval(self, x, u, F, nu, N):
@@ -299,7 +285,6 @@ class GinzburgLandau(EnergyDensity):
                 s=2.0,
                 include_minor_term=False,
                 theta=None,
-                description="descriptor-gradient control from the stiffness term",
             )
         else:
             self.growth_meta = None
@@ -440,19 +425,24 @@ def _strain(F) -> np.ndarray:
     return eps
 
 
-class _Quadratic(EnergyDensity):
-    """e = (1/2) eps:C:eps + eps:A1:nu + eps:A2:N + (1/2) nu:A3:nu
-        + nu:A4:N + (1/2) N:A5:N,   eps = sym(F) - I.
+class QuadraticVector(EnergyDensity):
+    """Quadratic density for a vector descriptor (microcracks, polarization):
 
-    Evaluated on flattened slots, eps in R^9, nu in R^e and N in R^(3e)
-    with the spatial index last, so every tensor is a matrix (tensors; C,
-    A3 and A5 symmetrized) contracted through its term table (terms).  A
-    subclass sets the tensor shapes and the odd couplings that
-    centrosymmetric drops.
+        e = (1/2) eps:C:eps + eps:A1:nu + eps:A2:N + (1/2) nu:A3:nu
+            + nu:A4:N + (1/2) N:A5:N,   eps = sym(F) - I.
+
+    Evaluated on flattened slots, eps in R^9, nu in R^3 and N in R^9 with
+    the spatial index last, so every tensor is a matrix (tensors; C, A3 and
+    A5 symmetrized) contracted through its term table (terms).
+    centrosymmetric drops the odd couplings A1 and A4 (a polar vector cannot
+    couple linearly to strain in a centrosymmetric body).
     """
 
-    shapes: dict[str, tuple[int, ...]] = {}
-    odd: tuple[str, ...] = ()
+    name = "quadratic-vector"
+    embed_dim = 3
+    shapes = {"C": (3,) * 4, "A1": (3,) * 3, "A2": (3,) * 4, "A3": (3,) * 2,
+              "A4": (3,) * 3, "A5": (3,) * 4}
+    odd = ("A1", "A4")
 
     def __init__(self, C, A1=None, A2=None, A3=None, A4=None, A5=None,
                  centrosymmetric: bool = False, name: str | None = None):
@@ -537,64 +527,27 @@ class _Quadratic(EnergyDensity):
         return g
 
 
-class QuadraticTensor(_Quadratic):
-    """Quadratic density for a symmetric second-rank tensor descriptor.
-
-    Descriptor embedding is row-major R^9; N reshapes to (3, 3, 3) with the
-    last index spatial.  centrosymmetric drops the odd couplings A2 and A4.
-    """
-
-    name = "quadratic-tensor"
-    embed_dim = 9
-    shapes = {"C": (3,) * 4, "A1": (3,) * 4, "A2": (3,) * 5, "A3": (3,) * 4,
-              "A4": (3,) * 5, "A5": (3,) * 6}
-    odd = ("A2", "A4")
-
-
-class QuadraticVector(_Quadratic):
-    """Quadratic density for a vector descriptor (microcracks, polarization).
-
-    centrosymmetric drops the odd couplings A1 and A4 (a polar vector cannot
-    couple linearly to strain in a centrosymmetric body).
-    """
-
-    name = "quadratic-vector"
-    embed_dim = 3
-    shapes = {"C": (3,) * 4, "A1": (3,) * 3, "A2": (3,) * 4, "A3": (3,) * 2,
-              "A4": (3,) * 3, "A5": (3,) * 4}
-    odd = ("A1", "A4")
-
-
 # ---------------------------------------------------------------------------
 # finite-strain macroscopic energies and the quasicrystal density
 # ---------------------------------------------------------------------------
 
 class CompressibleMacro(EnergyDensity):
-    """e(F) = a |F|^2 + b |cof F|^2 + c (det F - log det F - 1), det F > 0.
-
-    normalize_reference subtracts the reference value 3a + 3b so the
-    stress-free state scores zero; that variant carries no growth claim
-    (a zero-at-identity energy cannot dominate a strictly positive bound).
-    """
+    """e(F) = a |F|^2 + b |cof F|^2 + c (det F - log det F - 1), det F > 0."""
 
     embed_dim = 1
 
     def __init__(self, a: float = 1.0, b: float = 1.0, c: float = 1.0,
-                 normalize_reference: bool = False, name: str = "compressible-macro",
-                 embed_dim: int = 1):
+                 name: str = "compressible-macro", embed_dim: int = 1):
         if not all(v > 0 for v in (a, b, c)):  # min() would skip a later nan
             raise ShapeMismatchError("macro coefficients must be positive")
         self.embed_dim = embed_dim  # descriptor is ignored; set for summation
         self.a, self.b, self.c = float(a), float(b), float(c)
-        at_identity = 3.0 * (self.a + self.b)
-        if not np.isfinite(at_identity):
+        if not np.isfinite(3.0 * (self.a + self.b)):
             raise ShapeMismatchError(
                 f"macro energy at the identity, 3a + 3b, overflows (a = {a}, b = {b})"
             )
-        self.offset = at_identity if normalize_reference else 0.0
-        self.normalized = normalize_reference
         self.name = name
-        self.growth_meta = None if normalize_reference else self._derive_growth()
+        self.growth_meta = self._derive_growth()
 
     def _derive_growth(self) -> GrowthSpec:
         # C1 = min(3a/4, b/2, 3/5 psi*), psi* = inf_t psi(t) over det values,
@@ -619,99 +572,28 @@ class CompressibleMacro(EnergyDensity):
             s=2.0,
             theta=theta,
             include_gradient_term=False,
-            description=(
-                f"C1 = min(3a/4, b/2, 3 psi*/5) with psi* = {psi_star:.6g}; "
-                "theta = (c/2)(t - log t - 1)"
-            ),
         )
 
-    def macro_eval(self, F):
+    def _g(self, m1, m2, m3, N, **_):
+        """The energy in minors space: a |m1|^2 + b |m2|^2 + c (m3 - log m3 - 1)."""
+        quad = self.a * np.einsum("...ij,...ij->...", m1, m1) + self.b * np.einsum(
+            "...ij,...ij->...", m2, m2
+        )
+        return quad + self.c * log_barrier(m3)
+
+    def eval(self, x, u, F, nu, N):
         F = np.asarray(F, dtype=float)
-        cof = cofactor(F)
-        det = det3(F)
-        quad = self.a * np.einsum("...ij,...ij->...", F, F) + self.b * np.einsum(
-            "...ij,...ij->...", cof, cof
-        )
-        return quad + self.c * log_barrier(det) - self.offset
+        return self._g(F, cofactor(F), det3(F), N)
 
-    def macro_d_F(self, F):
+    def d_F(self, x, u, F, nu, N):
         F = np.asarray(F, dtype=float)
         cof = cofactor(F)
         det = det3(F)
         dcof = 2.0 * self.b * cross_cofactor(cof, F)
         return 2.0 * self.a * F + dcof + (self.c * log_barrier_prime(det))[..., None, None] * cof
 
-    def eval(self, x, u, F, nu, N):
-        return self.macro_eval(F)
-
-    def d_F(self, x, u, F, nu, N):
-        return self.macro_d_F(F)
-
     def minors_form(self):
-        def g(m1, m2, m3, N, *, x, u, nu):
-            quad = self.a * np.einsum("...ij,...ij->...", m1, m1) + self.b * np.einsum(
-                "...ij,...ij->...", m2, m2
-            )
-            return quad + self.c * log_barrier(m3) - self.offset
-
-        return g
-
-
-class MinorsPower(EnergyDensity):
-    """e(F) = c |M(F)|^r + theta(det F); the bound itself as a density."""
-
-    embed_dim = 1
-
-    def __init__(self, c: float = 1.0, r: float = 2.0,
-                 theta: Callable | None = log_barrier,
-                 theta_prime: Callable | None = log_barrier_prime,
-                 name: str = "minors-power"):
-        if not (c > 0 and r > 1):
-            raise ShapeMismatchError("need c > 0 and r > 1")
-        self.c, self.r = float(c), float(r)
-        self.theta = theta
-        self.theta_prime = theta_prime
-        self.name = name
-        self.growth_meta = GrowthSpec(
-            c1=self.c, r=self.r, theta=theta, include_gradient_term=False,
-            description="exact: the density equals its own bound",
-        )
-
-    def eval(self, x, u, F, nu, N):
-        out = self.c * minors_norm_squared(F) ** (self.r / 2.0)
-        if self.theta is not None:
-            out = out + self.theta(det3(F))
-        return out
-
-    def d_F(self, x, u, F, nu, N):
-        F = np.asarray(F, dtype=float)
-        cof = cofactor(F)
-        det = det3(F)
-        m2 = minors_norm_squared(F)
-        # d|M|^r/dF = r |M|^(r-2) (F + sum over cofactor and det slots)
-        dcof = cross_cofactor(cof, F)
-        core = (self.r * m2 ** (self.r / 2.0 - 1.0))[..., None, None] * (
-            F + dcof + det[..., None, None] * cof
-        )
-        out = self.c * core
-        if self.theta_prime is not None:
-            out = out + self.theta_prime(det)[..., None, None] * cof
-        return out
-
-    def minors_form(self):
-        def g(m1, m2, m3, N, *, x, u, nu):
-            mag = (
-                1.0
-                + np.einsum("...ij,...ij->...", m1, m1)
-                + np.einsum("...ij,...ij->...", m2, m2)
-                + m3**2
-            )
-            out = self.c * mag ** (self.r / 2.0)
-            if self.theta is not None:
-                out = out + self.theta(m3)
-            return out
-
-        return g
+        return self._g
 
 
 class Quasicrystal(EnergyDensity):
@@ -720,7 +602,8 @@ class Quasicrystal(EnergyDensity):
     e = macro(F) + (1/2) K |N|^2 + B : (F, N) with a phason descriptor in
     R^3.  The growth bound merges the macro bound with the stiffness term
     when no coupling is present (C1 also capped by K/2 so the |N|^2 slot is
-    honestly covered).
+    honestly covered).  The bilinear coupling spoils joint convexity in
+    (minors, N), so a coupled density registers no minors form.
     """
 
     embed_dim = 3
@@ -742,26 +625,32 @@ class Quasicrystal(EnergyDensity):
             self._coupling_terms = _terms(coupling.reshape(9, 9))
         self.name = name
         base = self.macro.growth_meta
-        if base is not None and self.coupling is None:
+        if self.coupling is None:
             self.growth_meta = GrowthSpec(
                 c1=min(base.c1, self.K / 2.0),
                 r=base.r,
                 s=2.0,
                 theta=base.theta,
                 include_gradient_term=True,
-                description=base.description + f"; capped by K/2 = {self.K / 2:.6g}",
             )
         else:
             self.growth_meta = None
 
+    def _g(self, m1, m2, m3, N, **_):
+        """The uncoupled energy in minors space: macro(m) + (1/2) K |N|^2."""
+        return self.macro._g(m1, m2, m3, N) + 0.5 * self.K * np.einsum(
+            "...ai,...ai->...", N, N
+        )
+
     def eval(self, x, u, F, nu, N):
-        out = self.macro.macro_eval(F) + 0.5 * self.K * np.einsum("...ai,...ai->...", N, N)
+        F = np.asarray(F, dtype=float)
+        out = self._g(F, cofactor(F), det3(F), N)
         if self.coupling is not None:
             out = out + _form(self._coupling_terms, _flat(F), _flat(N))
         return out
 
     def d_F(self, x, u, F, nu, N):
-        out = self.macro.macro_d_F(F)
+        out = self.macro.d_F(x, u, F, nu, N)
         if self.coupling is not None:
             out = out + _map(self._coupling_terms, _flat(N), 9).reshape(out.shape)
         return out
@@ -773,16 +662,7 @@ class Quasicrystal(EnergyDensity):
         return out
 
     def minors_form(self):
-        base = self.macro.minors_form()
-        if self.coupling is not None:
-            return None  # bilinear coupling spoils joint convexity claims
-
-        def g(m1, m2, m3, N, *, x, u, nu):
-            return base(m1, m2, m3, N, x=x, u=u, nu=nu) + 0.5 * self.K * np.einsum(
-                "...ai,...ai->...", N, N
-            )
-
-        return g
+        return self._g if self.coupling is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -1060,35 +940,29 @@ class ConvexityReport:
         return self.max_defect <= 1e-10 * self.scale
 
 
-def check_convexity(density: EnergyDensity, mode: str = "in_N",
-                    n_segments: int = 1000, seed: int = 0) -> ConvexityReport:
+def check_convexity(density: EnergyDensity, n_segments: int = 1000,
+                    seed: int = 0) -> ConvexityReport:
     """Midpoint convexity probe along random segments.
 
-    in_N freezes (x, u, F, nu) and varies the descriptor gradient alone;
-    in_minors_and_N runs on the registered generating function over
-    (order-1, order-2, order-3 > 0, N) jointly.  The defect
-    e(mid) - (e(a) + e(b))/2 must not be positive beyond round-off.
+    A density that registers a minors form is probed on it over (order-1,
+    order-2, order-3 > 0, N) jointly (mode in_minors_and_N); any other
+    freezes (x, u, F, nu) and varies the descriptor gradient alone (mode
+    in_N).  The defect e(mid) - (e(a) + e(b))/2 must not be positive beyond
+    round-off.
     """
     rng = np.random.default_rng(seed)
     d = density.embed_dim
-    if mode == "in_N":
-        base = sample_states(rng, n_segments, d)
+    form = density.minors_form()
+    base = sample_states(rng, n_segments, d)
+    if form is None:
+        mode = "in_N"
         Na = rng.normal(size=(n_segments, d, 3)) * rng.lognormal(0, 0.8, (n_segments, 1, 1))
         Nb = rng.normal(size=(n_segments, d, 3)) * rng.lognormal(0, 0.8, (n_segments, 1, 1))
         ea = density.eval(base.x, base.u, base.F, base.nu, Na)
         eb = density.eval(base.x, base.u, base.F, base.nu, Nb)
         em = density.eval(base.x, base.u, base.F, base.nu, 0.5 * (Na + Nb))
-        defect = em - 0.5 * (ea + eb)
-        scale = float(np.max(np.abs(np.concatenate([ea, eb, em]))) + 1.0)
-        return ConvexityReport(mode=mode, segments=n_segments,
-                               max_defect=float(defect.max()), scale=scale)
-    if mode == "in_minors_and_N":
-        form = density.minors_form()
-        if form is None:
-            raise GeneratorUnavailableError(
-                f"{density.name} registers no minors-space generating function"
-            )
-        base = sample_states(rng, n_segments, d)
+    else:
+        mode = "in_minors_and_N"
 
         def draw():
             m1 = rng.normal(size=(n_segments, 3, 3)) * rng.lognormal(0, 0.8, (n_segments, 1, 1))
@@ -1103,11 +977,10 @@ def check_convexity(density: EnergyDensity, mode: str = "in_N",
         ea = form(*pa, **kw)
         eb = form(*pb, **kw)
         em = form(*mid, **kw)
-        defect = em - 0.5 * (ea + eb)
-        scale = float(np.max(np.abs(np.concatenate([ea, eb, em]))) + 1.0)
-        return ConvexityReport(mode=mode, segments=n_segments,
-                               max_defect=float(defect.max()), scale=scale)
-    raise ShapeMismatchError(f"unknown convexity mode {mode!r}")
+    defect = em - 0.5 * (ea + eb)
+    scale = float(np.max(np.abs(np.concatenate([ea, eb, em]))) + 1.0)
+    return ConvexityReport(mode=mode, segments=n_segments,
+                           max_defect=float(defect.max()), scale=scale)
 
 
 def gradient_consistency(density: EnergyDensity, n: int = 100, seed: int = 0,

@@ -35,10 +35,6 @@ class WrongManifoldError(ComplexBodiesError):
     """The operation requires a specific descriptor manifold (unit sphere)."""
 
 
-class SurfaceOutsideDomainError(ComplexBodiesError):
-    """A flux surface leaves the active cell region."""
-
-
 class NonTangentTestError(ComplexBodiesError):
     """A descriptor test field is not tangent to the manifold at the state."""
 

@@ -11,15 +11,14 @@ the flat embedding metric.  Every manifold here exposes
 * rotation_generator(nu): the linear map A(nu) in Hom(R^3, T_nu M) giving the
   infinitesimal action of ambient rotations on the descriptor, when the
   descriptor transforms under observer changes.  For the unit sphere and for
-  R^3-valued vector descriptors A(nu) q = q x nu; for symmetric 2-tensors it
-  is the commutator [W_q, nu] with W_q the spin matrix of q; products act on
-  each rotating factor with the same q.
+  R^3-valued vector descriptors A(nu) q = q x nu; products act on each
+  rotating factor with the same q.
 * rotation_generator_gradient(): dA = dA/dnu.  Every generator above is
   linear in nu, so dA is one constant (embed_dim, 3, embed_dim) tensor;
   callers broadcast it against per-cell arrays.
 
 All other operations vectorize over leading axes: points are arrays shaped
-(..., embed_dim).  Matrix-valued descriptors are embedded row-major.
+(..., embed_dim).
 """
 
 from __future__ import annotations
@@ -32,12 +31,10 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# alternating symbol, used for cross-product generators and spin matrices
+# alternating symbol, used for cross-product generators
 LEVI = np.zeros((3, 3, 3))
 LEVI[0, 1, 2] = LEVI[1, 2, 0] = LEVI[2, 0, 1] = 1.0
 LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
-
-SYM_EIG_FLOOR = 1e-8
 
 
 def rotation_from_vector(w: np.ndarray) -> np.ndarray:
@@ -52,18 +49,11 @@ def rotation_from_vector(w: np.ndarray) -> np.ndarray:
     return np.where(tiny, np.eye(3), R)
 
 
-def spin_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix W with W v = q x v."""
-    q = np.asarray(q, dtype=float)
-    return np.array([[0.0, -q[2], q[1]], [q[2], 0.0, -q[0]], [-q[1], q[0], 0.0]])
-
-
 class Manifold:
     """Base class; subclasses fill the geometry, this fixes the contracts."""
 
     name: str = "manifold"
     embed_dim: int = 0
-    has_boundary: bool = False
     rotation_generator_defined: bool = False
 
     def project(self, p: np.ndarray) -> np.ndarray:
@@ -113,7 +103,6 @@ class Euclidean(Manifold):
             raise ShapeMismatchError("Euclidean dimension must be >= 1")
         self.embed_dim = dim
         self.name = f"euclidean{dim}"
-        self.has_boundary = False
         self.rotation_generator_defined = dim == 3
 
     def project(self, p):
@@ -148,7 +137,6 @@ class UnitSphere(Manifold):
 
     embed_dim = 3
     name = "unit-sphere"
-    has_boundary = False
     rotation_generator_defined = True
 
     def project(self, p):
@@ -182,7 +170,6 @@ class Interval(Manifold):
     """Closed interval [lo, hi], for scalar order parameters (porosity)."""
 
     embed_dim = 1
-    has_boundary = True
     rotation_generator_defined = False
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
@@ -207,81 +194,6 @@ class Interval(Manifold):
         return rng.uniform(self.lo, self.hi, size=size + (1,))
 
 
-class SymPositive(Manifold):
-    """Symmetric positive-definite 3x3 tensors, embedded row-major in R^9.
-
-    Projection symmetrizes and clamps eigenvalues to >= SYM_EIG_FLOOR; the
-    behavior at the cone boundary is a regularization choice, not geometry.
-    Rotations act by conjugation, so A(nu) q = W_q nu - nu W_q.
-    """
-
-    embed_dim = 9
-    name = "sym-positive"
-    has_boundary = True
-    rotation_generator_defined = True
-
-    @staticmethod
-    def _as_matrix(p):
-        return p.reshape(p.shape[:-1] + (3, 3))
-
-    @staticmethod
-    def _as_vector(m):
-        return m.reshape(m.shape[:-2] + (9,))
-
-    def project(self, p):
-        p = self._check_embed(p)
-        m = self._as_matrix(p)
-        sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-        w, v = np.linalg.eigh(sym)
-        w = np.maximum(w, SYM_EIG_FLOOR)
-        clamped = np.einsum("...ik,...k,...jk->...ij", v, w, v)
-        return self._as_vector(clamped)
-
-    def tangent_project(self, nu, v):
-        self._check_embed(nu)
-        v = self._check_embed(v)
-        m = self._as_matrix(v)
-        return self._as_vector(0.5 * (m + np.swapaxes(m, -1, -2)))
-
-    def rotation_generator(self, nu):
-        nu = self._check_embed(nu)
-        m = self._as_matrix(nu)
-        # column j: [W_j, m] with W_j the spin matrix of e_j
-        cols = []
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            W = spin_matrix(e)
-            comm = np.einsum("ab,...bc->...ac", W, m) - np.einsum("...ab,bc->...ac", m, W)
-            cols.append(self._as_vector(comm))
-        return np.stack(cols, axis=-1)
-
-    def rotation_generator_gradient(self):
-        # d(W_j nu - nu W_j)_{ab} / d nu_{cd} = W_j[a,c] delta[b,d] - delta[a,c] W_j[d,b]
-        eye = np.eye(3)
-        dA = np.zeros((9, 3, 9))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            W = spin_matrix(e)
-            block = np.einsum("ac,bd->abcd", W, eye) - np.einsum("ac,db->abcd", eye, W)
-            dA[:, j, :] = block.reshape(9, 9)
-        return dA
-
-    def constraint_violation(self, p):
-        p = self._check_embed(p)
-        m = self._as_matrix(p)
-        asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-1, -2))
-        w = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
-        deficit = np.maximum(0.5 * SYM_EIG_FLOOR - w[..., 0], 0.0)
-        return asym + deficit
-
-    def random_point(self, rng, size=()):
-        g = rng.normal(size=size + (3, 3))
-        spd = np.einsum("...ij,...kj->...ik", g, g) + 0.05 * np.eye(3)
-        return self._as_vector(spd)
-
-
 class Product(Manifold):
     """Direct product of descriptor manifolds, embedded by concatenation.
 
@@ -295,7 +207,6 @@ class Product(Manifold):
         self.factors = factors
         self.embed_dim = sum(f.embed_dim for f in factors)
         self.name = name or "x".join(f.name for f in factors)
-        self.has_boundary = any(f.has_boundary for f in factors)
         self.rotation_generator_defined = any(f.rotation_generator_defined for f in factors)
         self._offsets = []
         at = 0

@@ -94,13 +94,11 @@ class MinimizeResult:
 
 def riesz_gradient(density: EnergyDensity, state: FieldState,
                    manifold: Manifold | None = None,
-                   project: bool = True,
                    vols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Volume-weighted nodal gradient of the discrete energy.
 
-    With project=True the descriptor part is tangent-projected and both
-    parts are zeroed on pinned and non-incident nodes; project=False returns
-    the unconstrained representative (used by duality tests).  vols are the
+    The descriptor part is tangent-projected (when a manifold is given) and
+    both parts are zeroed on pinned and non-incident nodes.  vols are the
     lumped nodal volumes of the state's mask, built here when not given.
 
     Only the partials of the slots the density reads are scattered.  Each
@@ -130,12 +128,12 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
     g_nu = block("N", density.d_N, "nu", density.d_nu)
     if g_u is None:
         g_u = np.zeros(state.u.shape)
-    elif project:
+    else:
         g_u[~incident] = 0.0
         g_u[state.pinned_u] = 0.0
     if g_nu is None:
         g_nu = np.zeros(state.nu.shape)
-    elif project:
+    else:
         if manifold is not None:
             g_nu = manifold.tangent_project(state.nu, g_nu)
         g_nu[~incident] = 0.0

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,8 @@ from .energy import (
     isotropic_elasticity,
 )
 from .errors import (
-    ComplexBodiesError,
     ConfigError,
+    InadmissibleStartError,
     ProjectionUndefinedError,
     ScenarioFailedError,
     ShapeMismatchError,
@@ -75,7 +75,7 @@ from .fields import (
     node_volumes,
     pin,
 )
-from .manifolds import Euclidean, Interval, Manifold, Product, SymPositive, UnitSphere
+from .manifolds import Euclidean, Interval, Manifold, Product, UnitSphere
 from .manifolds import degree_of_orientation, layer_director
 from .minimize import MinimizeConfig, MinimizeResult, minimize, riesz_gradient
 
@@ -315,22 +315,31 @@ def format_config(config: ScenarioConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# registries: one table per section, kind -> (defaults, builder)
+# registries: one table per section, kind -> (defaults, builder[, width])
 # ---------------------------------------------------------------------------
 
-def _build(section: str, table: dict, kind: str, params: dict, *args):
+def _build(section: str, table: dict, kind: str, params: dict, *args,
+           manifold: Manifold | None = None):
     """Call the builder of a section's kind on its defaults updated by params.
 
     An unknown kind or key, or a value the builder's constructor rejects, is
-    a config error; the known kinds and keys are read off the table.
+    a config error; the known kinds and keys are read off the table.  A
+    boundary or init kind that writes a fixed descriptor width names it as
+    the third entry of its row, and a manifold of another width is a config
+    error too.
     """
     if kind not in table:
         raise ConfigError(f"unknown {section} kind {kind!r}; known: {', '.join(table)}")
-    defaults, builder = table[kind]
+    defaults, builder, *width = table[kind]
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(
             f"unknown {kind} parameters {sorted(unknown)}; known: {sorted(defaults)}"
+        )
+    if width and width[0] != manifold.embed_dim:
+        raise ConfigError(
+            f"[{section}] {kind} writes a {width[0]}-component descriptor but manifold "
+            f"{manifold.name!r} embeds in {manifold.embed_dim}"
         )
     try:
         return builder({**defaults, **params}, *args)
@@ -515,12 +524,12 @@ def _two_face_ramp_rim(p: dict, state: FieldState, x, rim) -> list:
 
 BOUNDARIES = {
     "none": ({}, lambda p, state, x, rim: []),
-    "radial-director": ({}, lambda p, state, x, rim: [("nu", rim, _radial(x, state.grid))]),
-    "radial-orientation": ({"beta": 0.8}, _radial_orientation_rim),
+    "radial-director": ({}, lambda p, state, x, rim: [("nu", rim, _radial(x, state.grid))], 3),
+    "radial-orientation": ({"beta": 0.8}, _radial_orientation_rim, 4),
     "affine-stretch": ({"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
                        _affine_stretch_rim),
     "simple-shear": ({"gamma": 0.3}, lambda p, state, x, rim: [("u", rim, _sheared(p, x))]),
-    "tilted-layers": ({"tilt": 0.1}, _tilted_layers_rim),
+    "tilted-layers": ({"tilt": 0.1}, _tilted_layers_rim, 4),
     "two-face-ramp": ({"a": 0.0, "b": 1.0}, _two_face_ramp_rim),
 }
 
@@ -529,7 +538,8 @@ def apply_boundary(kind: str, params: dict, state: FieldState,
                    manifold: Manifold) -> None:
     """Pin the Dirichlet data of a registered boundary kind."""
     rim = boundary_node_mask(state.grid, state.active)
-    pins = _build("boundary", BOUNDARIES, kind, params, state, state.grid.node_coords(), rim)
+    pins = _build("boundary", BOUNDARIES, kind, params, state, state.grid.node_coords(), rim,
+                  manifold=manifold)
     for which, mask, values in pins:
         try:
             pin(state, which, mask, values, manifold)
@@ -574,23 +584,28 @@ def _ramp_init(p: dict, state: FieldState, x, xi) -> None:
 
 INITS = {
     "identity": ({}, lambda p, state, x, xi: None),
-    "radial": ({}, _radial_init),
-    "radial-orientation": ({"beta": 0.8}, _radial_orientation_init),
+    "radial": ({}, _radial_init, 3),
+    "radial-orientation": ({"beta": 0.8}, _radial_orientation_init, 4),
     "affine": ({"gamma": 0.05, "e1": 1.0, "e2": -0.3, "e3": -0.3, "nu_slope": 0.0},
                _affine_init),
     "shear": ({"gamma": 0.3}, _shear_init),
-    "layers": ({"tilt": 0.1, "amp": 0.05}, _layers_init),
+    "layers": ({"tilt": 0.1, "amp": 0.05}, _layers_init, 4),
     "ramp": ({"a": 0.0, "b": 1.0, "amp": 0.05}, _ramp_init),
 }
 
 
 def apply_init(kind: str, params: dict, state: FieldState,
                manifold: Manifold) -> None:
-    """Write the initial fields of a registered init kind into state."""
+    """Write the initial fields of a registered init kind into state, with
+    the descriptor projected onto the manifold."""
     grid = state.grid
     x = grid.node_coords()
     xi = (x - np.asarray(grid.lo)) / (np.asarray(grid.hi) - np.asarray(grid.lo))
-    _build("init", INITS, kind, params, state, x, xi)
+    _build("init", INITS, kind, params, state, x, xi, manifold=manifold)
+    try:
+        state.nu[...] = manifold.project(state.nu)
+    except ProjectionUndefinedError as exc:
+        raise ConfigError(f"[init] {kind}: descriptor data: {exc}") from None
 
 
 def _default_nu0(manifold: Manifold) -> np.ndarray:
@@ -600,8 +615,6 @@ def _default_nu0(manifold: Manifold) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
     if isinstance(manifold, Interval):
         return np.array([0.5 * (manifold.lo + manifold.hi)])
-    if isinstance(manifold, SymPositive):
-        return np.eye(3).reshape(9)
     return np.zeros(manifold.embed_dim)
 
 
@@ -632,7 +645,6 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
         state = FieldState(grid, state.u, state.nu, state.pinned_u,
                            state.pinned_nu, active=ball_mask(grid))
     apply_init(config.init_kind, config.init_params, state, manifold)
-    state.nu[...] = manifold.project(state.nu)
     apply_boundary(config.boundary_kind, config.boundary_params, state, manifold)
 
     checks = config.checks
@@ -804,18 +816,17 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             f"samples={rep.samples} violations={rep.violations} min_slack={_fg(rep.min_slack)}",
         )
     if checks["convexity"]:
-        mode = "in_minors_and_N" if density.minors_form() is not None else "in_N"
-        rep = check_convexity(density, mode=mode, n_segments=600, seed=config.seed)
+        rep = check_convexity(density, n_segments=600, seed=config.seed)
         record(
             "convexity",
             rep.passed,
-            f"mode={mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
+            f"mode={rep.mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
     # the duality check's gradient is taken before the actions, so its
     # working set is freed before theirs is allocated
     if checks["weak_el"]:
         vols = node_volumes(final.grid, final.active)
-        g_u, g_nu = riesz_gradient(density, final, manifold, project=True, vols=vols)
+        g_u, g_nu = riesz_gradient(density, final, manifold, vols=vols)
     # the cellwise actions are assembled only now, so the checks above run
     # without them alive; every check from here to eulerian reads them
     needs_actions = any(
@@ -924,8 +935,14 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from None
 
-    mres = minimize(built.density, built.state, built.manifold, config.minimize,
-                    callback=_log_progress)
+    try:
+        mres = minimize(built.density, built.state, built.manifold, config.minimize,
+                        callback=_log_progress)
+    except InadmissibleStartError as exc:
+        raise ConfigError(
+            f"start state of [init] {config.init_kind} under [boundary] "
+            f"{config.boundary_kind}: {exc}"
+        ) from None
     final = mres.state
 
     outcomes, check_lines, report = _run_checks(config, built, mres)

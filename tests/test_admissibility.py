@@ -14,18 +14,13 @@ from complexbodies.admissibility import (
     d_field,
     d_field_boundary_flux,
     defect_charges,
-    degree_on_surface,
 )
-from complexbodies.errors import (
-    ShapeMismatchError,
-    SurfaceOutsideDomainError,
-    WrongManifoldError,
-)
+from complexbodies.errors import ShapeMismatchError, WrongManifoldError
 from complexbodies.fields import Grid, ball_mask, identity_state, interior_node_mask
 from complexbodies.manifolds import UnitSphere, degree_of_orientation, rotation_from_vector
 from complexbodies.minimize import minimize
 from complexbodies.scenarios import materialize, preset_config
-from util import EZ, hedgehog_state, radial_director
+from util import EZ, hedgehog_state
 
 # a NaN cast to an index or an invalid comparison inside a check fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -375,8 +370,6 @@ class TestDefectReport:
         assert cl.charge == 1
         h = st.grid.spacing[0]
         assert np.linalg.norm(cl.center - np.asarray(center)) <= 2.0 * h
-        assert np.all(cl.box_lo <= np.asarray(center))
-        assert np.all(cl.box_hi >= np.asarray(center))
         assert rep.total_flux == pytest.approx(4.0 * np.pi, rel=1e-9)
         assert rep.boundary_degree == pytest.approx(1.0, abs=1e-9)
 
@@ -386,14 +379,6 @@ class TestDefectReport:
         assert rep.total_charge == -1
         assert rep.clusters[0].charge == -1
         assert rep.total_flux == pytest.approx(-4.0 * np.pi, rel=1e-9)
-
-    def test_margin_grows_box(self):
-        st = hedgehog_state(resolution=16, center=(0.04, 0.05, 0.03))
-        tight = defect_charges(st, margin=0).clusters[0]
-        wide = defect_charges(st, margin=3).clusters[0]
-        h = st.grid.spacing[0]
-        assert np.allclose(wide.box_lo, tight.box_lo - 3 * h)
-        assert np.allclose(wide.box_hi, tight.box_hi + 3 * h)
 
     def test_defect_free_empty_report(self):
         st = _identity(res=8)
@@ -405,25 +390,14 @@ class TestDefectReport:
 
 class TestSurfaceDegree:
     def test_degree_counts_enclosed_defect(self):
+        # the degree on the boundary of a cell region is its charge sum
         st = hedgehog_state(resolution=16, center=(0.03, 0.02, 0.01), ball=False)
+        q = cell_charges(st)
         cc = st.grid.cell_centers()
         region = np.linalg.norm(cc, axis=-1) < 0.6
-        assert degree_on_surface(st, region) == pytest.approx(1.0, abs=1e-9)
+        assert q[region].sum() == pytest.approx(1.0, abs=1e-9)
         off = np.linalg.norm(cc - np.array([0.7, 0.0, 0.0]), axis=-1) < 0.2
-        assert degree_on_surface(st, off) == pytest.approx(0.0, abs=1e-9)
-
-    def test_region_outside_domain_raises(self):
-        st = hedgehog_state(resolution=16, ball=True, radius=0.8)
-        region = np.ones(st.grid.cells, dtype=bool)
-        with pytest.raises(SurfaceOutsideDomainError):
-            degree_on_surface(st, region)
-
-    def test_region_validation(self):
-        st = hedgehog_state(resolution=8, ball=False)
-        with pytest.raises(ShapeMismatchError):
-            degree_on_surface(st, np.ones((3, 3, 3), dtype=bool))
-        with pytest.raises(ShapeMismatchError):
-            degree_on_surface(st, np.zeros(st.grid.cells, dtype=bool))
+        assert q[off].sum() == pytest.approx(0.0, abs=1e-9)
 
 
 class TestBoundaryFlux:

@@ -8,13 +8,14 @@ means every enabled check passed but the descent did not converge.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import complexbodies
 from complexbodies.cli import main
-from complexbodies.scenarios import parse_config, preset_config, preset_names
+from complexbodies.scenarios import format_config, parse_config, preset_config, preset_names
 
 TINY = """
 [scenario]
@@ -224,6 +225,19 @@ def test_zero_rim_director_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "zero vector" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_inadmissible_start_exits_two(tmp_path, capsys):
+    # the start shears by 0.2 inside a rim sheared by 0.3: next to the face
+    # x1 = 0, du1/dx1 = 1 - 0.1 x2 / h, negative near x2 = 1 once h < 0.1
+    cfg = preset_config("quasicrystal-shear")
+    cfg = replace(cfg, resolution=12, init_params={"gamma": 0.2})
+    config = _write(tmp_path, format_config(cfg))
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: start state of [init] shear under [boundary] "
+                          "simple-shear: ")
+    assert "volumetric barrier" in err
 
 
 def test_bad_check_flag_exits_two(tmp_path, capsys):

@@ -14,10 +14,8 @@ from complexbodies.energy import (
     GinzburgLandau,
     GrowthSpec,
     LineDefect,
-    MinorsPower,
     ModulatedWell,
     Quasicrystal,
-    QuadraticTensor,
     QuadraticVector,
     SmecticA,
     SumDensity,
@@ -56,16 +54,6 @@ def _vector_quadratic(coupled=True):
     )
 
 
-def _tensor_quadratic():
-    d = np.eye(3)
-    A1 = 0.2 * np.einsum("ij,ab->ijab", d, d)
-    A3 = np.einsum("ac,bd->abcd", d, d)
-    A5 = 0.8 * np.einsum("ac,bd,ij->abicdj", d, d, d)
-    return QuadraticTensor(
-        C=isotropic_elasticity(2.0, 1.0), A1=A1, A3=A3, A5=A5, centrosymmetric=True
-    )
-
-
 ALL_DENSITIES = [
     DirichletDescriptor(3, name="dirichlet-sphere"),
     GinzburgLandau(ComponentDoubleWell(1.3, -1.0, 1.0, component=0), 0.7, embed_dim=3),
@@ -82,10 +70,8 @@ ALL_DENSITIES = [
         embed_dim=4,
     ),
     _vector_quadratic(),
-    _tensor_quadratic(),
     CompressibleMacro(1.0, 0.7, 1.4),
-    CompressibleMacro(1.0, 1.0, 1.0, normalize_reference=True),
-    MinorsPower(c=0.6, r=2.0),
+    CompressibleMacro(1.0, 1.0, 0.6),  # the macro part of the quasicrystal presets
     Quasicrystal(phason_stiffness=0.8),
     Quasicrystal(
         macro=CompressibleMacro(0.5, 0.5, 1.0),
@@ -211,31 +197,14 @@ _VECTOR_EINSUM = {
     "d_N": (("A2", "ijak,...ij->...ak", "e"), ("A4", "agk,...a->...gk", "n"),
             ("A5", "aicj,...ai->...cj", "N")),
 }
-_TENSOR_EINSUM = {
-    "eval": (("C", "ijhk,...ij,...hk->...", "ee"), ("A3", "abcd,...ab,...cd->...", "nn"),
-             ("A1", "ijab,...ij,...ab->...", "en"), ("A2", "ijabk,...ij,...abk->...", "eN"),
-             ("A4", "abcdk,...ab,...cdk->...", "nN"), ("A5", "abicdj,...abi,...cdj->...", "NN")),
-    "d_F": (("C", "ijhk,...hk->...ij", "e"), ("A1", "ijab,...ab->...ij", "n"),
-            ("A2", "ijabk,...abk->...ij", "N")),
-    "d_nu": (("A3", "abcd,...cd->...ab", "n"), ("A1", "ijab,...ij->...ab", "e"),
-             ("A4", "abcdk,...cdk->...ab", "N")),
-    "d_N": (("A2", "ijabk,...ij->...abk", "e"), ("A4", "abcdk,...ab->...cdk", "n"),
-            ("A5", "abicdj,...abi->...cdj", "N")),
-}
 
 
 def _einsum_quadratic(dens, method, F, nu, N):
     """A quadratic density's eval or partial by einsum on its own tensors."""
-    table = _VECTOR_EINSUM if dens.embed_dim == 3 else _TENSOR_EINSUM
     tensors = {k: M.reshape(dens.shapes[k]) for k, M in dens.tensors.items()}
-    nu_shape = dens.shapes["A3"][: len(dens.shapes["A3"]) // 2]
-    ops = {
-        "e": 0.5 * (F + np.swapaxes(F, -1, -2)) - np.eye(3),
-        "n": nu.reshape(nu.shape[:-1] + nu_shape),
-        "N": N.reshape(N.shape[:-2] + nu_shape + (3,)),
-    }
-    out = np.zeros(ops["N"].shape) if method == "d_N" else 0.0
-    for label, subscripts, operands in table[method]:
+    ops = {"e": 0.5 * (F + np.swapaxes(F, -1, -2)) - np.eye(3), "n": nu, "N": N}
+    out = np.zeros(N.shape) if method == "d_N" else 0.0
+    for label, subscripts, operands in _VECTOR_EINSUM[method]:
         if label in tensors:
             half = 0.5 if method == "eval" and label in ("C", "A3", "A5") else 1.0
             out = out + half * np.einsum(subscripts, tensors[label], *(ops[o] for o in operands))
@@ -249,10 +218,11 @@ def _einsum_quasicrystal(dens, method, F, nu, N):
     """The coupled quasicrystal's eval or partial with its coupling by einsum."""
     B = dens.coupling
     if method == "eval":
-        return (dens.macro.macro_eval(F) + 0.5 * dens.K * np.einsum("...ai,...ai->...", N, N)
+        macro = dens.macro.eval(None, None, F, None, None)
+        return (macro + 0.5 * dens.K * np.einsum("...ai,...ai->...", N, N)
                 + np.einsum("ijak,...ij,...ak->...", B, F, N))
     if method == "d_F":
-        return dens.macro.macro_d_F(F) + np.einsum("ijak,...ak->...ij", B, N)
+        return dens.macro.d_F(None, None, F, None, None) + np.einsum("ijak,...ak->...ij", B, N)
     if method == "d_N":
         return dens.K * N + np.einsum("ijak,...ij->...ak", B, F)
     return np.zeros(nu.shape)
@@ -266,11 +236,9 @@ def _random_quadratic(cls, rng, **fixed):
 _PRESET_TENSORS = [
     build_density("microcracked", {}, Euclidean(3)),
     build_density("quasicrystal", {"kappa": 0.35}, Euclidean(3)),
-    _tensor_quadratic(),
 ]
 _DENSE_TENSORS = [
     _random_quadratic(QuadraticVector, np.random.default_rng(1)),
-    _random_quadratic(QuadraticTensor, np.random.default_rng(2)),
     Quasicrystal(phason_stiffness=0.8,
                  coupling=np.random.default_rng(3).normal(size=(3, 3, 3, 3))),
 ]
@@ -358,9 +326,9 @@ class TestQuadraticClosedForms:
                 centrosymmetric=True,
             )
         with pytest.raises(ShapeMismatchError):
-            QuadraticTensor(
+            QuadraticVector(
                 C=isotropic_elasticity(1.0, 1.0),
-                A2=np.zeros((3, 3, 3, 3, 3)),
+                A4=np.zeros((3, 3, 3)),
                 centrosymmetric=True,
             )
 
@@ -368,22 +336,7 @@ class TestQuadraticClosedForms:
         with pytest.raises(ShapeMismatchError):
             QuadraticVector(C=np.zeros((3, 3)))
         with pytest.raises(ShapeMismatchError):
-            QuadraticTensor(C=isotropic_elasticity(1, 1), A5=np.zeros((3, 3)))
-
-    def test_tensor_descriptor_embedding_roundtrip(self):
-        dens = _tensor_quadratic()
-        rng = np.random.default_rng(9)
-        b = sample_states(rng, 10, 9)
-        e = dens.eval(b.x, b.u, b.F, b.nu, b.N)
-        # A3 = identity on 3x3 matrices: its contribution is |nu|^2 / 2
-        dens_a3 = QuadraticTensor(
-            C=np.zeros((3, 3, 3, 3)),
-            A3=np.einsum("ac,bd->abcd", np.eye(3), np.eye(3)),
-            centrosymmetric=True,
-        )
-        got = dens_a3.eval(b.x, b.u, b.F, b.nu, b.N)
-        assert np.allclose(got, 0.5 * np.sum(b.nu**2, axis=-1))
-        assert np.all(np.isfinite(e))
+            QuadraticVector(C=isotropic_elasticity(1, 1), A5=np.zeros((3, 3)))
 
 
 class TestMacroEnergies:
@@ -394,9 +347,6 @@ class TestMacroEnergies:
         z = np.zeros((1, 3))
         val = dens.eval(z, z, I, z, np.zeros((1, 1, 3)))[0]
         assert val == pytest.approx(3 * a + 3 * b)
-        norm = CompressibleMacro(a, b, c, normalize_reference=True)
-        assert norm.eval(z, z, I, z, np.zeros((1, 1, 3)))[0] == pytest.approx(0.0)
-        assert norm.growth_meta is None
 
     def test_squeeze_path_diverges(self):
         dens = CompressibleMacro(1.0, 1.0, 1.0)
@@ -437,7 +387,6 @@ class TestGrowth:
         [
             DirichletDescriptor(3, name="dirichlet-sphere"),
             CompressibleMacro(1.0, 0.7, 1.4),
-            MinorsPower(c=0.6, r=2.0),
             Quasicrystal(phason_stiffness=0.8),
             GinzburgLandau(
                 ComponentDoubleWell(1.0, -1.0, 1.0), 0.5, embed_dim=3, well_nonnegative=True
@@ -449,11 +398,6 @@ class TestGrowth:
         rep = check_growth(density, n=20_000, seed=2)
         assert rep.passed, f"{density.name}: {rep.violations} violations, slack {rep.min_slack}"
 
-    def test_minors_power_bound_is_tight(self):
-        dens = MinorsPower(c=0.6, r=2.0)
-        rep = check_growth(dens, n=2_000, seed=4)
-        assert abs(rep.min_slack) < 1e-9
-
     def test_overclaimed_bound_fails(self):
         dens = CompressibleMacro(1.0, 1.0, 1.0)
         greedy = GrowthSpec(
@@ -464,18 +408,11 @@ class TestGrowth:
         assert rep.min_slack < 0
 
     def test_no_growth_claim_raises(self):
-        dens = CompressibleMacro(1.0, 1.0, 1.0, normalize_reference=True)
+        # a well that may be negative leaves the stiffness term no bound
+        dens = GinzburgLandau(ComponentDoubleWell(-1.0, 0.0, 1.0), 0.5, embed_dim=3)
+        assert dens.growth_meta is None
         with pytest.raises(GeneratorUnavailableError):
             check_growth(dens)
-
-    def test_h3_variant_bound(self):
-        spec = GrowthSpec(c1=0.25, variant="H3", s=2.0, theta=None)
-        F = np.eye(3)[None]
-        N = np.zeros((1, 2, 3))
-        N[0, 0, 0] = 2.0
-        # |F|^2 = 3, |cof|^(3/2) = 3^(3/4), |N|^2 = 4
-        expected = 0.25 * (3.0 + 3.0**0.75 + 4.0)
-        assert spec.bound(F, N)[0] == pytest.approx(expected)
 
     def test_spec_validation(self):
         for c1 in (-1.0, float("nan")):
@@ -483,11 +420,11 @@ class TestGrowth:
                 GrowthSpec(c1=c1)
         with pytest.raises(ShapeMismatchError):
             GrowthSpec(c1=1.0, r=1.0)
-        with pytest.raises(ShapeMismatchError):
-            GrowthSpec(c1=1.0, variant="H9")
 
 
 class TestConvexity:
+    # the probe that check_convexity picks covers convexity in N: it varies
+    # N alone, or (minors, N) jointly when the density registers a form
     @pytest.mark.parametrize(
         "density",
         [
@@ -499,13 +436,12 @@ class TestConvexity:
         ids=lambda d: d.name,
     )
     def test_convex_in_gradient(self, density):
-        rep = check_convexity(density, mode="in_N", n_segments=800, seed=1)
+        rep = check_convexity(density, n_segments=800, seed=1)
         assert rep.passed, f"defect {rep.max_defect} vs scale {rep.scale}"
 
     @pytest.mark.parametrize(
         "density",
         [
-            MinorsPower(c=0.6, r=2.0),
             CompressibleMacro(1.0, 0.7, 1.4),
             Quasicrystal(phason_stiffness=0.8),
             _vector_quadratic(coupled=False),
@@ -513,7 +449,8 @@ class TestConvexity:
         ids=lambda d: d.name,
     )
     def test_convex_in_minors(self, density):
-        rep = check_convexity(density, mode="in_minors_and_N", n_segments=800, seed=1)
+        rep = check_convexity(density, n_segments=800, seed=1)
+        assert rep.mode == "in_minors_and_N"
         assert rep.passed, f"defect {rep.max_defect} vs scale {rep.scale}"
 
     @pytest.mark.parametrize(
@@ -522,25 +459,28 @@ class TestConvexity:
         ids=lambda d: d.name,
     )
     def test_minors_form_is_the_density(self, density):
-        # the in_minors_and_N probe runs on minors_form, a second copy of the
-        # energy: at m = (F, cof F, det F) it must equal eval
-        b = sample_states(np.random.default_rng(23), 500, density.embed_dim)
+        # the convexity probe runs on minors_form, and eval is that form at
+        # m = (F, cof F, det F): the two agree bit for bit, signs of zeros too
+        b = sample_states(np.random.default_rng(23), 20_000, density.embed_dim)
         got = density.minors_form()(b.F, cofactor(b.F), det3(b.F), b.N, x=b.x, u=b.u, nu=b.nu)
         want = density.eval(b.x, b.u, b.F, b.nu, b.N)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_smectic_layer_term_not_convex(self):
-        rep = check_convexity(SmecticA(), mode="in_N", n_segments=2_000, seed=0)
+        rep = check_convexity(SmecticA(), n_segments=2_000, seed=0)
+        assert rep.mode == "in_N"
         assert not rep.passed
 
-    def test_missing_form_raises(self):
-        dens = GinzburgLandau(ComponentDoubleWell(1.0, 0.0, 1.0), 0.5, embed_dim=3)
-        with pytest.raises(GeneratorUnavailableError):
-            check_convexity(dens, mode="in_minors_and_N")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ShapeMismatchError):
-            check_convexity(DirichletDescriptor(3), mode="in_F")
+    def test_mode_follows_the_minors_form(self):
+        coupled = build_density("quasicrystal", {"kappa": 0.35}, Euclidean(3))
+        plain = build_density("quasicrystal", {}, Euclidean(3))
+        assert coupled.minors_form() is None and plain.minors_form() is not None
+        rep = check_convexity(coupled, n_segments=800, seed=1)
+        assert rep.mode == "in_N" and rep.passed
+        assert check_convexity(plain, n_segments=10).mode == "in_minors_and_N"
+        mixed = SumDensity([DirichletDescriptor(3), coupled])
+        assert check_convexity(mixed, n_segments=10).mode == "in_N"
 
 
 class TestSumDensity:

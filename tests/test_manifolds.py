@@ -1,8 +1,8 @@
 """Descriptor-manifold contracts: projections, retractions, rotation actions.
 
 Rotation-action oracles apply a finite ambient rotation to the descriptor in
-its native representation (rotate a vector, conjugate a tensor, rotate the
-sphere factor of a product) and compare against the infinitesimal generator.
+its native representation (rotate a vector, rotate the sphere factor of a
+product) and compare against the infinitesimal generator.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ from complexbodies.errors import (
     ShapeMismatchError,
 )
 from complexbodies.manifolds import (
-    SYM_EIG_FLOOR,
     Euclidean,
     Interval,
     Product,
-    SymPositive,
     UnitSphere,
     degree_of_orientation,
     layer_director,
     rotation_from_vector,
-    spin_matrix,
 )
 from complexbodies.scenarios import build_manifold
 
@@ -40,7 +37,6 @@ ALL_MANIFOLDS = [
     Euclidean(2),
     UnitSphere(),
     Interval(0.0, 1.0),
-    SymPositive(),
     degree_of_orientation(),
     layer_director(),
 ]
@@ -54,9 +50,6 @@ def rotate_descriptor(manifold, R, nu):
         isinstance(manifold, Euclidean) and manifold.embed_dim == 3
     ):
         return R @ nu
-    if isinstance(manifold, SymPositive):
-        m = nu.reshape(3, 3)
-        return (R @ m @ R.T).reshape(9)
     if isinstance(manifold, Product):
         out = []
         at = 0
@@ -115,14 +108,6 @@ class TestNormalAnnihilation:
         out = UnitSphere().tangent_project(nu, 3.7 * nu)
         assert np.allclose(out, 0.0, atol=1e-12)
 
-    def test_sym_positive_kills_antisymmetric(self):
-        rng = np.random.default_rng(27)
-        m = SymPositive()
-        nu = m.random_point(rng, (5,))
-        a = rng.normal(size=(5, 3, 3))
-        anti = (a - np.swapaxes(a, -1, -2)).reshape(5, 9)
-        assert np.allclose(m.tangent_project(nu, anti), 0.0, atol=1e-12)
-
 
 @pytest.mark.parametrize("manifold", CURVED, ids=lambda m: m.name)
 def test_retraction_first_order(manifold):
@@ -150,7 +135,7 @@ def test_retraction_first_order(manifold):
 
 def test_flat_retraction_is_exact():
     rng = np.random.default_rng(29)
-    for manifold in (Euclidean(3), SymPositive()):
+    for manifold in (Euclidean(3), Euclidean(1)):
         nu = manifold.project(manifold.random_point(rng))
         v = manifold.tangent_project(nu, 1e-3 * rng.normal(size=manifold.embed_dim))
         step = np.linalg.norm(manifold.retract(nu, v) - nu)
@@ -165,7 +150,7 @@ class TestRotationGenerator:
 
     @pytest.mark.parametrize(
         "manifold",
-        [Euclidean(3), UnitSphere(), SymPositive(), degree_of_orientation(), layer_director()],
+        [Euclidean(3), UnitSphere(), degree_of_orientation(), layer_director()],
         ids=lambda m: m.name,
     )
     def test_generator_matches_finite_rotation(self, manifold):
@@ -185,7 +170,7 @@ class TestRotationGenerator:
 
     @pytest.mark.parametrize(
         "manifold",
-        [Euclidean(3), UnitSphere(), SymPositive(), degree_of_orientation(), layer_director()],
+        [Euclidean(3), UnitSphere(), degree_of_orientation(), layer_director()],
         ids=lambda m: m.name,
     )
     def test_generator_is_tangent(self, manifold):
@@ -197,7 +182,7 @@ class TestRotationGenerator:
 
     @pytest.mark.parametrize(
         "manifold",
-        [Euclidean(3), UnitSphere(), SymPositive(), degree_of_orientation()],
+        [Euclidean(3), UnitSphere(), degree_of_orientation()],
         ids=lambda m: m.name,
     )
     def test_generator_gradient_matches_fd(self, manifold):
@@ -235,23 +220,9 @@ class TestSpecificManifolds:
         assert itv.project(np.array([-0.2])) == pytest.approx(0.0)
         assert itv.retract(np.array([0.9]), np.array([0.4])) == pytest.approx(1.0)
 
-    def test_sym_positive_clamps_eigenvalues(self):
-        m = SymPositive()
-        bad = np.diag([1.0, -2.0, 0.0]).reshape(9)
-        proj = m.project(bad).reshape(3, 3)
-        w = np.linalg.eigvalsh(proj)
-        assert np.all(w >= SYM_EIG_FLOOR * (1 - 1e-9))
-        assert np.allclose(proj, proj.T, atol=1e-14)
-
-    def test_sym_positive_nearest_on_spd(self):
-        rng = np.random.default_rng(33)
-        p = SymPositive().random_point(rng)
-        assert np.allclose(SymPositive().project(p), p, atol=1e-10)
-
     def test_degree_of_orientation_blocks(self):
         d = degree_of_orientation()
         assert d.embed_dim == 4
-        assert d.has_boundary
         p = d.project(np.array([0.0, 2.0, 0.0, 3.5]))
         assert np.allclose(p, [0.0, 1.0, 0.0, 1.0], atol=1e-14)
 
@@ -272,7 +243,6 @@ class TestSpecificManifolds:
         ):
             m = build_manifold(name, {})
             assert m.embed_dim >= 1
-        assert SymPositive().embed_dim == 9
         with pytest.raises(ConfigError, match="moebius"):
             build_manifold("moebius", {})
 
@@ -289,13 +259,6 @@ def test_rotation_from_vector_is_rotation():
         R = rotation_from_vector(rng.normal(size=3))
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spin_matrix_cross_product():
-    rng = np.random.default_rng(35)
-    q = rng.normal(size=3)
-    v = rng.normal(size=3)
-    assert np.allclose(spin_matrix(q) @ v, np.cross(q, v), atol=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -316,7 +279,7 @@ def test_sphere_projection_properties(seed):
 @settings(max_examples=40, deadline=None)
 def test_tangent_project_is_orthogonal_projection(seed):
     rng = np.random.default_rng(seed)
-    manifold = [UnitSphere(), SymPositive(), degree_of_orientation()][seed % 3]
+    manifold = [UnitSphere(), layer_director(), degree_of_orientation()][seed % 3]
     nu = manifold.project(manifold.random_point(rng))
     v = rng.normal(size=manifold.embed_dim)
     t = manifold.tangent_project(nu, v)

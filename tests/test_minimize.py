@@ -79,7 +79,7 @@ def _all_slots_energy(density, state):
     return float(sel.sum() * state.grid.cell_volume) if np.all(np.isfinite(sel)) else np.inf
 
 
-def _all_partials_gradient(density, state, manifold, project):
+def _all_partials_gradient(density, state, manifold):
     """riesz_gradient scattering all four partials, zero ones included."""
     grid = state.grid
     gf = gradients(state)
@@ -90,13 +90,11 @@ def _all_partials_gradient(density, state, manifold, project):
     raw_nu += scatter_cell_average_adjoint(density.d_nu(*args), grid, state.active)
     vols = node_volumes(grid, state.active)
     g_u = divide_by_volume(raw_u, vols)
-    g_nu = divide_by_volume(raw_nu, vols)
-    if project:
-        g_nu = manifold.tangent_project(state.nu, g_nu)
-        g_u[vols <= 0] = 0.0
-        g_nu[vols <= 0] = 0.0
-        g_u[state.pinned_u] = 0.0
-        g_nu[state.pinned_nu] = 0.0
+    g_nu = manifold.tangent_project(state.nu, divide_by_volume(raw_nu, vols))
+    g_u[vols <= 0] = 0.0
+    g_nu[vols <= 0] = 0.0
+    g_u[state.pinned_u] = 0.0
+    g_nu[state.pinned_nu] = 0.0
     return g_u, g_nu
 
 
@@ -145,10 +143,9 @@ class TestReadOnlyWhatTheDensityReads:
         state = _perturbed_state(kind)
         man = UnitSphere()
         assert total_energy(density, state) == _all_slots_energy(density, state)
-        for project in (True, False):
-            got = riesz_gradient(density, state, man, project=project)
-            want = _all_partials_gradient(density, state, man, project)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        got = riesz_gradient(density, state, man)
+        want = _all_partials_gradient(density, state, man)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("kind", ["ball3", "box3"])
     def test_zero_density(self, kind):
@@ -156,10 +153,9 @@ class TestReadOnlyWhatTheDensityReads:
         dens = EnergyDensity()
         assert dens.reads == frozenset()
         assert total_energy(dens, state) == 0.0
-        for project in (True, False):
-            g_u, g_nu = riesz_gradient(dens, state, UnitSphere(), project=project)
-            assert g_u.shape == state.u.shape and g_nu.shape == state.nu.shape
-            assert not g_u.any() and not g_nu.any()
+        g_u, g_nu = riesz_gradient(dens, state, UnitSphere())
+        assert g_u.shape == state.u.shape and g_nu.shape == state.nu.shape
+        assert not g_u.any() and not g_nu.any()
 
     def test_dirichlet_gathers_and_scatters_only_its_gradient(self, monkeypatch):
         counts = {"gather": 0, "scatter": 0}
@@ -192,11 +188,15 @@ class TestRieszDuality:
             rng = np.random.default_rng(1)
             state.u = state.u + 0.02 * rng.normal(size=state.u.shape)
             state.nu = state.nu + 0.1 * rng.normal(size=state.nu.shape)
-        g_u, g_nu = riesz_gradient(dens, state, man, project=False)
+        g_u, g_nu = riesz_gradient(dens, state, man)
         vols = node_volumes(state.grid, state.active)
+        # the gradient is the representative on the free nodes: the
+        # variations vanish on the pinned ones
         rng = np.random.default_rng(3)
         h_u = rng.normal(size=state.u.shape)
         h_nu = rng.normal(size=state.nu.shape)
+        h_u[state.pinned_u] = 0.0
+        h_nu[state.pinned_nu] = 0.0
         t = 1e-6
         plus, minus = state.copy(), state.copy()
         plus.u = state.u + t * h_u

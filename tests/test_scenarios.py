@@ -393,9 +393,50 @@ def test_readme_documents_every_kind_with_its_defaults():
         documented.setdefault(sec, {})[kind] = defaults
     assert len(rows) == sum(len(table) for table in _TABLES.values())
     assert documented == {
-        sec: {kind: defaults for kind, (defaults, _) in table.items()}
+        sec: {kind: row[0] for kind, row in table.items()}
         for sec, table in _TABLES.items()
     }
+
+
+# every [boundary] and every [init] kind on every manifold kind, under the
+# dirichlet density, which takes a descriptor of any width
+_KIND_PAIRS = [
+    (manifold, section, kind)
+    for manifold in scenarios.MANIFOLDS
+    for section in ("boundary", "init")
+    for kind in _TABLES[section]
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("manifold,section,kind", _KIND_PAIRS,
+                         ids=["-".join(case) for case in _KIND_PAIRS])
+def test_every_kind_on_every_manifold_materializes_or_is_config_error(manifold, section,
+                                                                       kind):
+    cfg = ScenarioConfig(name="pair", resolution=3, manifold_kind=manifold,
+                         **{f"{section}_kind": kind})
+    try:
+        materialize(cfg)
+    except ConfigError:
+        pass
+
+
+def test_fixed_width_kind_names_section_kind_and_manifold():
+    with pytest.raises(ConfigError) as err:
+        materialize(ScenarioConfig(name="bad", resolution=3, init_kind="layers"))
+    assert str(err.value) == ("[init] layers writes a 4-component descriptor but "
+                              "manifold 'unit-sphere' embeds in 3")
+    with pytest.raises(ConfigError) as err:
+        materialize(ScenarioConfig(name="bad", resolution=3, manifold_kind="interval",
+                                   boundary_kind="radial-director"))
+    assert str(err.value) == ("[boundary] radial-director writes a 3-component "
+                              "descriptor but manifold 'interval[0,1]' embeds in 1")
+
+
+def test_zero_start_director_is_config_error():
+    # affine with nu_slope = 0 writes the zero vector, which no director is
+    with pytest.raises(ConfigError, match=r"^\[init\] affine: .*zero vector"):
+        materialize(ScenarioConfig(name="bad", resolution=3, init_kind="affine"))
 
 
 def test_growth_check_needs_documented_bound():
