@@ -15,7 +15,6 @@ and evaluates every balance the theory provides:
   pair (h, upsilon), dual-exact to the minimizer's assembled gradient;
   the test fields are drawn up front and built on demand, one builder per
   field, so pairs can be checked in any order or concurrently;
-* strong interior residuals Div P + b and Div S - zeta (tangent-projected);
 * the rotational balance: the axial vector of P F^T must equal
   A* z + (DA)* S, with A the manifold's rotation generator evaluated at the
   raw cell average so the identity is algebraic, not asymptotic;
@@ -49,8 +48,6 @@ from .fields import (
     GradientField,
     cell_average,
     cell_gradient,
-    cell_to_node_average,
-    divergence,
     gradients,
     integrate_cells,
     interior_node_mask,
@@ -65,10 +62,8 @@ _SLAB_CELLS = 4096
 # largest drift of a descriptor test field off the tangent space, relative
 # to 1 + its sup norm, that weak_el_residual accepts
 TANGENT_TOL = 1e-8
-# cells between the support of a random test field and the active boundary,
-# and between the active boundary and a node where strong residuals are read
+# cells between the support of a random test field and the active boundary
 TEST_MARGIN = 2
-STRONG_MARGIN = 1
 
 
 @dataclass(frozen=True)
@@ -234,55 +229,6 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
         np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, state.active
     )
     return Residual(name=f"weak_el[{k}]", raw=raw, scale=scale)
-
-
-# ---------------------------------------------------------------------------
-# strong interior residuals
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StrongResiduals:
-    cauchy: np.ndarray
-    capriz: np.ndarray
-    interior: np.ndarray
-    cauchy_residual: Residual
-    capriz_residual: Residual
-
-
-def strong_residuals(bf: BalanceFields) -> StrongResiduals:
-    """Nodal Div P + b and Div S - zeta, reported on interior nodes.
-
-    The discrete divergence is the exact negative adjoint of the cell
-    gradient; pointwise consistency holds one cell away from the active
-    boundary, so sup ratios are taken over that interior.
-    """
-    state = bf.state
-    grid = state.grid
-    divP = divergence(bf.P, grid, state.active)
-    divS = divergence(bf.S, grid, state.active)
-    b_n = cell_to_node_average(bf.b, grid, state.active)
-    zeta_n = cell_to_node_average(bf.zeta_ambient, grid, state.active)
-    cau = divP + b_n
-    cap = divS - zeta_n
-    if bf.manifold is not None:
-        cap = bf.manifold.tangent_project(state.nu, cap)
-        zeta_n = bf.manifold.tangent_project(state.nu, zeta_n)
-        divS_t = bf.manifold.tangent_project(state.nu, divS)
-    else:
-        divS_t = divS
-    inside = interior_node_mask(grid, state.active, margin=STRONG_MARGIN)
-
-    def sup(f):
-        if not inside.any():
-            return 0.0
-        return float(np.max(np.linalg.norm(f[inside], axis=-1)))
-
-    cau_res = Residual("strong_cauchy", sup(cau), sup(divP) + sup(b_n) + _TINY)
-    cap_res = Residual("strong_capriz", sup(cap), sup(divS_t) + sup(zeta_n) + _TINY)
-    return StrongResiduals(
-        cauchy=cau, capriz=cap, interior=inside,
-        cauchy_residual=cau_res, capriz_residual=cap_res,
-    )
 
 
 # ---------------------------------------------------------------------------

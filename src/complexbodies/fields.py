@@ -15,13 +15,15 @@ loops over it; every operator below is derived from those:
   Weighted by cell volume it gives both adjoints; the lumped nodal volume is
   the average adjoint of the active indicator, and the nodes incident to the
   body are those of positive volume.
-* Integration is midpoint quadrature, and the nodal divergence is the
-  negative gradient adjoint over the lumped volume, so summation by parts
+* Integration is midpoint quadrature, and the adjoints are exact
+  transposes, so summation by parts
 
-      sum_cells T : Dh vol + sum_nodes Div(T) . h vol_node = 0
+      sum_cells T : Dh vol = sum_nodes scatter_gradient_adjoint(T) . h
 
-  holds to round-off for every nodal h.  That ties weak residuals, strong
-  residuals, and the minimizer's gradient together.
+  holds to round-off for every nodal h.  Over the lumped volume,
+  -scatter_gradient_adjoint(T) is a nodal divergence of T, consistent to
+  O(h^2) one cell inside the body.  The minimizer's gradient is built this
+  way from a density's partials, so it pairs with the weak residual exactly.
 * The table for d = 1 holds the two-point average and difference, and the
   d-D table is its d-fold tensor product.  h1_solver builds the H1 metric
   K + M (gradient stiffness plus lumped volumes) from those 1-D factors and
@@ -275,7 +277,7 @@ def integrate_cells(values: np.ndarray, grid: Grid, active: np.ndarray | None = 
 
 
 # ---------------------------------------------------------------------------
-# transposes: energy gradients, lumped volumes, divergence, incidence
+# transposes: energy gradients, lumped volumes, incidence
 # ---------------------------------------------------------------------------
 
 def scatter_cell_average_adjoint(v: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
@@ -308,24 +310,6 @@ def divide_by_volume(raw: np.ndarray, vols: np.ndarray) -> np.ndarray:
     """Nodal raw / vols where the lumped volume is positive, 0 elsewhere."""
     denom = vols[(...,) + (None,) * (raw.ndim - vols.ndim)]
     return np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), 0.0)
-
-
-def divergence(T: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
-    """Nodal divergence of a cell tensor field (cells..., comp..., 3).
-
-    Defined so that sum_cells T : Dh vol = -sum_nodes Div(T) . h vol_node for
-    every nodal field h (summation by parts, exact).  Interior consistency is
-    O(h^2); values on nodes touching the boundary of the active set absorb
-    the flux terms and are not consistent pointwise.
-    """
-    raw = scatter_gradient_adjoint(T, grid, active)
-    return divide_by_volume(-raw, node_volumes(grid, active))
-
-
-def cell_to_node_average(v: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
-    """Volume-weighted average of adjacent cell values at each node."""
-    raw = scatter_cell_average_adjoint(v, grid, active)
-    return divide_by_volume(raw, node_volumes(grid, active))
 
 
 def incident_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarray:

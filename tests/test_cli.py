@@ -233,11 +233,15 @@ def test_inadmissible_start_exits_two(tmp_path, capsys):
     cfg = preset_config("quasicrystal-shear")
     cfg = replace(cfg, resolution=12, init_params={"gamma": 0.2})
     config = _write(tmp_path, format_config(cfg))
-    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out" / "sub"
+    assert main(["run", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: start state of [init] shear under [boundary] "
                           "simple-shear: ")
     assert "volumetric barrier" in err
+    # the directories that the run made are gone, and nothing else is
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "scenario.ini").exists()
 
 
 def test_bad_check_flag_exits_two(tmp_path, capsys):
@@ -248,6 +252,28 @@ def test_bad_check_flag_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", config, "--out", out, "--check", "weak_el=maybe"]) == 2
     assert "weak_el must be on/off" in capsys.readouterr().err
+
+
+def test_unknown_check_has_one_message(tmp_path, capsys):
+    want = ("config error: unknown check 'bogus'; known: orientation, injectivity, "
+            "growth, convexity, weak_el, rotational, configurational, eulerian, "
+            "defects\n")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--check", "bogus=on"]) == 2
+    assert capsys.readouterr().err == want
+    assert main(["run", _write(tmp_path, TINY + "bogus = on\n"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_retired_strong_check_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--check", "strong=on"]) == 2
+    assert "unknown check 'strong'" in capsys.readouterr().err
+    assert main(["run", _write(tmp_path, TINY + "strong = on\n"), "--out", str(out)]) == 2
+    assert ("[checks] strong is retired and accepts only off, got 'on'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_negative_seed_flag_exits_two(tmp_path, capsys):

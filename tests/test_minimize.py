@@ -215,6 +215,19 @@ class TestRieszDuality:
         assert np.all(g_u[state.pinned_u] == 0.0)
         assert np.all(g_nu[state.pinned_nu] == 0.0)
 
+    def test_dead_load_gradient_is_the_load_at_every_incident_node(self):
+        # the lumped volume is the average adjoint of the active indicator, so
+        # a constant cell action comes back unchanged at the body's nodes
+        grid = Grid.cube(5)
+        man = Euclidean(3)
+        state = identity_state(grid, man, nu0=np.zeros(3))
+        state.active = ball_mask(grid)
+        force = np.array([0.0, 0.5, -1.0])
+        g_u, _ = riesz_gradient(DeadLoad(force), state, man)
+        touched = incident_node_mask(grid, state.active)
+        assert np.allclose(g_u[touched], -force, atol=1e-12)
+        assert not g_u[~touched].any()
+
     def test_sphere_gradient_is_tangent(self):
         dens, state, man = _hedgehog_problem(res=6)
         _, g_nu = riesz_gradient(dens, state, man)

@@ -236,6 +236,7 @@ RETIRED = [
     ("minimize", "step_max", "1000000", "1e5"),
     ("minimize", "block_mode", "joint", "alternate"),
     ("checks", "relaxed_formula", "off", "on"),
+    ("checks", "strong", "off", "on"),
 ]
 
 
