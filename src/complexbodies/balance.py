@@ -26,6 +26,11 @@ and evaluates every balance the theory provides:
 
 Ratios always divide a raw residual by the accumulated magnitude of the
 terms entering it, so "small" is meaningful per law and per test.
+
+The actions, the weak residual's per-cell terms and the rotational balance
+are computed a slab of cell rows at a time (fields.cellwise, Grid.slabs);
+every integral and sup is then taken over the whole grid, so the results
+are those of a whole-grid pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .fields import (
     GradientField,
     cell_average,
     cell_gradient,
+    cellwise,
     gradients,
     integrate_cells,
     interior_node_mask,
@@ -56,9 +62,6 @@ from .manifolds import LEVI, Manifold
 from .minors import det3
 
 _TINY = 1e-300
-# cells per slab of the rotational balance, which holds a dozen cellwise
-# temporaries of one slab at a time instead of the whole grid's
-_SLAB_CELLS = 4096
 # largest drift of a descriptor test field off the tangent space, relative
 # to 1 + its sup norm, that weak_el_residual accepts
 TANGENT_TOL = 1e-8
@@ -99,28 +102,19 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
     The energy and its x-partial, which only the configurational balance
     reads, are taken there from gf when it runs.
     """
-    gf = gradients(state)
-    args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
-    P = density.d_F(*args)
-    S = density.d_N(*args)
-    z = np.zeros(gf.nu_bar.shape)
-    beta = np.zeros(gf.nu_bar.shape)
-    for part in density.parts:
-        if part.external:
-            beta = beta - part.d_nu(*args)
-        else:
-            z = z + part.d_nu(*args)
-    return BalanceFields(
-        state=state,
-        density=density,
-        manifold=manifold,
-        gf=gf,
-        P=P,
-        S=S,
-        zeta_ambient=z - beta,
-        z=z,
-        b=-density.d_u(*args),
-    )
+    def actions(rows):
+        gf = gradients(state, rows=rows)
+        z = np.zeros(gf.nu_bar.shape)
+        beta = np.zeros(gf.nu_bar.shape)
+        for part in density.parts:
+            if part.external:
+                beta = beta - part.d_nu(*gf)
+            else:
+                z = z + part.d_nu(*gf)
+        return (*gf, density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf))
+
+    *gf, P, S, zeta, z, b = cellwise(state.grid, actions)
+    return BalanceFields(state, density, manifold, GradientField(*gf), P, S, zeta, z, b)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +212,19 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
                 f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
             )
         del buf
-    # each average and gradient dies in its own term, so at most one
-    # cellwise gradient of the pair is alive at a time
-    t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
-    t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
-    t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
-    t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
-    raw = integrate_cells(t1 + t2 + t3 + t4, grid, state.active)
-    scale = integrate_cells(
-        np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, state.active
-    )
+    # one slab's averages and gradients are alive at a time; their
+    # per-cell sums are integrated over the whole grid
+    def terms(rows):
+        nodes = slice(rows.start, rows.stop + 1)
+        t1 = -np.einsum("...i,...i->...", bf.b[rows], cell_average(h[nodes], grid))
+        t2 = np.einsum("...ij,...ij->...", bf.P[rows], cell_gradient(h[nodes], grid))
+        t3 = np.einsum("...a,...a->...", bf.zeta_ambient[rows], cell_average(ups[nodes], grid))
+        t4 = np.einsum("...ai,...ai->...", bf.S[rows], cell_gradient(ups[nodes], grid))
+        return t1 + t2 + t3 + t4, np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)
+
+    signed, size = cellwise(grid, terms)
+    raw = integrate_cells(signed, grid, state.active)
+    scale = integrate_cells(size, grid, state.active)
     return Residual(name=f"weak_el[{k}]", raw=raw, scale=scale)
 
 
@@ -256,9 +253,9 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     evaluated at the raw cell average of the descriptor; its derivative dA
     is one constant tensor, since A is linear in the descriptor.
 
-    The cells are taken in slabs along the first axis, so the terms of one
-    slab are alive at a time; each sup is the max over the slabs, which is
-    exact.  A slab without an active cell is skipped.
+    The cells are taken in the grid's slabs, so the terms of one slab are
+    alive at a time; each sup is the max over the slabs, which is exact.  A
+    slab without an active cell is skipped.
     """
     if bf.manifold is None or not bf.manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
@@ -271,9 +268,7 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     out = np.zeros(act.shape + (3,))
     # per-slab sups of the residual, of P F^T and of the two bounding terms
     peaks = ([], [], [], [])
-    rows = max(1, _SLAB_CELLS // int(np.prod(act.shape[1:])))
-    for lo in range(0, act.shape[0], rows):
-        sl = slice(lo, lo + rows)
+    for sl in bf.state.grid.slabs:
         a = act[sl]
         if not a.any():
             continue
@@ -310,7 +305,7 @@ class EshelbyField:
 def eshelby(bf: BalanceFields) -> EshelbyField:
     """Energy-momentum tensor PP = e I - F^T P - N^T S, cellwise."""
     gf = bf.gf
-    PP = bf.density.eval(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)[..., None, None] * np.eye(3)
+    PP = bf.density.eval(*gf)[..., None, None] * np.eye(3)
     PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
     PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
     return EshelbyField(PP=PP)
@@ -328,7 +323,7 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
     state = bf.state
     grid = state.grid
     gf = bf.gf
-    de_dx = bf.density.d_x(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
+    de_dx = bf.density.d_x(*gf)
     out = []
     for k, phi in enumerate(tests):
         if phi.shape != state.u.shape:

@@ -70,7 +70,7 @@ from .errors import (
     SizeMismatchError,
     WrongManifoldError,
 )
-from .fields import SLOTS, FieldState, gradients, integrate_cells
+from .fields import SLOTS, FieldState, cellwise, gradients, integrate_cells
 from .minors import cofactor, cross_cofactor, det3, minors_norm_squared
 
 
@@ -845,9 +845,10 @@ def relaxed_spin_energy(state: FieldState, defect: LineDefect | None = None,
 
 def total_energy(density: EnergyDensity, state: FieldState) -> float:
     """Midpoint-quadrature energy over the active cells; +inf if any active
-    cell evaluates non-finite (volumetric barrier violated)."""
-    gf = gradients(state, density.reads)
-    vals = density.eval(gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
+    cell evaluates non-finite (volumetric barrier violated).  The density
+    is evaluated a slab at a time and summed over the whole grid."""
+    reads = density.reads
+    (vals,) = cellwise(state.grid, lambda rows: (density.eval(*gradients(state, reads, rows)),))
     sel = vals[state.active]
     if not np.all(np.isfinite(sel)):
         return np.inf

@@ -24,6 +24,10 @@ loops over it; every operator below is derived from those:
   -scatter_gradient_adjoint(T) is a nodal divergence of T, consistent to
   O(h^2) one cell inside the body.  The minimizer's gradient is built this
   way from a density's partials, so it pairs with the weak residual exactly.
+* Cellwise work (gather, density, per-cell terms) runs a slab of whole
+  cell rows at a time (Grid.slabs, joined by cellwise), so its temporaries
+  stay small.  A cell's value depends only on its own corners, and every
+  scatter and sum over cells stays whole-grid, so slabs change no bit.
 * The table for d = 1 holds the two-point average and difference, and the
   d-D table is its d-fold tensor product.  h1_solver builds the H1 metric
   K + M (gradient stiffness plus lumped volumes) from those 1-D factors and
@@ -37,12 +41,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .manifolds import Manifold
+
+# cells per slab of the cellwise passes; from a sweep at 48^3 (CHANGES.md)
+SLAB_CELLS = 9216
 
 
 @dataclass(frozen=True)
@@ -76,13 +84,21 @@ class Grid:
     def nodes(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cells)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
+
+    @cached_property
+    def slabs(self) -> tuple[slice, ...]:
+        """Runs of whole cell rows along axis 0, SLAB_CELLS cells or one row
+        each; cell rows lo:hi read the node rows lo:hi + 1."""
+        rows = max(1, SLAB_CELLS // (self.cells[1] * self.cells[2]))
+        return tuple(slice(lo, min(lo + rows, self.cells[0]))
+                     for lo in range(0, self.cells[0], rows))
 
     def node_axes(self) -> list[np.ndarray]:
         """Node coordinates along each axis; node_coords is their tensor grid."""
@@ -91,11 +107,13 @@ class Grid:
     def node_coords(self) -> np.ndarray:
         return np.stack(np.meshgrid(*self.node_axes(), indexing="ij"), axis=-1)
 
-    def cell_centers(self) -> np.ndarray:
+    def cell_centers(self, rows: slice = slice(None)) -> np.ndarray:
+        """Centers of the cells in the cell rows rows along axis 0."""
         axes = [
             np.linspace(l + s / 2, h - s / 2, c)
             for l, h, s, c in zip(self.lo, self.hi, self.spacing, self.cells)
         ]
+        axes[0] = axes[0][rows]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
@@ -168,9 +186,9 @@ def identity_state(grid: Grid, manifold: Manifold, nu0: np.ndarray) -> FieldStat
 SLOTS = ("x", "u", "F", "nu", "N")
 
 
-@dataclass
-class GradientField:
-    """Cell-centered kinematic data: positions, averages, gradients.
+class GradientField(NamedTuple):
+    """Cell-centered kinematic data: positions, averages, gradients, in the
+    argument order of a density, so density.eval(*gf) evaluates it.
 
     A slot that gradients() was not asked for holds a zero-size float array:
     the cell axes, then one zero-length axis per component axis of the slot.
@@ -209,8 +227,9 @@ CORNERS = {
 
 def _gather(w: np.ndarray, grid: Grid, row: int) -> np.ndarray:
     """Nodes to cells: sum over corners of coefficient row times corner
-    value, the coefficient +-1 applied as an add or a subtract."""
-    acc = np.zeros(grid.cells + w.shape[grid.dim :])
+    value, the coefficient +-1 applied as an add or a subtract.  w is a
+    nodal array or a block of its node rows (a slab); so is the result."""
+    acc = np.zeros(tuple(n - 1 for n in w.shape[: grid.dim]) + w.shape[grid.dim :])
     for corner in CORNERS[grid.dim]:
         if corner.coef[row] > 0:
             acc += w[corner.index]
@@ -234,36 +253,53 @@ def _scatter(v: np.ndarray, grid: Grid, row: int, active: np.ndarray | None,
 
 
 def cell_average(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Average of the 2^d corner values per cell."""
+    """Average of the 2^d corner values per cell of w, a nodal array or a
+    block of its node rows."""
     return _gather(w, grid, AVERAGE) / 2 ** grid.dim
 
 
 def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell-center gradient (..., comp, 3) of a nodal field (..., comp).
+    """Cell-center gradient (..., comp, 3) of a nodal field (..., comp), or
+    of a block of its node rows, on the spacing of grid.
 
     Column j holds the derivative along axis j.
     """
-    out = np.zeros(grid.cells + w.shape[grid.dim :] + (3,))
+    out = np.empty(tuple(n - 1 for n in w.shape[: grid.dim]) + w.shape[grid.dim :] + (3,))
     for axis, h in enumerate(grid.spacing):
         out[..., axis] = _gather(w, grid, 1 + axis) * (1.0 / (2 ** (grid.dim - 1) * h))
     return out
 
 
-def _unread(grid: Grid, rank: int) -> np.ndarray:
-    return np.empty(grid.cells + (0,) * rank)
-
-
-def gradients(state: FieldState, reads=SLOTS) -> GradientField:
-    """Assemble the cell-centered kinematic data for a state, building only
-    the slots named in reads (see GradientField for the others)."""
+def gradients(state: FieldState, reads=SLOTS, rows: slice = slice(None)) -> GradientField:
+    """Assemble the cell-centered kinematic data for a state on the cell
+    rows rows along axis 0 (a slab; by default all), building only the
+    slots named in reads (see GradientField for the others)."""
     grid = state.grid
+    lo, hi, _ = rows.indices(grid.cells[0])
+    u, nu = state.u[lo : hi + 1], state.nu[lo : hi + 1]
+    cells = tuple(n - 1 for n in u.shape[: grid.dim])
+    unread = [np.empty(cells + (0,) * rank) for rank in (1, 2)]
     return GradientField(
-        x=grid.cell_centers() if "x" in reads else _unread(grid, 1),
-        u_bar=cell_average(state.u, grid) if "u" in reads else _unread(grid, 1),
-        F=cell_gradient(state.u, grid) if "F" in reads else _unread(grid, 2),
-        nu_bar=cell_average(state.nu, grid) if "nu" in reads else _unread(grid, 1),
-        N=cell_gradient(state.nu, grid) if "N" in reads else _unread(grid, 2),
+        x=grid.cell_centers(rows) if "x" in reads else unread[0],
+        u_bar=cell_average(u, grid) if "u" in reads else unread[0],
+        F=cell_gradient(u, grid) if "F" in reads else unread[1],
+        nu_bar=cell_average(nu, grid) if "nu" in reads else unread[0],
+        N=cell_gradient(nu, grid) if "N" in reads else unread[1],
     )
+
+
+def cellwise(grid: Grid, terms) -> tuple[np.ndarray, ...]:
+    """The per-cell arrays that terms(rows) returns for a slab, joined over
+    grid.slabs along axis 0; on a grid of one slab, terms' own arrays."""
+    if len(grid.slabs) == 1:
+        return terms(grid.slabs[0])
+    out = ()
+    for rows in grid.slabs:
+        part = terms(rows)
+        out = out or tuple(np.empty(grid.cells + p.shape[grid.dim :], p.dtype) for p in part)
+        for whole, p in zip(out, part):
+            whole[rows] = p
+    return out
 
 
 def integrate_cells(values: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> float:

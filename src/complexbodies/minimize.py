@@ -45,6 +45,7 @@ from .energy import EnergyDensity, total_energy
 from .errors import ConfigError, InadmissibleStartError
 from .fields import (
     FieldState,
+    cellwise,
     divide_by_volume,
     gradients,
     h1_solver,
@@ -90,6 +91,9 @@ class MinimizeResult:
     message: str
     trace: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
     # trace columns: energy, grad sup-norm, accepted step, rejects this iter
+    # (g_u, g_nu, vols): the Riesz gradient at state and the lumped volumes
+    # it was taken with; None when the run never took it at state
+    gradient: tuple | None = field(default=None, repr=False)
 
 
 def riesz_gradient(density: EnergyDensity, state: FieldState,
@@ -101,31 +105,37 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
     both parts are zeroed on pinned and non-incident nodes.  vols are the
     lumped nodal volumes of the state's mask, built here when not given.
 
-    Only the partials of the slots the density reads are scattered.  Each
-    other partial is zero, and its scatter is all +0.0; a scatter starts
-    from +0.0 and so never holds -0.0, so adding it would change no bit.  A
-    block (u, or nu) whose slots the density reads not at all is returned
-    as zeros, with no division or projection.
+    Only the partials of the slots the density reads are taken (a slab at
+    a time) and scattered (over the whole grid).  Each other partial is
+    zero, and its scatter is all +0.0; a scatter starts from +0.0 and so
+    never holds -0.0, so adding it would change no bit.  A block (u, or nu)
+    whose slots the density reads not at all is returned as zeros, with no
+    division or projection.
     """
     grid = state.grid
     reads = density.reads
-    gf = gradients(state, reads)
-    args = (gf.x, gf.u_bar, gf.F, gf.nu_bar, gf.N)
+    slots = [s for s in ("F", "u", "N", "nu") if s in reads]
+
+    def partials(rows):
+        gf = gradients(state, reads, rows)
+        return tuple(getattr(density, "d_" + s)(*gf) for s in slots)
+
+    d = dict(zip(slots, cellwise(grid, partials)))
     if vols is None:
         vols = node_volumes(grid, state.active)
     incident = vols > 0
 
-    def block(grad_slot, d_grad, avg_slot, d_avg):
+    def block(grad_slot, avg_slot):
         raw = None
-        if grad_slot in reads:
-            raw = scatter_gradient_adjoint(d_grad(*args), grid, state.active)
-        if avg_slot in reads:
-            avg = scatter_cell_average_adjoint(d_avg(*args), grid, state.active)
+        if grad_slot in d:
+            raw = scatter_gradient_adjoint(d.pop(grad_slot), grid, state.active)
+        if avg_slot in d:
+            avg = scatter_cell_average_adjoint(d.pop(avg_slot), grid, state.active)
             raw = avg if raw is None else raw + avg
         return None if raw is None else divide_by_volume(raw, vols)
 
-    g_u = block("F", density.d_F, "u", density.d_u)
-    g_nu = block("N", density.d_N, "nu", density.d_nu)
+    g_u = block("F", "u")
+    g_nu = block("N", "nu")
     if g_u is None:
         g_u = np.zeros(state.u.shape)
     else:
@@ -192,6 +202,7 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     stalled = False
     message = "max iterations reached"
     d = d_z = gz = None  # last direction, its z and <g, z> at its iterate
+    g = None  # the gradient at state, once taken
     last_step, last_slope = STEP0, None
 
     for it in range(config.max_iters):
@@ -270,9 +281,11 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         state = trial
         energy = e_trial
         last_step = step
+        g = None
 
     if not trace_rows or (not converged and not stalled and trace_rows[-1][0] != energy):
-        sup = sup_norm(gradient(state))
+        g = gradient(state)
+        sup = sup_norm(g)
         if sup <= config.grad_tol:
             converged = True
             message = "gradient tolerance reached"
@@ -290,4 +303,5 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         stalled=stalled,
         message=message,
         trace=trace,
+        gradient=None if g is None else (g["u"], g["nu"], vols),
     )

@@ -776,12 +776,13 @@ def _spatial_tests(state: FieldState, n: int, seed: int) -> list:
     return out
 
 
-def _run_checks(config: ScenarioConfig, built: BuiltScenario,
+def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensity,
                 mres: MinimizeResult) -> tuple[list, list, ResidualReport]:
     final = mres.state
-    manifold = built.manifold
-    density = built.density
     checks = config.checks
+    # the duality check reads minimize's last gradient, taken at final; the
+    # result keeps no gradient
+    grad, mres.gradient = mres.gradient, None
     outcomes = []
     lines = []
     report = ResidualReport()
@@ -820,11 +821,11 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
             rep.passed,
             f"mode={rep.mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
-    # the duality check's gradient is taken before the actions, so its
-    # working set is freed before theirs is allocated
-    if checks["weak_el"]:
+    # a gradient taken here is taken before the actions, so its working set
+    # is freed before theirs is allocated
+    if checks["weak_el"] and grad is None:
         vols = node_volumes(final.grid, final.active)
-        g_u, g_nu = riesz_gradient(density, final, manifold, vols=vols)
+        grad = (*riesz_gradient(density, final, manifold, vols=vols), vols)
     # the cellwise actions are assembled only now, so the checks above run
     # without them alive; every check from here to eulerian reads them
     needs_actions = any(
@@ -832,7 +833,7 @@ def _run_checks(config: ScenarioConfig, built: BuiltScenario,
     )
     bf = assemble_actions(density, final, manifold) if needs_actions else None
     if checks["weak_el"]:
-        rows, dual = _weak_el_rows(config, bf, g_u, g_nu, vols)
+        rows, dual = _weak_el_rows(config, bf, *grad)
         report.add(rows)
         report.add(dual)
         worst = max(r.ratio for r in rows)
@@ -913,6 +914,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
     """Minimize, verify, and write artifacts; raise ScenarioFailedError when
     an enabled check fails (artifacts are on disk either way)."""
     built = materialize(config)
+    manifold, density = built.manifold, built.density
     out = out_dir if out_dir is not None else config.out_dir
     if out is None:
         raise ConfigError("no output directory: set [scenario] out or pass one explicitly")
@@ -926,7 +928,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from None
 
     try:
-        mres = minimize(built.density, built.state, built.manifold, config.minimize,
+        mres = minimize(density, built.state, manifold, config.minimize,
                         callback=_log_progress)
     except InadmissibleStartError as exc:
         for path in made:
@@ -937,20 +939,21 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
             f"{config.boundary_kind}: {exc}"
         ) from None
     final = mres.state
+    del built  # the start state: after 0 iterations, a second copy of final
 
-    outcomes, check_lines, report = _run_checks(config, built, mres)
+    outcomes, check_lines, report = _run_checks(config, manifold, density, mres)
 
     lines = [
         f"scenario: {config.name}",
         f"grid: {config.resolution}^3 on [{_fg(config.lo)}, {_fg(config.hi)}]^3 "
         f"shape={config.shape} active_cells={int(final.active.sum())}",
-        f"manifold: {built.manifold.name} embed={built.manifold.embed_dim}",
-        f"density: {built.density.name}",
+        f"manifold: {manifold.name} embed={manifold.embed_dim}",
+        f"density: {density.name}",
         f"seed: {config.seed}",
         f"minimize: converged={mres.converged} iterations={mres.iterations} "
         f"energy={_fg(mres.energy)} grad_sup={_fg(mres.grad_sup)} "
         f"barrier_rejects={mres.barrier_rejects} armijo_rejects={mres.armijo_rejects}",
-        f"constraint_violation: {_fg(final.constraint_violation(built.manifold))}",
+        f"constraint_violation: {_fg(final.constraint_violation(manifold))}",
     ]
     lines.extend(check_lines)
     n_pass = sum(1 for o in outcomes if o.passed)

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from complexbodies import balance
+from complexbodies import balance, fields
 from complexbodies.balance import (
     _TINY,
     Residual,
@@ -57,6 +57,7 @@ from complexbodies.fields import (
     boundary_node_mask,
     cell_average,
     cell_gradient,
+    gradients,
     identity_state,
     integrate_cells,
     interior_node_mask,
@@ -416,6 +417,51 @@ def _ball_sphere_case():
     return state, man, _sphere_density()
 
 
+def _whole_grid_actions(density, state):
+    """assemble_actions' arrays, taken on the whole grid at once."""
+    gf = gradients(state)
+    z = np.zeros(gf.nu_bar.shape)
+    beta = np.zeros(gf.nu_bar.shape)
+    for part in density.parts:
+        if part.external:
+            beta = beta - part.d_nu(*gf)
+        else:
+            z = z + part.d_nu(*gf)
+    return (*gf, density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf))
+
+
+def _whole_grid_weak_el(bf, h, ups):
+    """weak_el_residual's raw and scale, taken on the whole grid at once."""
+    grid, act = bf.state.grid, bf.state.active
+    t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
+    t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
+    t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
+    t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
+    return (integrate_cells(t1 + t2 + t3 + t4, grid, act),
+            integrate_cells(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, act))
+
+
+class TestOneRowSlabs:
+    @pytest.mark.parametrize("body", ["ball", "box"])
+    def test_actions_and_weak_residual_equal_the_whole_grid(self, body, monkeypatch):
+        monkeypatch.setattr(fields, "SLAB_CELLS", 1)
+        if body == "ball":
+            state, man, density = _ball_sphere_case()
+        else:
+            state, man = _phason_state(res=10)
+            density = _phason_density()
+        assert len(state.grid.slabs) == state.grid.cells[0]
+        bf = assemble_actions(density, state, man)
+        got = (*bf.gf, bf.P, bf.S, bf.zeta_ambient, bf.z, bf.b)
+        want = _whole_grid_actions(density, state)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        hs = _built(random_compact_tests(state, 4, 3, seed=2))
+        us = _built(random_compact_tests(state, 4, state.embed_dim, seed=3, manifold=man))
+        for k, (h, ups) in enumerate(zip(hs, us)):
+            r = weak_el_residual(bf, h, ups, k)
+            assert r.raw != 0.0 and (r.raw, r.scale) == _whole_grid_weak_el(bf, h, ups)
+
+
 class TestStreamedWeakEL:
     @pytest.mark.parametrize("body", ["ball", "box"])
     def test_rows_equal_list_reference(self, body, monkeypatch):
@@ -618,17 +664,16 @@ class TestRotationalBalance:
     @pytest.mark.parametrize("body", ["box", "ball"])
     @pytest.mark.parametrize("man", [UnitSphere(), degree_of_orientation()],
                              ids=lambda m: m.name)
-    def test_slabs_match_the_whole_grid_reference(self, man, body):
-        # 17^3 cells take two slabs, of 14 and 3 rows; the ball of radius
-        # 0.35 leaves the second slab without an active cell
+    def test_slabs_match_the_whole_grid_reference(self, man, body, monkeypatch):
+        # in slabs of 4096 cells, 17^3 cells take two slabs, of 14 and 3
+        # rows; the ball of radius 0.35 leaves the second without an active cell
+        monkeypatch.setattr(fields, "SLAB_CELLS", 4096)
         state = _generic_state(man, res=17)
         if body == "ball":
             state.active = ball_mask(state.grid, radius=0.35)
-        cells = state.active.shape
-        rows = balance._SLAB_CELLS // (cells[1] * cells[2])
-        assert rows < cells[0]
-        slabs = [state.active[lo:lo + rows].any() for lo in range(0, cells[0], rows)]
-        assert all(slabs) == (body == "box")
+        slabs = state.grid.slabs
+        assert [s.stop - s.start for s in slabs] == [14, 3]
+        assert all(state.active[s].any() for s in slabs) == (body == "box")
         bf = assemble_actions(_anchored_density(man), state, man)
         rep = rotational_balance(bf)
         ref, ref_field = _per_cell_rotational_balance(bf)

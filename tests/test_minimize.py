@@ -135,17 +135,21 @@ _READ_SETS = [
 
 class TestReadOnlyWhatTheDensityReads:
     """Building only the slots a density reads and scattering only their
-    partials gives the all-slots, all-partials results bit for bit."""
+    partials, on the grid's slabs or one row of cells at a time, gives the
+    whole-grid all-slots, all-partials results bit for bit."""
 
     @pytest.mark.parametrize("kind", ["ball3", "box3"])
     @pytest.mark.parametrize("density", _READ_SETS, ids=lambda d: d.name)
-    def test_bitwise_equal_to_all_slots(self, density, kind):
-        state = _perturbed_state(kind)
-        man = UnitSphere()
-        assert total_energy(density, state) == _all_slots_energy(density, state)
-        got = riesz_gradient(density, state, man)
-        want = _all_partials_gradient(density, state, man)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    def test_bitwise_equal_to_all_slots(self, density, kind, monkeypatch):
+        for slab_cells in (fields.SLAB_CELLS, 1):
+            monkeypatch.setattr(fields, "SLAB_CELLS", slab_cells)
+            state = _perturbed_state(kind)
+            assert len(state.grid.slabs) == (1 if slab_cells > 1 else state.grid.cells[0])
+            man = UnitSphere()
+            assert total_energy(density, state) == _all_slots_energy(density, state)
+            got = riesz_gradient(density, state, man)
+            want = _all_partials_gradient(density, state, man)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("kind", ["ball3", "box3"])
     def test_zero_density(self, kind):
@@ -342,6 +346,25 @@ class TestDescent:
                               & ~state.pinned_nu)
         assert np.array_equal(res.state.u, state.u)
         assert res.energy < total_energy(dens, state)
+
+    @pytest.mark.parametrize("stop", ["converged", "stalled", "max_iters", "no_iteration"])
+    def test_hands_over_the_gradient_at_the_returned_state(self, stop, monkeypatch):
+        import complexbodies.minimize as mz
+
+        dens, state, man = _elastic_toy()
+        if stop == "stalled":
+            # one trial per iteration: the secant step that the first trial
+            # proposes is never tried
+            monkeypatch.setattr(mz, "MAX_BACKTRACKS", 1)
+        max_iters = {"max_iters": 3, "no_iteration": 0}.get(stop, 2000)
+        res = minimize(dens, state, man, MinimizeConfig(max_iters=max_iters, grad_tol=1e-9))
+        assert (res.converged, res.stalled) == (stop == "converged", stop == "stalled")
+        if max_iters < 2000:
+            assert res.iterations == max_iters
+        g_u, g_nu, vols = res.gradient
+        want = riesz_gradient(dens, res.state, man)
+        assert np.array_equal(g_u, want[0]) and np.array_equal(g_nu, want[1])
+        assert np.array_equal(vols, node_volumes(state.grid, state.active))
 
     def test_input_state_not_mutated(self):
         dens, state, man = _elastic_toy()

@@ -583,6 +583,25 @@ def test_artifacts_bitwise_on_one_and_two_workers(tmp_path, monkeypatch):
         assert a == b, fname
 
 
+def test_checks_take_the_last_gradient_and_the_result_keeps_none(tmp_path, monkeypatch):
+    # the duality check reads minimize's gradient at the final state; where
+    # minimize hands none over, the check takes it, with the same artifacts
+    taken = []
+    gradient, handed = scenarios.riesz_gradient, scenarios.minimize
+    monkeypatch.setattr(scenarios, "riesz_gradient",
+                        lambda *a, **kw: taken.append(1) or gradient(*a, **kw))
+    result = run(_tiny_porous(), out_dir=tmp_path / "handed")
+    assert taken == [] and result.minimize_result.gradient is None
+    monkeypatch.setattr(scenarios, "minimize", lambda *a, **kw: dataclasses.replace(
+        handed(*a, **kw), gradient=None))
+    run(_tiny_porous(), out_dir=tmp_path / "taken")
+    assert taken == [1]
+    for fname in ARTIFACTS:
+        a = (tmp_path / "handed" / fname).read_bytes()
+        b = (tmp_path / "taken" / fname).read_bytes()
+        assert a == b, fname
+
+
 def test_run_seed_changes_residual_probes(tmp_path):
     first = run(_tiny_porous(seed=3), out_dir=tmp_path / "one")
     second = run(_tiny_porous(seed=4), out_dir=tmp_path / "two")
