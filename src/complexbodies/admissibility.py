@@ -36,6 +36,7 @@ from .fields import (
     CORNERS,
     FieldState,
     boundary_node_mask,
+    cellwise,
     gradients,
     incident_node_mask,
 )
@@ -59,8 +60,10 @@ class OrientationReport:
 
 def check_orientation(state: FieldState) -> OrientationReport:
     """Count active cells whose deformation gradient fails det F > 0; a
-    NaN determinant fails too."""
-    dets = det3(gradients(state, ("F",)).F)[state.active]
+    NaN determinant fails too.  F is gathered a slab at a time; the count
+    and the min are taken over the joined determinants."""
+    (det,) = cellwise(state.grid, lambda rows: (det3(gradients(state, ("F",), rows).F),))
+    dets = det[state.active]
     if dets.size == 0:
         raise ShapeMismatchError("state has no active cells")
     return OrientationReport(
@@ -101,23 +104,33 @@ def check_ciarlet_necas(state: FieldState) -> InjectivityReport:
     on every simplex, the map is injective (Ball 1981) and its image volume
     is det A |Omega| = integral of det F (Ciarlet-Necas 1987), so slack is
     round-off.  A non-finite determinant counts as a violation; a rim that
-    is not affine fails with a NaN image volume.
+    is not affine fails with a NaN image volume.  F is built a slab at a
+    time; each path's sum, count and min are taken over its joined
+    whole-grid determinants.
     """
     grid, active = state.grid, state.active
     if not active.any():
         raise ShapeMismatchError("state has no active cells")
-    total, violations, min_det = 0.0, 0, np.inf
-    F = np.empty(grid.cells + (3, 3))
-    with np.errstate(invalid="ignore", over="ignore"):
+
+    def simplex_dets(rows):
+        u = state.u[rows.start:rows.stop + 1]
+        F = np.empty(tuple(n - 1 for n in u.shape[:3]) + (3, 3))
+        out = []
         for path in itertools.permutations(range(3)):
             # column ax of F: the path's step along axis ax, over h
             offset = [0, 0, 0]
             for ax in path:
-                prev = state.u[_CORNER_INDEX[tuple(offset)]]
+                prev = u[_CORNER_INDEX[tuple(offset)]]
                 offset[ax] = 1
-                np.subtract(state.u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
+                np.subtract(u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
                 F[..., :, ax] /= grid.spacing[ax]
-            dets = det3(F)[active]
+            out.append(det3(F))
+        return tuple(out)
+
+    total, violations, min_det = 0.0, 0, np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for det in cellwise(grid, simplex_dets):
+            dets = det[active]
             dets[~np.isfinite(dets)] = np.nan
             total += dets.sum()
             violations += int(np.sum(~(dets > 0.0)))

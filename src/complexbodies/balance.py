@@ -30,7 +30,9 @@ terms entering it, so "small" is meaningful per law and per test.
 The actions, the weak residual's per-cell terms and the rotational balance
 are computed a slab of cell rows at a time (fields.cellwise, Grid.slabs);
 every integral and sup is then taken over the whole grid, so the results
-are those of a whole-grid pass, bit for bit.
+are those of a whole-grid pass, bit for bit.  BalanceFields keeps the
+actions only: the cell kinematics are gathered again where a balance reads
+them.
 """
 
 from __future__ import annotations
@@ -87,12 +89,17 @@ class BalanceFields:
     state: FieldState
     density: EnergyDensity
     manifold: Manifold | None
-    gf: GradientField
     P: np.ndarray
     S: np.ndarray
     zeta_ambient: np.ndarray  # raw embedding derivative, for exact duality
     z: np.ndarray
     b: np.ndarray
+
+    @property
+    def gf(self) -> GradientField:
+        """The state's cell kinematics, gathered anew on each access: the
+        weak-EL pairs never read them, so they are not kept under them."""
+        return gradients(self.state)
 
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
@@ -111,10 +118,9 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
                 beta = beta - part.d_nu(*gf)
             else:
                 z = z + part.d_nu(*gf)
-        return (*gf, density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf))
+        return density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf)
 
-    *gf, P, S, zeta, z, b = cellwise(state.grid, actions)
-    return BalanceFields(state, density, manifold, GradientField(*gf), P, S, zeta, z, b)
+    return BalanceFields(state, density, manifold, *cellwise(state.grid, actions))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,10 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     evaluated at the raw cell average of the descriptor; its derivative dA
     is one constant tensor, since A is linear in the descriptor.
 
-    The cells are taken in the grid's slabs, so the terms of one slab are
-    alive at a time; each sup is the max over the slabs, which is exact.  A
-    slab without an active cell is skipped.
+    The cells are taken in the grid's slabs, and F, N and the descriptor
+    average are gathered per slab, so the terms of one slab are alive at a
+    time; each sup is the max over the slabs, which is exact.  A slab
+    without an active cell is skipped.
     """
     if bf.manifold is None or not bf.manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
@@ -272,8 +279,9 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
         a = act[sl]
         if not a.any():
             continue
-        F, N, S, z = bf.gf.F[sl], bf.gf.N[sl], bf.S[sl], bf.z[sl]
-        A = man.rotation_generator(bf.gf.nu_bar[sl])
+        gf = gradients(bf.state, ("F", "N", "nu"), sl)
+        F, N, S, z = gf.F, gf.N, bf.S[sl], bf.z[sl]
+        A = man.rotation_generator(gf.nu_bar)
         PFt = np.einsum("...ik,...jk->...ij", bf.P[sl], F)
         ax = np.einsum("jab,...ab->...j", LEVI, PFt)
         Az = np.einsum("...aj,...a->...j", A, z)
@@ -322,8 +330,7 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
     """
     state = bf.state
     grid = state.grid
-    gf = bf.gf
-    de_dx = bf.density.d_x(*gf)
+    de_dx = bf.density.d_x(*bf.gf)
     out = []
     for k, phi in enumerate(tests):
         if phi.shape != state.u.shape:
@@ -361,15 +368,20 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
 
 def cauchy_stress(bf: BalanceFields) -> np.ndarray:
     """sigma = P F^T / det F on active cells; requires det F > 0 there."""
-    det = det3(bf.gf.F)
+    return _cauchy_stress(bf, bf.gf.F)[0]
+
+
+def _cauchy_stress(bf: BalanceFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cauchy_stress at the cell gradient F of bf's state, and det F."""
+    det = det3(F)
     if np.any(det[bf.state.active] <= 0):
         worst = float(det[bf.state.active].min())
         raise SingularCellError(f"Cauchy stress undefined: min det F = {worst:.3e}")
-    sigma = np.einsum("...ik,...jk->...ij", bf.P, bf.gf.F) / np.where(
+    sigma = np.einsum("...ik,...jk->...ij", bf.P, F) / np.where(
         det > 0, det, 1.0
     )[..., None, None]
     sigma[~bf.state.active] = 0.0
-    return sigma
+    return sigma, det
 
 
 def eulerian_cauchy_residual(bf: BalanceFields, tests: list) -> list[Residual]:
@@ -378,11 +390,11 @@ def eulerian_cauchy_residual(bf: BalanceFields, tests: list) -> list[Residual]:
     tests are (phi, dphi) callables on spatial points y; quadrature runs over
     the reference cells with y = the deformed cell average.
     """
-    sigma = cauchy_stress(bf)
+    gf = bf.gf
+    sigma, det = _cauchy_stress(bf, gf.F)
     state = bf.state
     grid = state.grid
-    det = det3(bf.gf.F)
-    y = bf.gf.u_bar
+    y = gf.u_bar
     out = []
     for k, (phi, dphi) in enumerate(tests):
         g = np.asarray(dphi(y), dtype=float)

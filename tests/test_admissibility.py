@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from complexbodies import admissibility
+from complexbodies import admissibility, fields
 from complexbodies.admissibility import (
+    _CORNER_INDEX,
     cell_charges,
     check_ciarlet_necas,
     check_orientation,
@@ -16,9 +17,10 @@ from complexbodies.admissibility import (
     defect_charges,
 )
 from complexbodies.errors import ShapeMismatchError, WrongManifoldError
-from complexbodies.fields import Grid, ball_mask, identity_state, interior_node_mask
+from complexbodies.fields import Grid, ball_mask, gradients, identity_state, interior_node_mask
 from complexbodies.manifolds import UnitSphere, degree_of_orientation, rotation_from_vector
 from complexbodies.minimize import minimize
+from complexbodies.minors import det3
 from complexbodies.scenarios import materialize, preset_config
 from util import EZ, hedgehog_state
 
@@ -242,6 +244,45 @@ class TestSimplexReference:
 
     def test_fold_slab(self):
         self._agrees(_fold_slab())
+
+
+def _whole_grid_dets(state):
+    """The determinants that both checks take, gathered on the whole grid
+    at once: det F at the cell centres, then on the 6 path simplices."""
+    yield det3(gradients(state, ("F",)).F)
+    F = np.empty(state.grid.cells + (3, 3))
+    for path in itertools.permutations(range(3)):
+        offset = [0, 0, 0]
+        for ax in path:
+            prev = state.u[_CORNER_INDEX[tuple(offset)]]
+            offset[ax] = 1
+            np.subtract(state.u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
+            F[..., :, ax] /= state.grid.spacing[ax]
+        yield det3(F)
+
+
+class TestTwoSlabs:
+    @pytest.mark.parametrize("body", ["box", "ball"])
+    def test_checks_equal_the_whole_grid(self, body, monkeypatch):
+        # 9^3 cells in slabs of 405 cells: two slabs, of 5 and 4 cell rows
+        monkeypatch.setattr(fields, "SLAB_CELLS", 405)
+        st = _identity(res=9, lo=-0.5, hi=0.5)
+        assert [s.stop - s.start for s in st.grid.slabs] == [5, 4]
+        st.u += 0.5 / 9 * np.random.default_rng(3).normal(size=st.u.shape)
+        if body == "ball":
+            st.active = ball_mask(st.grid, radius=0.45)
+        centre, *paths = (d[st.active] for d in _whole_grid_dets(st))
+        rep = check_orientation(st)
+        assert rep.violations > 0
+        assert (rep.cells, rep.violations, rep.min_det) == (
+            centre.size, int(np.sum(~(centre > 0.0))), float(centre.min()))
+        inj = check_ciarlet_necas(st)
+        total = 0.0
+        for d in paths:
+            total += d.sum()
+        assert inj.violations == sum(int(np.sum(~(d > 0.0))) for d in paths) > 0
+        assert inj.min_det == float(min(d.min() for d in paths))
+        assert inj.volume_integral == float(total) * st.grid.cell_volume / 6.0
 
 
 def _random_masks(count, seed):

@@ -177,7 +177,7 @@ class TestAssembly:
             [DirichletDescriptor(3), ExternalFieldCoupling(h_field), DeadLoad([0.1, 0.0, -0.3])]
         )
         bf = assemble_actions(density, state, man)
-        args = (bf.gf.x, bf.gf.u_bar, bf.gf.F, bf.gf.nu_bar, bf.gf.N)
+        args = tuple(bf.gf)
         assert np.allclose(bf.b, np.array([0.1, 0.0, -0.3]), atol=0)
         # the external coupling's partial is beta = -h, which the net
         # action subtracts; the internal action z collects none of it
@@ -192,7 +192,10 @@ class TestAssembly:
         state, man = _sphere_state()
         density = _sphere_density()
         bf = assemble_actions(density, state, man)
-        args = (bf.gf.x, bf.gf.u_bar, bf.gf.F, bf.gf.nu_bar, bf.gf.N)
+        gf = bf.gf
+        # the property gathers the whole grid's kinematics anew, bit for bit
+        assert all(np.array_equal(a, b) for a, b in zip(gf, gradients(state), strict=True))
+        args = tuple(gf)
         assert np.array_equal(bf.P, density.d_F(*args))
         assert np.array_equal(bf.S, density.d_N(*args))
         assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
@@ -200,8 +203,8 @@ class TestAssembly:
         # the energy and its x-partial are read from the density when the
         # configurational balance runs
         PP = density.eval(*args)[..., None, None] * np.eye(3)
-        PP = PP - np.einsum("...ki,...kj->...ij", bf.gf.F, bf.P)
-        PP = PP - np.einsum("...ai,...aj->...ij", bf.gf.N, bf.S)
+        PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
+        PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
         assert np.array_equal(eshelby(bf).PP, PP)
         phi = random_compact_tests(state, 1, 3, seed=3)[0]()
         t2 = np.einsum("...i,...i->...", density.d_x(*args), cell_average(phi, state.grid))
@@ -427,7 +430,7 @@ def _whole_grid_actions(density, state):
             beta = beta - part.d_nu(*gf)
         else:
             z = z + part.d_nu(*gf)
-    return (*gf, density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf))
+    return density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf)
 
 
 def _whole_grid_weak_el(bf, h, ups):
@@ -452,7 +455,7 @@ class TestOneRowSlabs:
             density = _phason_density()
         assert len(state.grid.slabs) == state.grid.cells[0]
         bf = assemble_actions(density, state, man)
-        got = (*bf.gf, bf.P, bf.S, bf.zeta_ambient, bf.z, bf.b)
+        got = (bf.P, bf.S, bf.zeta_ambient, bf.z, bf.b)
         want = _whole_grid_actions(density, state)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         hs = _built(random_compact_tests(state, 4, 3, seed=2))
@@ -605,14 +608,15 @@ class TestInteriorRieszGradient:
 def _per_cell_rotational_balance(bf):
     """rotational_balance with dA copied into every cell before the contraction."""
     man = bf.manifold
-    nub = bf.gf.nu_bar
+    gf = bf.gf
+    nub = gf.nu_bar
     A = man.rotation_generator(nub)
     dA0 = man.rotation_generator_gradient()
     dA = np.broadcast_to(dA0, nub.shape[:-1] + dA0.shape).copy()
-    PFt = np.einsum("...ik,...jk->...ij", bf.P, bf.gf.F)
+    PFt = np.einsum("...ik,...jk->...ij", bf.P, gf.F)
     ax = np.einsum("jab,...ab->...j", LEVI, PFt)
     Az = np.einsum("...aj,...a->...j", A, bf.z)
-    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, bf.gf.N, bf.S)
+    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, gf.N, bf.S)
     res = ax - Az - dAS
     act = bf.state.active
 
@@ -621,7 +625,7 @@ def _per_cell_rotational_balance(bf):
         return float(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
 
     Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(bf.z))
-    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(bf.gf.N), np.abs(bf.S))
+    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(gf.N), np.abs(bf.S))
     scale = sup(PFt) + sup(Az_abs) + sup(dAS_abs) + _TINY
     out = res.copy()
     out[~act] = 0.0
