@@ -20,9 +20,7 @@ and evaluates every balance the theory provides:
   raw cell average so the identity is algebraic, not asymptotic;
 * the configurational balance through the energy-momentum tensor
   PP = e I - F^T P - N^T S, optionally corrected by a line-defect term
-  4 pi sum_segments mult * length * (T ox T) : Dphi(midpoint);
-* the Eulerian Cauchy balance via pullback quadrature of the spatial weak
-  form with the Cauchy stress sigma = P F^T / det F.
+  4 pi sum_segments mult * length * (T ox T) : Dphi(midpoint).
 
 Ratios always divide a raw residual by the accumulated magnitude of the
 terms entering it, so "small" is meaningful per law and per test.
@@ -44,12 +42,7 @@ from functools import partial
 import numpy as np
 
 from .energy import EnergyDensity, LineDefect
-from .errors import (
-    GeneratorUnavailableError,
-    NonTangentTestError,
-    ShapeMismatchError,
-    SingularCellError,
-)
+from .errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from .fields import (
     FieldState,
     GradientField,
@@ -61,7 +54,6 @@ from .fields import (
     interior_node_mask,
 )
 from .manifolds import LEVI, Manifold
-from .minors import det3
 
 _TINY = 1e-300
 # largest drift of a descriptor test field off the tangent space, relative
@@ -88,7 +80,7 @@ class Residual:
 class BalanceFields:
     state: FieldState
     density: EnergyDensity
-    manifold: Manifold | None
+    manifold: Manifold
     P: np.ndarray
     S: np.ndarray
     zeta_ambient: np.ndarray  # raw embedding derivative, for exact duality
@@ -103,7 +95,7 @@ class BalanceFields:
 
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
-                     manifold: Manifold | None = None) -> BalanceFields:
+                     manifold: Manifold) -> BalanceFields:
     """Cellwise conjugate actions P, S, z - beta, z and b.
 
     The energy and its x-partial, which only the configurational balance
@@ -205,19 +197,17 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
     """
     state = bf.state
     grid = state.grid
-    man = bf.manifold
     if h.shape != state.u.shape or ups.shape != state.nu.shape:
         raise ShapeMismatchError("test fields must match nodal shapes")
-    if man is not None:
-        # the projection, its difference from upsilon and both absolute
-        # values share one nodal buffer, freed before the terms are built
-        buf = man.tangent_project(state.nu, ups)
-        drift = np.max(np.abs(np.subtract(ups, buf, out=buf), out=buf))
-        if drift > TANGENT_TOL * (1.0 + np.max(np.abs(ups, out=buf))):
-            raise NonTangentTestError(
-                f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
-            )
-        del buf
+    # the projection, its difference from upsilon and both absolute values
+    # share one nodal buffer, freed before the terms are built
+    buf = bf.manifold.tangent_project(state.nu, ups)
+    drift = np.max(np.abs(np.subtract(ups, buf, out=buf), out=buf))
+    if drift > TANGENT_TOL * (1.0 + np.max(np.abs(ups, out=buf))):
+        raise NonTangentTestError(
+            f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
+        )
+    del buf
     # one slab's averages and gradients are alive at a time; their
     # per-cell sums are integrated over the whole grid
     def terms(rows):
@@ -238,17 +228,7 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
 # rotational balance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RotationalReport:
-    residual_field: np.ndarray
-    residual: Residual
-
-    @property
-    def ratio(self) -> float:
-        return self.residual.ratio
-
-
-def rotational_balance(bf: BalanceFields) -> RotationalReport:
+def rotational_balance(bf: BalanceFields) -> Residual:
     """Axial residual of P F^T against the substructural rotation terms.
 
     For a frame-indifferent density the identity
@@ -264,7 +244,7 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     time; each sup is the max over the slabs, which is exact.  A slab
     without an active cell is skipped.
     """
-    if bf.manifold is None or not bf.manifold.rotation_generator_defined:
+    if not bf.manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
             "rotational balance needs a manifold with a rotation generator"
         )
@@ -272,7 +252,6 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
     dA = man.rotation_generator_gradient()  # constant; einsum broadcasts it
     dA_abs = np.abs(dA)
     act = bf.state.active
-    out = np.zeros(act.shape + (3,))
     # per-slab sups of the residual, of P F^T and of the two bounding terms
     peaks = ([], [], [], [])
     for sl in bf.state.grid.slabs:
@@ -287,7 +266,6 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
         Az = np.einsum("...aj,...a->...j", A, z)
         dAS = np.einsum("...ajb,...bi,...ai->...j", dA, N, S)
         res = ax - Az - dAS
-        out[sl] = np.where(a[..., None], res, 0.0)
         # the scale ignores cancellations inside each term, so a balance
         # whose ingredients are all round-off still reports a tiny ratio
         Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
@@ -297,8 +275,7 @@ def rotational_balance(bf: BalanceFields) -> RotationalReport:
             peak.append(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
     # np.max keeps a nan, as the sup over all cells at once did
     sup_res, sup_PFt, sup_Az, sup_dAS = (float(np.max(peak)) for peak in peaks)
-    residual = Residual("rotational", sup_res, sup_PFt + sup_Az + sup_dAS + _TINY)
-    return RotationalReport(residual_field=out, residual=residual)
+    return Residual("rotational", sup_res, sup_PFt + sup_Az + sup_dAS + _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -359,51 +336,6 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
                 raw -= term
                 scale += abs(term)
         out.append(Residual(name=f"{label}[{k}]", raw=raw, scale=scale))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Eulerian description
-# ---------------------------------------------------------------------------
-
-def cauchy_stress(bf: BalanceFields) -> np.ndarray:
-    """sigma = P F^T / det F on active cells; requires det F > 0 there."""
-    return _cauchy_stress(bf, bf.gf.F)[0]
-
-
-def _cauchy_stress(bf: BalanceFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cauchy_stress at the cell gradient F of bf's state, and det F."""
-    det = det3(F)
-    if np.any(det[bf.state.active] <= 0):
-        worst = float(det[bf.state.active].min())
-        raise SingularCellError(f"Cauchy stress undefined: min det F = {worst:.3e}")
-    sigma = np.einsum("...ik,...jk->...ij", bf.P, F) / np.where(
-        det > 0, det, 1.0
-    )[..., None, None]
-    sigma[~bf.state.active] = 0.0
-    return sigma, det
-
-
-def eulerian_cauchy_residual(bf: BalanceFields, tests: list) -> list[Residual]:
-    """Spatial weak balance by pullback: int sigma : Dphi(y) det F - b . phi(y).
-
-    tests are (phi, dphi) callables on spatial points y; quadrature runs over
-    the reference cells with y = the deformed cell average.
-    """
-    gf = bf.gf
-    sigma, det = _cauchy_stress(bf, gf.F)
-    state = bf.state
-    grid = state.grid
-    y = gf.u_bar
-    out = []
-    for k, (phi, dphi) in enumerate(tests):
-        g = np.asarray(dphi(y), dtype=float)
-        p = np.asarray(phi(y), dtype=float)
-        t1 = np.einsum("...ij,...ij->...", sigma, g) * det
-        t2 = -np.einsum("...i,...i->...", bf.b, p)
-        raw = integrate_cells(t1 + t2, grid, state.active)
-        scale = integrate_cells(np.abs(t1) + np.abs(t2), grid, state.active)
-        out.append(Residual(name=f"eulerian_cauchy[{k}]", raw=raw, scale=scale))
     return out
 
 

@@ -39,10 +39,6 @@ class NonTangentTestError(ComplexBodiesError):
     """A descriptor test field is not tangent to the manifold at the state."""
 
 
-class SingularCellError(ComplexBodiesError):
-    """A cell has non-positive Jacobian determinant where positivity is required."""
-
-
 class InadmissibleStartError(ComplexBodiesError):
     """The minimizer was handed a state violating orientation or constraints."""
 

@@ -96,13 +96,12 @@ class MinimizeResult:
     gradient: tuple | None = field(default=None, repr=False)
 
 
-def riesz_gradient(density: EnergyDensity, state: FieldState,
-                   manifold: Manifold | None = None,
+def riesz_gradient(density: EnergyDensity, state: FieldState, manifold: Manifold,
                    vols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Volume-weighted nodal gradient of the discrete energy.
 
-    The descriptor part is tangent-projected (when a manifold is given) and
-    both parts are zeroed on pinned and non-incident nodes.  vols are the
+    The descriptor part is tangent-projected onto the manifold and both
+    parts are zeroed on pinned and non-incident nodes.  vols are the
     lumped nodal volumes of the state's mask, built here when not given.
 
     Only the partials of the slots the density reads are taken (a slab at
@@ -144,8 +143,7 @@ def riesz_gradient(density: EnergyDensity, state: FieldState,
     if g_nu is None:
         g_nu = np.zeros(state.nu.shape)
     else:
-        if manifold is not None:
-            g_nu = manifold.tangent_project(state.nu, g_nu)
+        g_nu = manifold.tangent_project(state.nu, g_nu)
         g_nu[~incident] = 0.0
         g_nu[state.pinned_nu] = 0.0
     return g_u, g_nu

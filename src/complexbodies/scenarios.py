@@ -38,7 +38,6 @@ from .balance import (
     assemble_actions,
     configurational_residual,
     eshelby,
-    eulerian_cauchy_residual,
     random_compact_tests,
     rotational_balance,
     weak_el_residual,
@@ -71,7 +70,6 @@ from .fields import (
     ball_mask,
     boundary_node_mask,
     identity_state,
-    incident_node_mask,
     node_volumes,
     pin,
 )
@@ -87,7 +85,6 @@ CHECK_NAMES = (
     "weak_el",
     "rotational",
     "configurational",
-    "eulerian",
     "defects",
 )
 
@@ -101,7 +98,6 @@ WEAK_TOL = 1e-5
 DUALITY_TOL = 1e-12
 ROTATIONAL_TOL = 1e-6
 CONFIGURATIONAL_TOL = 5e-2
-EULERIAN_TOL = 5e-2
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,8 @@ _RETIRED = {
         "step_max": (_as_float, "1000000"),
         "block_mode": (_as_str, "joint"),
     },
-    "checks": {"relaxed_formula": (_as_bool, "off"), "strong": (_as_bool, "off")},
+    "checks": {"relaxed_formula": (_as_bool, "off"), "strong": (_as_bool, "off"),
+               "eulerian": (_as_bool, "off")},
 }
 
 _SECTIONS = ("scenario", "grid", "manifold", "density", "boundary", "init",
@@ -736,46 +733,6 @@ def _weak_el_rows(config: ScenarioConfig, bf, g_u: np.ndarray, g_nu: np.ndarray,
     return rows, dual
 
 
-def _spatial_tests(state: FieldState, n: int, seed: int) -> list:
-    """Compactly supported spatial test fields on the deformed body.
-
-    Each test is a (phi, dphi) closure pair built from a quartic bump in a
-    random box well inside the image of the active region, so no boundary
-    traction terms enter the spatial weak balance.
-    """
-    rng = np.random.default_rng(seed)
-    incident = incident_node_mask(state.grid, state.active)
-    pts = state.u[incident]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    out = []
-    for _ in range(n):
-        c = mid + rng.uniform(-0.3, 0.3, size=3) * half
-        R = rng.uniform(0.2, 0.4) * half
-        pol = rng.normal(size=3)
-
-        def phi(y, c=c, R=R, pol=pol):
-            t = (y - c) / R
-            f = np.prod(np.clip(1.0 - t**2, 0.0, None) ** 2, axis=-1)
-            return f[..., None] * pol
-
-        def dphi(y, c=c, R=R, pol=pol):
-            t = (y - c) / R
-            b = np.clip(1.0 - t**2, 0.0, None)
-            f_ax = b**2
-            df_ax = -4.0 * t * b / R
-            grad = np.empty(y.shape)
-            for j in range(3):
-                others = [f_ax[..., a] for a in range(3) if a != j]
-                grad[..., j] = df_ax[..., j] * others[0] * others[1]
-            return pol[:, None] * grad[..., None, :]
-
-        out.append((phi, dphi))
-    return out
-
-
 def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensity,
                 mres: MinimizeResult) -> tuple[list, list, ResidualReport]:
     final = mres.state
@@ -827,10 +784,8 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
         vols = node_volumes(final.grid, final.active)
         grad = (*riesz_gradient(density, final, manifold, vols=vols), vols)
     # the cellwise actions are assembled only now, so the checks above run
-    # without them alive; every check from here to eulerian reads them
-    needs_actions = any(
-        checks[n] for n in ("weak_el", "rotational", "configurational", "eulerian")
-    )
+    # without them alive; every check from here to configurational reads them
+    needs_actions = any(checks[n] for n in ("weak_el", "rotational", "configurational"))
     bf = assemble_actions(density, final, manifold) if needs_actions else None
     if checks["weak_el"]:
         rows, dual = _weak_el_rows(config, bf, *grad)
@@ -845,12 +800,12 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
             f"duality={_fg(worst_dual)} tol={_fg(DUALITY_TOL)}",
         )
     if checks["rotational"]:
-        rep = rotational_balance(bf)
-        report.add(rep.residual)
+        res = rotational_balance(bf)
+        report.add(res)
         record(
             "rotational",
-            rep.ratio <= ROTATIONAL_TOL,
-            f"ratio={_fg(rep.ratio)} tol={_fg(ROTATIONAL_TOL)}",
+            res.ratio <= ROTATIONAL_TOL,
+            f"ratio={_fg(res.ratio)} tol={_fg(ROTATIONAL_TOL)}",
         )
     if checks["configurational"]:
         ef = eshelby(bf)
@@ -862,16 +817,6 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
             "configurational",
             worst <= CONFIGURATIONAL_TOL,
             f"worst_ratio={_fg(worst)} tol={_fg(CONFIGURATIONAL_TOL)}",
-        )
-    if checks["eulerian"]:
-        tests = _spatial_tests(final, N_TESTS, config.seed + 14)
-        rows = eulerian_cauchy_residual(bf, tests)
-        report.add(rows)
-        worst = max(r.ratio for r in rows)
-        record(
-            "eulerian",
-            worst <= EULERIAN_TOL,
-            f"worst_ratio={_fg(worst)} tol={_fg(EULERIAN_TOL)}",
         )
     if checks["defects"]:
         rep = defect_charges(final, manifold)

@@ -22,10 +22,8 @@ from complexbodies.balance import (
     _bump,
     ResidualReport,
     assemble_actions,
-    cauchy_stress,
     configurational_residual,
     eshelby,
-    eulerian_cauchy_residual,
     random_compact_tests,
     rotational_balance,
     weak_el_residual,
@@ -45,12 +43,7 @@ from complexbodies.energy import (
     isotropic_elasticity,
     total_energy,
 )
-from complexbodies.errors import (
-    GeneratorUnavailableError,
-    NonTangentTestError,
-    ShapeMismatchError,
-    SingularCellError,
-)
+from complexbodies.errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from complexbodies.fields import (
     Grid,
     ball_mask,
@@ -627,9 +620,7 @@ def _per_cell_rotational_balance(bf):
     Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(bf.z))
     dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(gf.N), np.abs(bf.S))
     scale = sup(PFt) + sup(Az_abs) + sup(dAS_abs) + _TINY
-    out = res.copy()
-    out[~act] = 0.0
-    return Residual("rotational", sup(res), scale), out
+    return Residual("rotational", sup(res), scale)
 
 
 def _generic_state(man, res=7, seed=0):
@@ -659,11 +650,9 @@ class TestRotationalBalance:
     def test_constant_generator_gradient_matches_per_cell_copy(self, man):
         state = _generic_state(man)
         bf = assemble_actions(_anchored_density(man), state, man)
-        rep = rotational_balance(bf)
-        ref, ref_field = _per_cell_rotational_balance(bf)
-        assert rep.residual == ref
-        assert np.array_equal(rep.residual_field, ref_field)
-        assert rep.ratio > 0.0
+        res = rotational_balance(bf)
+        assert res == _per_cell_rotational_balance(bf)
+        assert res.ratio > 0.0
 
     @pytest.mark.parametrize("body", ["box", "ball"])
     @pytest.mark.parametrize("man", [UnitSphere(), degree_of_orientation()],
@@ -679,19 +668,17 @@ class TestRotationalBalance:
         assert [s.stop - s.start for s in slabs] == [14, 3]
         assert all(state.active[s].any() for s in slabs) == (body == "box")
         bf = assemble_actions(_anchored_density(man), state, man)
-        rep = rotational_balance(bf)
-        ref, ref_field = _per_cell_rotational_balance(bf)
-        assert rep.residual == ref
-        assert np.array_equal(rep.residual_field, ref_field)
-        assert rep.ratio > 0.0
+        res = rotational_balance(bf)
+        assert res == _per_cell_rotational_balance(bf)
+        assert res.ratio > 0.0
 
     def test_objective_director_density_closes(self):
         state, man = _sphere_state()
         density = SumDensity(
             [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(3)]
         )
-        rep = rotational_balance(assemble_actions(density, state, man))
-        assert rep.ratio < 1e-12, rep.residual
+        res = rotational_balance(assemble_actions(density, state, man))
+        assert res.ratio < 1e-12, res
 
     def test_objective_phason_coupling_cancels(self):
         state, man = _phason_state()
@@ -700,8 +687,8 @@ class TestRotationalBalance:
             phason_stiffness=1.0,
             coupling=0.05 * np.einsum("ia,jk->ijak", np.eye(3), np.eye(3)),
         )
-        rep = rotational_balance(assemble_actions(density, state, man))
-        assert rep.ratio < 1e-10, rep.residual
+        res = rotational_balance(assemble_actions(density, state, man))
+        assert res.ratio < 1e-10, res
 
     def test_product_descriptor_with_inert_factor_closes(self):
         grid = Grid.cube(7, -0.5, 0.5)
@@ -726,16 +713,16 @@ class TestRotationalBalance:
                 ),
             ]
         )
-        rep = rotational_balance(assemble_actions(density, state, man))
-        assert rep.ratio < 1e-12, rep.residual
+        res = rotational_balance(assemble_actions(density, state, man))
+        assert res.ratio < 1e-12, res
 
     def test_anchoring_breaks_the_balance(self):
         state, man = _sphere_state()
         density = SumDensity(
             [DirichletDescriptor(3), EasyAxisAnchoring([0.0, 0.0, 1.0], weight=0.8)]
         )
-        rep = rotational_balance(assemble_actions(density, state, man))
-        assert rep.ratio > 0.1, rep.residual
+        res = rotational_balance(assemble_actions(density, state, man))
+        assert res.ratio > 0.1, res
 
     def test_matches_finite_rotation_invariance(self):
         # the density that closes the balance is also invariant under a
@@ -849,65 +836,6 @@ class TestEshelbyAndConfigurational:
         ef = eshelby(bf)
         with pytest.raises(ShapeMismatchError):
             configurational_residual(ef, bf, [np.zeros((3, 3))])
-
-
-class TestEulerianDescription:
-    def test_identity_placement_gives_sigma_equals_p(self):
-        state, man = _phason_state()
-        state.u = state.grid.node_coords().copy()
-        density = CompressibleMacro(1.0, 0.7, 1.4)
-        bf = assemble_actions(density, state, man)
-        sigma = cauchy_stress(bf)
-        assert np.allclose(sigma, bf.P, atol=1e-14)
-
-    def test_uniform_dilation_quarters_the_stress(self):
-        grid = Grid.cube(6)
-        man = Euclidean(3)
-        state = identity_state(grid, man, nu0=np.zeros(3))
-        state.u = 2.0 * state.u
-        bf = assemble_actions(CompressibleMacro(1.0, 0.7, 1.4), state, man)
-        sigma = cauchy_stress(bf)
-        assert np.allclose(sigma, bf.P / 4.0, atol=1e-14)
-
-    def test_reflection_is_singular(self):
-        grid = Grid.cube(4)
-        man = Euclidean(3)
-        state = identity_state(grid, man, nu0=np.zeros(3))
-        state.u = state.u * np.array([-1.0, 1.0, 1.0])
-        bf = assemble_actions(CompressibleMacro(1.0, 0.7, 1.4), state, man)
-        with pytest.raises(SingularCellError):
-            cauchy_stress(bf)
-
-    def test_pullback_matches_referential_quadrature(self):
-        # quadratic spatial tests are differentiated exactly by the corner
-        # stencils, so the two descriptions integrate the same numbers
-        grid = Grid.cube(7)
-        man = Euclidean(3)
-        state = identity_state(grid, man, nu0=np.zeros(3))
-        state.u = 2.0 * state.u
-        density = CompressibleMacro(1.0, 0.7, 1.4)
-        bf = assemble_actions(density, state, man)
-
-        def phi(y):
-            return np.stack(
-                [y[..., 0] * y[..., 1], y[..., 1] * y[..., 2], y[..., 0] ** 2], axis=-1
-            )
-
-        def dphi(y):
-            z = np.zeros(y.shape[:-1])
-            rows = [
-                [y[..., 1], y[..., 0], z],
-                [z, y[..., 2], y[..., 1]],
-                [2.0 * y[..., 0], z, z],
-            ]
-            return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-        eres = eulerian_cauchy_residual(bf, [(phi, dphi)])[0]
-        h = phi(state.u)
-        ups = np.zeros(state.nu.shape)
-        lres = weak_el_residual(bf, h, ups)
-        assert abs(eres.raw - lres.raw) <= 1e-12 * (1.0 + abs(lres.raw))
-        assert eres.scale > 0
 
 
 class TestResidualReport:

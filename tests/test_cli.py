@@ -256,8 +256,7 @@ def test_bad_check_flag_exits_two(tmp_path, capsys):
 
 def test_unknown_check_has_one_message(tmp_path, capsys):
     want = ("config error: unknown check 'bogus'; known: orientation, injectivity, "
-            "growth, convexity, weak_el, rotational, configurational, eulerian, "
-            "defects\n")
+            "growth, convexity, weak_el, rotational, configurational, defects\n")
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--check", "bogus=on"]) == 2
     assert capsys.readouterr().err == want
@@ -266,12 +265,13 @@ def test_unknown_check_has_one_message(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_retired_strong_check_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["strong", "eulerian"])
+def test_retired_check_exits_two(tmp_path, capsys, name):
     out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--check", "strong=on"]) == 2
-    assert "unknown check 'strong'" in capsys.readouterr().err
-    assert main(["run", _write(tmp_path, TINY + "strong = on\n"), "--out", str(out)]) == 2
-    assert ("[checks] strong is retired and accepts only off, got 'on'"
+    assert main(["run", _write(tmp_path, TINY), "--out", str(out), "--check", f"{name}=on"]) == 2
+    assert f"unknown check {name!r}" in capsys.readouterr().err
+    assert main(["run", _write(tmp_path, TINY + f"{name} = on\n"), "--out", str(out)]) == 2
+    assert (f"[checks] {name} is retired and accepts only off, got 'on'"
             in capsys.readouterr().err)
     assert not out.exists()
 

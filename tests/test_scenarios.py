@@ -237,6 +237,7 @@ RETIRED = [
     ("minimize", "block_mode", "joint", "alternate"),
     ("checks", "relaxed_formula", "off", "on"),
     ("checks", "strong", "off", "on"),
+    ("checks", "eulerian", "off", "on"),
 ]
 
 
@@ -397,6 +398,27 @@ def test_readme_documents_every_kind_with_its_defaults():
         sec: {kind: row[0] for kind, row in table.items()}
         for sec, table in _TABLES.items()
     }
+
+
+def test_readme_lists_the_check_names_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("\nCheck names: ")[1].split(". ")[0]
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == CHECK_NAMES
+
+
+def test_readme_lists_every_retired_key_at_its_value():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Configs written by earlier versions also")[1].split(";")[0]
+    documented, section = [], None
+    for sec, key, value in re.findall(r"`\[(\w+)\]`|`(\w+) = ([^`]+)`", sentence):
+        section = sec or section
+        if key:
+            documented.append((section, key, value))
+    assert documented == [
+        (sec, key, only)
+        for sec, keys in scenarios._RETIRED.items()
+        for key, (_, only) in keys.items()
+    ]
 
 
 # every [boundary] and every [init] kind on every manifold kind, under the
