@@ -19,8 +19,7 @@ and evaluates every balance the theory provides:
   A* z + (DA)* S, with A the manifold's rotation generator evaluated at the
   raw cell average so the identity is algebraic, not asymptotic;
 * the configurational balance through the energy-momentum tensor
-  PP = e I - F^T P - N^T S, optionally corrected by a line-defect term
-  4 pi sum_segments mult * length * (T ox T) : Dphi(midpoint).
+  PP = e I - F^T P - N^T S.
 
 Ratios always divide a raw residual by the accumulated magnitude of the
 terms entering it, so "small" is meaningful per law and per test.
@@ -41,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .energy import EnergyDensity, LineDefect
+from .energy import EnergyDensity
 from .errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from .fields import (
     FieldState,
@@ -297,13 +296,11 @@ def eshelby(bf: BalanceFields) -> EshelbyField:
 
 
 def configurational_residual(ef: EshelbyField, bf: BalanceFields,
-                             tests: Iterable[np.ndarray],
-                             line: LineDefect | None = None) -> list[Residual]:
+                             tests: Iterable[np.ndarray]) -> list[Residual]:
     """Distributional residual of the configurational balance per test.
 
-    raw = int PP : Dphi dx + int de_dx . phi dx - line term, where the line
-    term samples 4 pi mult len (T ox T) : Dphi at each segment midpoint's
-    cell.  phi must be a compact nodal 3-vector field.
+    raw = int PP : Dphi dx + int de_dx . phi dx.  phi must be a compact
+    nodal 3-vector field.
     """
     state = bf.state
     grid = state.grid
@@ -318,24 +315,7 @@ def configurational_residual(ef: EshelbyField, bf: BalanceFields,
         t2 = np.einsum("...i,...i->...", de_dx, phibar)
         raw = integrate_cells(t1 + t2, grid, state.active)
         scale = integrate_cells(np.abs(t1) + np.abs(t2), grid, state.active)
-        label = "configurational" if line is None else "configurational_with_line"
-        if line is not None:
-            lens = line.segment_lengths()
-            tangents = line.tangents()
-            mids = line.midpoints()
-            lo = np.asarray(grid.lo)
-            h = np.asarray(grid.spacing)
-            for seg in range(len(lens)):
-                idx = np.floor((mids[seg] - lo) / h).astype(int)
-                idx = tuple(np.clip(idx, 0, np.asarray(grid.cells) - 1))
-                TT = np.outer(tangents[seg], tangents[seg])
-                term = (
-                    4.0 * np.pi * float(line.multiplicities[seg]) * lens[seg]
-                    * float(np.einsum("ij,ij->", TT, Dphi[idx]))
-                )
-                raw -= term
-                scale += abs(term)
-        out.append(Residual(name=f"{label}[{k}]", raw=raw, scale=scale))
+        out.append(Residual(name=f"configurational[{k}]", raw=raw, scale=scale))
     return out
 
 

@@ -59,7 +59,7 @@ with optional terms switched off for energies controlling only one field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,9 +68,8 @@ from .errors import (
     GeneratorUnavailableError,
     ShapeMismatchError,
     SizeMismatchError,
-    WrongManifoldError,
 )
-from .fields import SLOTS, FieldState, cellwise, gradients, integrate_cells
+from .fields import SLOTS, FieldState, cellwise, gradients
 from .minors import cofactor, cross_cofactor, det3, minors_norm_squared
 
 
@@ -769,74 +768,6 @@ class EasyAxisAnchoring(EnergyDensity):
     def d_nu(self, x, u, F, nu, N):
         p = np.einsum("a,...a->...", self.axis, np.asarray(nu, dtype=float))
         return (2.0 * self.weight * p)[..., None] * self.axis
-
-
-# ---------------------------------------------------------------------------
-# line defects and the relaxed spin energy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LineDefect:
-    """Integer-multiplicity polyline defect: vertices (k+1, 3), multiplicities (k,)."""
-
-    points: np.ndarray
-    multiplicities: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "multiplicities", np.asarray(self.multiplicities))
-        if self.points.ndim != 2 or self.points.shape[1] != 3 or self.points.shape[0] < 2:
-            raise ShapeMismatchError("polyline needs at least two 3d points")
-        if self.multiplicities.shape != (self.points.shape[0] - 1,):
-            raise SizeMismatchError("one multiplicity per segment required")
-        if not np.issubdtype(self.multiplicities.dtype, np.integer):
-            raise ShapeMismatchError("multiplicities must be integers")
-        if np.any(self.multiplicities < 1):
-            raise ShapeMismatchError("multiplicities must be >= 1")
-        if np.any(self.segment_lengths() <= 0):
-            raise ShapeMismatchError("degenerate zero-length segment")
-
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
-
-    def tangents(self) -> np.ndarray:
-        d = np.diff(self.points, axis=0)
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
-
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.points[:-1] + self.points[1:])
-
-    def mass(self) -> float:
-        """Multiplicity-weighted total length."""
-        return float(np.sum(self.multiplicities * self.segment_lengths()))
-
-
-@dataclass(frozen=True)
-class SpinEnergyBreakdown:
-    dirichlet: float
-    defect_term: float
-    macro: float
-
-    @property
-    def total(self) -> float:
-        return self.dirichlet + self.defect_term + self.macro
-
-
-def relaxed_spin_energy(state: FieldState, defect: LineDefect | None = None,
-                        macro_energy: float = 0.0) -> SpinEnergyBreakdown:
-    """Relaxed director energy: (1/2) int |Dnu|^2 + 4 pi mass(L) + macro part.
-
-    The exact sum of the three parts is the contract; the descriptor must be
-    a 3-component director field.
-    """
-    if state.embed_dim != 3:
-        raise WrongManifoldError("relaxed spin energy needs a 3-component director")
-    gf = gradients(state, ("N",))
-    dens = 0.5 * np.einsum("...ai,...ai->...", gf.N, gf.N)
-    dirichlet = integrate_cells(dens, state.grid, state.active)
-    defect_term = 4.0 * np.pi * defect.mass() if defect is not None else 0.0
-    return SpinEnergyBreakdown(dirichlet=dirichlet, defect_term=defect_term,
-                               macro=float(macro_energy))
 
 
 # ---------------------------------------------------------------------------

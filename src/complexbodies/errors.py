@@ -16,11 +16,7 @@ class ShapeMismatchError(ComplexBodiesError):
 
 
 class SizeMismatchError(ComplexBodiesError):
-    """Two multi-objects that must agree in size do not."""
-
-
-class ZeroMinorsError(ComplexBodiesError):
-    """Normalization of an identically zero minors vector was requested."""
+    """Parts that must agree in number or dimension do not."""
 
 
 class ProjectionUndefinedError(ComplexBodiesError):

@@ -1104,8 +1104,3 @@ def preset_config(name: str) -> ScenarioConfig:
         raise ConfigError(
             f"unknown preset {name!r}; known: {', '.join(sorted(_PRESETS))}"
         ) from None
-
-
-def presets() -> list:
-    """Fresh configs for every built-in scenario."""
-    return [build() for _, build in sorted(_PRESETS.items())]

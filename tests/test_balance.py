@@ -36,7 +36,6 @@ from complexbodies.energy import (
     EasyAxisAnchoring,
     ExternalFieldCoupling,
     GinzburgLandau,
-    LineDefect,
     QuadraticVector,
     Quasicrystal,
     SumDensity,
@@ -780,55 +779,24 @@ class TestEshelbyAndConfigurational:
         for res in configurational_residual(ef, bf, tests):
             assert abs(res.raw) <= 1e-12 * (1.0 + res.scale), res.name
 
-    def test_line_term_wiring(self):
-        state, man = _sphere_state(res=10)
-        bf = assemble_actions(DirichletDescriptor(3), state, man)
-        ef = eshelby(bf)
-        phi = random_compact_tests(state, 1, 3, seed=13)[0]()
-        line = LineDefect(
-            points=np.array([[-0.2, -0.1, 0.0], [0.25, 0.15, 0.1]]),
-            multiplicities=np.array([2]),
-        )
-        base = configurational_residual(ef, bf, [phi])[0]
-        with_line = configurational_residual(ef, bf, [phi], line=line)[0]
-        seg = line.points[1] - line.points[0]
-        length = float(np.linalg.norm(seg))
-        T = seg / length
-        mid = 0.5 * (line.points[0] + line.points[1])
-        idx = tuple(
-            int(np.floor((mid[a] - state.grid.lo[a]) / state.grid.spacing[a]))
-            for a in range(3)
-        )
-        Dphi = cell_gradient(phi, state.grid)
-        expected = 4.0 * np.pi * 2.0 * length * float(
-            np.einsum("i,j,ij->", T, T, Dphi[idx])
-        )
-        assert np.isclose(with_line.raw - base.raw, -expected, rtol=1e-12)
-        assert with_line.scale >= base.scale
-
-    def test_affine_test_gives_closed_form_line_term(self):
-        # constant PP against an affine phi: both integrals collapse to
-        # closed-form products, and the midpoint sampling is exact
+    def test_affine_test_gives_closed_form(self):
+        # an affine placement gives a constant PP, which against an affine
+        # phi collapses the integral to PP : G times the unit volume
         grid = Grid.cube(8)
         man = Euclidean(3)
         state = identity_state(grid, man, nu0=np.zeros(3))
+        A = np.array([[1.1, 0.05, 0.0], [0.0, 0.95, 0.1], [0.02, 0.0, 1.05]])
+        state.u = np.einsum("ij,...j->...i", A, state.u)
         density = CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3)
         bf = assemble_actions(density, state, man)
         ef = eshelby(bf)
         G = np.array([[0.2, -0.1, 0.0], [0.3, 0.1, 0.4], [0.0, 0.2, -0.3]])
         phi = np.einsum("ij,...j->...i", G, grid.node_coords()) + np.array([0.1, 0.0, -0.2])
-        line = LineDefect(
-            points=np.array([[0.2, 0.3, 0.4], [0.7, 0.6, 0.5]]),
-            multiplicities=np.array([3]),
-        )
-        res = configurational_residual(ef, bf, [phi], line=line)[0]
-        assert res.name == "configurational_with_line[0]"
-        seg = line.points[1] - line.points[0]
-        length = float(np.linalg.norm(seg))
-        T = seg / length
-        bulk = float(np.einsum("ij,ij->", ef.PP[0, 0, 0], G))  # PP is uniform
-        expected = bulk - 4.0 * np.pi * 3.0 * length * float(T @ G @ T)
-        assert np.isclose(res.raw, expected, rtol=1e-12, atol=1e-12)
+        res = configurational_residual(ef, bf, [phi])[0]
+        assert res.name == "configurational[0]"
+        assert np.max(np.std(ef.PP.reshape(-1, 9), axis=0)) < 1e-13
+        expected = float(np.einsum("ij,ij->", ef.PP[0, 0, 0], G))
+        assert np.isclose(res.raw, expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_wrong_test_shape(self):
         state, man = _sphere_state()

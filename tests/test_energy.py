@@ -13,7 +13,6 @@ from complexbodies.energy import (
     ExternalFieldCoupling,
     GinzburgLandau,
     GrowthSpec,
-    LineDefect,
     ModulatedWell,
     Quasicrystal,
     QuadraticVector,
@@ -24,7 +23,6 @@ from complexbodies.energy import (
     gradient_consistency,
     isotropic_elasticity,
     log_barrier,
-    relaxed_spin_energy,
     sample_states,
     total_energy,
 )
@@ -32,7 +30,6 @@ from complexbodies.errors import (
     GeneratorUnavailableError,
     ShapeMismatchError,
     SizeMismatchError,
-    WrongManifoldError,
 )
 from complexbodies.fields import SLOTS, Grid, identity_state
 from complexbodies.manifolds import Euclidean, UnitSphere
@@ -512,65 +509,3 @@ class TestSumDensity:
         mixed = SumDensity([DirichletDescriptor(3), ExternalFieldCoupling([1.0, 0, 0])])
         assert not mixed.external
         assert len(mixed.parts) == 2
-
-
-class TestLineDefects:
-    def test_mass_oracle(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 2.0, 0]])
-        ld = LineDefect(points=pts, multiplicities=np.array([2, 3]))
-        assert ld.mass() == pytest.approx(2 * 1.0 + 3 * 2.0)
-        assert np.allclose(ld.tangents()[0], [1, 0, 0])
-        assert np.allclose(ld.midpoints()[1], [1.0, 1.0, 0.0])
-
-    def test_validation(self):
-        with pytest.raises(ShapeMismatchError):
-            LineDefect(points=np.zeros((1, 3)), multiplicities=np.zeros(0, dtype=int))
-        with pytest.raises(SizeMismatchError):
-            LineDefect(points=np.zeros((3, 3)), multiplicities=np.array([1]))
-        with pytest.raises(ShapeMismatchError):
-            LineDefect(
-                points=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
-                multiplicities=np.array([1.5]),
-            )
-        with pytest.raises(ShapeMismatchError):
-            LineDefect(
-                points=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
-                multiplicities=np.array([0]),
-            )
-        with pytest.raises(ShapeMismatchError):
-            LineDefect(
-                points=np.array([[0.0, 0, 0], [0.0, 0, 0]]),
-                multiplicities=np.array([1]),
-            )
-
-
-class TestRelaxedSpinEnergy:
-    def test_exact_decomposition(self):
-        grid = Grid.cube(6)
-        state = identity_state(grid, UnitSphere(), nu0=np.array([1.0, 0.0, 0.0]))
-        rng = np.random.default_rng(2)
-        state.nu += 0.1 * rng.normal(size=state.nu.shape)
-        ld = LineDefect(
-            points=np.array([[0.0, 0, 0], [0.5, 0, 0]]), multiplicities=np.array([1])
-        )
-        out = relaxed_spin_energy(state, defect=ld, macro_energy=2.5)
-        assert out.total == out.dirichlet + out.defect_term + out.macro
-        assert out.defect_term == pytest.approx(4 * np.pi * 0.5)
-        assert out.macro == 2.5
-        assert out.dirichlet > 0
-
-    def test_constant_director_zero_gradient_part(self):
-        grid = Grid.cube(5)
-        state = identity_state(grid, UnitSphere(), nu0=np.array([0.0, 1.0, 0.0]))
-        out = relaxed_spin_energy(state)
-        assert out.dirichlet == pytest.approx(0.0, abs=1e-14)
-        assert out.total == pytest.approx(0.0, abs=1e-14)
-
-    def test_wrong_descriptor_dimension(self):
-        from complexbodies.manifolds import degree_of_orientation
-
-        grid = Grid.cube(4)
-        man = degree_of_orientation()
-        state = identity_state(grid, man, nu0=np.array([0.0, 0.0, 1.0, 0.5]))
-        with pytest.raises(WrongManifoldError):
-            relaxed_spin_energy(state)

@@ -7,6 +7,7 @@ section, key, kind, or parameter must be rejected loudly.  Run artifacts are
 checked for exact headers and byte-identical repeats under a fixed seed.
 """
 
+import ast
 import dataclasses
 import re
 import threading
@@ -32,7 +33,6 @@ from complexbodies.scenarios import (
     parse_config,
     preset_config,
     preset_names,
-    presets,
     run,
 )
 
@@ -250,7 +250,9 @@ def test_retired_key_parses_only_at_its_value(section, key, value, other):
 
 # every key of every density kind, with the manifold of a preset that uses
 # the kind; the keys come from the density table, so a new key is fuzzed too
-_DENSITY_MANIFOLD = {cfg.density_kind: cfg.manifold_kind for cfg in presets()}
+_DENSITY_MANIFOLD = {
+    cfg.density_kind: cfg.manifold_kind for cfg in map(preset_config, preset_names())
+}
 _DENSITY_KEYS = [
     (kind, _DENSITY_MANIFOLD[kind], key)
     for kind, (defaults, _) in scenarios.DENSITIES.items()
@@ -419,6 +421,43 @@ def test_readme_lists_every_retired_key_at_its_value():
         for sec, keys in scenarios._RETIRED.items()
         for key, (_, only) in keys.items()
     ]
+
+
+# public names that only the tests reach, each kept for a reason
+_TEST_FIXTURES = {
+    "DeadLoad": "external load, the positive control for the external action beta",
+    "ExternalFieldCoupling": "external field, the positive control for the external action beta",
+    "ModulatedWell": "the only density with a nonzero d_x, for the configurational x term",
+    "EasyAxisAnchoring": "frame-breaking, the positive control for the rotational balance",
+    "gradient_consistency": "finite-difference oracle that gate 02 runs on every density",
+    "load_fields": "reads fields.npz back for the artifact round-trip tests",
+}
+
+
+def test_every_public_name_is_reached():
+    """Each public top-level def or class of the package is used by the
+    package, a script or the benchmark; the tests alone do not count."""
+    root = Path(__file__).resolve().parents[1]
+    defined = set()
+    for path in (root / "src" / "complexbodies").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.add(node.name)
+    used = set()
+    for top in ("src", "scripts", "groundbench"):
+        for path in (root / top).rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+    assert set(_TEST_FIXTURES) <= defined - used
+    assert defined - used - set(_TEST_FIXTURES) == set()
 
 
 # every [boundary] and every [init] kind on every manifold kind, under the
@@ -694,7 +733,7 @@ def test_preset_catalogue_is_complete():
     names = preset_names()
     assert REQUIRED_PRESETS <= set(names)
     assert len(names) >= 6
-    assert [cfg.name for cfg in presets()] == names
+    assert [preset_config(name).name for name in names] == names
 
 
 @pytest.mark.parametrize("name", preset_names())
