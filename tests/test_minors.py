@@ -95,6 +95,72 @@ class TestBatchedHelpers:
             G = rng.normal(size=(3, 3))
             assert minors_norm_squared(G) == pytest.approx(oracle_norm_squared(G), rel=1e-12)
 
+    @pytest.mark.parametrize("i,j", list(itertools.product(range(3), range(3))))
+    def test_det_derivative_is_cofactor(self, i, j):
+        # det is affine in each entry, so the central difference at any step is exact
+        rng = np.random.default_rng(30 + 3 * i + j)
+        F = rng.normal(size=(3, 3))
+        E = np.zeros((3, 3))
+        E[i, j] = 1.0
+        fd = 0.5 * (float(det3(F + E)) - float(det3(F - E)))
+        assert fd == pytest.approx(float(cofactor(F)[i, j]), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 5)], ids=["single", "row", "block"])
+    def test_batched_equals_one_by_one(self, lead):
+        # slabbed and whole-grid evaluations agree bit for bit only if each matrix
+        # comes out the same whatever batch it is in
+        rng = np.random.default_rng(len(lead) + 40)
+        F = rng.normal(size=lead + (3, 3)) * rng.lognormal(0.0, 3.0, size=lead + (3, 3))
+        G = rng.normal(size=lead + (3, 3))
+        for got, one in (
+            (det3(F), lambda k: det3(F[k])),
+            (cofactor(F), lambda k: cofactor(F[k])),
+            (minors_norm_squared(F), lambda k: minors_norm_squared(F[k])),
+            (cross_cofactor(F, G), lambda k: cross_cofactor(F[k], G[k])),
+        ):
+            for k in np.ndindex(lead):
+                assert np.array_equal(got[k], one(k))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_frame_indifference(self, side):
+        # cof(QF) = Q cof F and cof(FQ) = cof F Q for Q in SO(3); det and |M|^2 are unchanged
+        rng = np.random.default_rng(50 if side == "left" else 51)
+        F = rng.normal(size=(20, 3, 3))
+        Q, _ = np.linalg.qr(rng.normal(size=(20, 3, 3)))
+        Q = Q * np.sign(np.linalg.det(Q))[:, None, None]
+        QF = Q @ F if side == "left" else F @ Q
+        cof_QF = Q @ cofactor(F) if side == "left" else cofactor(F) @ Q
+        assert np.allclose(det3(QF), det3(F), rtol=1e-12, atol=1e-12)
+        assert np.allclose(cofactor(QF), cof_QF, rtol=1e-12, atol=1e-12)
+        assert np.allclose(minors_norm_squared(QF), minors_norm_squared(F), rtol=1e-12)
+
+    def test_homogeneity(self):
+        rng = np.random.default_rng(52)
+        F = rng.normal(size=(20, 3, 3))
+        for t in (-3.0, 0.5, 2.0):
+            assert np.allclose(det3(t * F), t**3 * det3(F), rtol=1e-12, atol=1e-12)
+            assert np.allclose(cofactor(t * F), t**2 * cofactor(F), rtol=1e-12, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_composition_rule(self, seed):
+        # Cauchy-Binet at orders 3 and 2, batched
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(5, 3, 3))
+        H = rng.normal(size=(5, 3, 3))
+        assert np.allclose(det3(G @ H), det3(G) * det3(H), rtol=1e-9, atol=1e-9)
+        assert np.allclose(cofactor(G @ H), cofactor(G) @ cofactor(H), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4), (3, 2)], ids=["vector", "4x4", "3x2"])
+    @pytest.mark.parametrize(
+        "helper",
+        [det3, cofactor, minors_norm_squared, lambda F: cross_cofactor(F, np.eye(3))],
+        ids=["det3", "cofactor", "minors_norm_squared", "cross_cofactor"],
+    )
+    def test_rejects_non_3x3(self, helper, shape):
+        with pytest.raises(ShapeMismatchError):
+            helper(np.ones(shape))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_dominates_entries(self, seed):
