@@ -4,9 +4,8 @@ From a state and a density this module assembles the conjugate actions
 
     P = de/dF   (first Piola-Kirchhoff stress)
     S = de/dN   (microstress)
-    z = de/dnu over internal parts, beta = -de/dnu over external parts,
-    zeta = z - beta (net substructural action, kept in the ambient
-    embedding, where it pairs with the assembled gradient exactly),
+    zeta = de/dnu (net substructural action, kept in the ambient
+    embedding, where it pairs with the assembled gradient exactly)
     b = -de/du (body force)
 
 and evaluates every balance the theory provides:
@@ -16,20 +15,20 @@ and evaluates every balance the theory provides:
   the test fields are drawn up front and built on demand, one builder per
   field, so pairs can be checked in any order or concurrently;
 * the rotational balance: the axial vector of P F^T must equal
-  A* z + (DA)* S, with A the manifold's rotation generator evaluated at the
-  raw cell average so the identity is algebraic, not asymptotic;
+  A* z + (DA)* S for the internal parts of the density, an identity of a
+  frame-indifferent density at every state, so it is checked on sampled
+  states of the density, not on the result;
 * the configurational balance through the energy-momentum tensor
   PP = e I - F^T P - N^T S.
 
 Ratios always divide a raw residual by the accumulated magnitude of the
 terms entering it, so "small" is meaningful per law and per test.
 
-The actions, the weak residual's per-cell terms and the rotational balance
-are computed a slab of cell rows at a time (fields.cellwise, Grid.slabs);
-every integral and sup is then taken over the whole grid, so the results
-are those of a whole-grid pass, bit for bit.  BalanceFields keeps the
-actions only: the cell kinematics are gathered again where a balance reads
-them.
+The actions and the weak residual's per-cell terms are computed a slab of
+cell rows at a time (fields.cellwise, Grid.slabs); every integral is then
+taken over the whole grid, so the results are those of a whole-grid pass,
+bit for bit.  BalanceFields keeps the actions only: the cell kinematics
+are gathered again where a balance reads them.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .energy import EnergyDensity
+from .energy import EnergyDensity, sample_states
 from .errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from .fields import (
     FieldState,
@@ -83,7 +82,6 @@ class BalanceFields:
     P: np.ndarray
     S: np.ndarray
     zeta_ambient: np.ndarray  # raw embedding derivative, for exact duality
-    z: np.ndarray
     b: np.ndarray
 
     @property
@@ -95,21 +93,14 @@ class BalanceFields:
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
                      manifold: Manifold) -> BalanceFields:
-    """Cellwise conjugate actions P, S, z - beta, z and b.
+    """Cellwise conjugate actions P, S, zeta and b.
 
     The energy and its x-partial, which only the configurational balance
     reads, are taken there from gf when it runs.
     """
     def actions(rows):
         gf = gradients(state, rows=rows)
-        z = np.zeros(gf.nu_bar.shape)
-        beta = np.zeros(gf.nu_bar.shape)
-        for part in density.parts:
-            if part.external:
-                beta = beta - part.d_nu(*gf)
-            else:
-                z = z + part.d_nu(*gf)
-        return density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf)
+        return density.d_F(*gf), density.d_N(*gf), density.d_nu(*gf), -density.d_u(*gf)
 
     return BalanceFields(state, density, manifold, *cellwise(state.grid, actions))
 
@@ -227,91 +218,90 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
 # rotational balance
 # ---------------------------------------------------------------------------
 
-def rotational_balance(bf: BalanceFields) -> Residual:
+def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
+                       seed: int) -> Residual:
     """Axial residual of P F^T against the substructural rotation terms.
 
-    For a frame-indifferent density the identity
+    For a density whose internal parts are frame-indifferent the identity
 
         eps_{jab} (P F^T)_{ab} = (A* z)_j + sum_i (N_i x S_i)-type term
 
-    holds pointwise as an algebraic consequence of invariance, with A
-    evaluated at the raw cell average of the descriptor; its derivative dA
-    is one constant tensor, since A is linear in the descriptor.
+    holds at every state (F, nu, N) as an algebraic consequence of
+    invariance, with P, S and z the partials of the internal parts only:
+    an external part models an applied load, which need not be objective.
+    A is the manifold's rotation generator and its derivative dA is one
+    constant tensor, since A is linear in the descriptor.
 
-    The cells are taken in the grid's slabs, and F, N and the descriptor
-    average are gathered per slab, so the terms of one slab are alive at a
-    time; each sup is the max over the slabs, which is exact.  A slab
-    without an active cell is skipped.
+    The identity is evaluated on one sample_states batch of n states drawn
+    from seed, the descriptor a raw point of the ambient embedding, as a
+    cell average is.  Each sample
+    is scored by its residual over the sum of the magnitudes of its three
+    terms, and the worst sample's raw and scale are returned: one sup over
+    the batch would let large samples hide a small one's residual.
     """
-    if not bf.manifold.rotation_generator_defined:
+    if not manifold.rotation_generator_defined:
         raise GeneratorUnavailableError(
             "rotational balance needs a manifold with a rotation generator"
         )
-    man = bf.manifold
-    dA = man.rotation_generator_gradient()  # constant; einsum broadcasts it
-    dA_abs = np.abs(dA)
-    act = bf.state.active
-    # per-slab sups of the residual, of P F^T and of the two bounding terms
-    peaks = ([], [], [], [])
-    for sl in bf.state.grid.slabs:
-        a = act[sl]
-        if not a.any():
-            continue
-        gf = gradients(bf.state, ("F", "N", "nu"), sl)
-        F, N, S, z = gf.F, gf.N, bf.S[sl], bf.z[sl]
-        A = man.rotation_generator(gf.nu_bar)
-        PFt = np.einsum("...ik,...jk->...ij", bf.P[sl], F)
-        ax = np.einsum("jab,...ab->...j", LEVI, PFt)
-        Az = np.einsum("...aj,...a->...j", A, z)
-        dAS = np.einsum("...ajb,...bi,...ai->...j", dA, N, S)
-        res = ax - Az - dAS
-        # the scale ignores cancellations inside each term, so a balance
-        # whose ingredients are all round-off still reports a tiny ratio
-        Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
-        dAS_abs = np.einsum("...ajb,...bi,...ai->...j", dA_abs, np.abs(N), np.abs(S))
-        for peak, f in zip(peaks, (res, PFt, Az_abs, dAS_abs)):
-            vals = f[a]
-            peak.append(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
-    # np.max keeps a nan, as the sup over all cells at once did
-    sup_res, sup_PFt, sup_Az, sup_dAS = (float(np.max(peak)) for peak in peaks)
-    return Residual("rotational", sup_res, sup_PFt + sup_Az + sup_dAS + _TINY)
+    s = sample_states(np.random.default_rng(seed), n, density.embed_dim)
+    args = (s.x, s.u, s.F, s.nu, s.N)
+    internal = [part for part in density.parts if not part.external]
+
+    def partial(leg, like):
+        return sum((getattr(part, leg)(*args) for part in internal), np.zeros(like.shape))
+
+    P, S, z = partial("d_F", s.F), partial("d_N", s.N), partial("d_nu", s.nu)
+    A = manifold.rotation_generator(s.nu)
+    dA = manifold.rotation_generator_gradient()
+    PFt = np.einsum("...ik,...jk->...ij", P, s.F)
+    ax = np.einsum("jab,...ab->...j", LEVI, PFt)
+    Az = np.einsum("...aj,...a->...j", A, z)
+    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, s.N, S)
+    raw = np.linalg.norm(ax - Az - dAS, axis=-1)
+    # the scale ignores cancellations inside each term, so a balance
+    # whose ingredients are all round-off still reports a tiny ratio
+    Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
+    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(s.N), np.abs(S))
+    scale = (np.linalg.norm(PFt.reshape(n, -1), axis=-1) + np.linalg.norm(Az_abs, axis=-1)
+             + np.linalg.norm(dAS_abs, axis=-1) + _TINY)
+    # np.argmax takes the first nan, so a nan sample is the worst
+    i = int(np.argmax(raw / scale))
+    return Residual("rotational", float(raw[i]), float(scale[i]))
 
 
 # ---------------------------------------------------------------------------
 # configurational balance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EshelbyField:
-    PP: np.ndarray
-
-
-def eshelby(bf: BalanceFields) -> EshelbyField:
-    """Energy-momentum tensor PP = e I - F^T P - N^T S, cellwise."""
-    gf = bf.gf
+def eshelby(bf: BalanceFields, gf: GradientField) -> np.ndarray:
+    """Energy-momentum tensor PP = e I - F^T P - N^T S, cellwise, from the
+    actions and the state's cell kinematics gf."""
     PP = bf.density.eval(*gf)[..., None, None] * np.eye(3)
     PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
-    PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
-    return EshelbyField(PP=PP)
+    return PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
 
 
-def configurational_residual(ef: EshelbyField, bf: BalanceFields,
+def configurational_residual(bf: BalanceFields,
                              tests: Iterable[np.ndarray]) -> list[Residual]:
     """Distributional residual of the configurational balance per test.
 
     raw = int PP : Dphi dx + int de_dx . phi dx.  phi must be a compact
-    nodal 3-vector field.
+    nodal 3-vector field.  The cell kinematics are gathered once, for PP
+    and de_dx.
     """
     state = bf.state
     grid = state.grid
-    de_dx = bf.density.d_x(*bf.gf)
+    gf = bf.gf
+    PP = eshelby(bf, gf)
+    de_dx = bf.density.d_x(*gf)
+    del gf
     out = []
     for k, phi in enumerate(tests):
         if phi.shape != state.u.shape:
             raise ShapeMismatchError("configurational tests are nodal 3-vector fields")
         Dphi = cell_gradient(phi, grid)
         phibar = cell_average(phi, grid)
-        t1 = np.einsum("...ij,...ij->...", ef.PP, Dphi)
+        t1 = np.einsum("...ij,...ij->...", PP, Dphi)
         t2 = np.einsum("...i,...i->...", de_dx, phibar)
         raw = integrate_cells(t1 + t2, grid, state.active)
         scale = integrate_cells(np.abs(t1) + np.abs(t2), grid, state.active)

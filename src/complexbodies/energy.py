@@ -11,8 +11,8 @@ A density evaluates pointwise on the state list
 and exposes analytic partial derivatives with the same leading batch axes.
 Derivatives are taken in the ambient embedding; tangent projection is the
 balance module's job.  Densities flagged external depend on (x, u, nu) only
-and model applied loads; their descriptor derivative feeds the external
-action -beta instead of the internal self-action z.
+and model applied loads; the rotational balance reads the internal parts
+alone, since an applied load need not be frame-indifferent.
 
 A density reads the slots whose partial d_<slot> its class overrides, and
 no others: ``reads`` is derived from the overrides, never declared, and eval

@@ -15,7 +15,7 @@ the flat embedding metric.  Every manifold here exposes
   rotating factor with the same q.
 * rotation_generator_gradient(): dA = dA/dnu.  Every generator above is
   linear in nu, so dA is one constant (embed_dim, 3, embed_dim) tensor;
-  callers broadcast it against per-cell arrays.
+  callers broadcast it against batched arrays.
 
 All other operations vectorize over leading axes: points are arrays shaped
 (..., embed_dim).

@@ -37,7 +37,6 @@ from .balance import (
     Residual,
     assemble_actions,
     configurational_residual,
-    eshelby,
     random_compact_tests,
     rotational_balance,
     weak_el_residual,
@@ -131,8 +130,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.resolution < 2:
             raise ConfigError("grid resolution must be at least 2")
-        if not self.lo < self.hi:
-            raise ConfigError(f"empty box [{self.lo}, {self.hi}]")
+        # the grid's cell spacing and volume, in Python floats, which
+        # overflow to inf and underflow to 0 without a warning
+        h = (self.hi - self.lo) / self.resolution
+        volume = h * h * h
+        if not (0.0 < h < math.inf and 0.0 < volume < math.inf):
+            raise ConfigError(
+                f"[grid] box [{self.lo}, {self.hi}] at resolution {self.resolution} has "
+                f"cell spacing {h:g} and cell volume {volume:g}; both must be finite "
+                f"and positive"
+            )
         if self.shape not in GRID_SHAPES:
             raise ConfigError(f"shape must be one of {GRID_SHAPES}, got {self.shape!r}")
         for key in self.checks:
@@ -778,6 +785,14 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
             rep.passed,
             f"mode={rep.mode} segments={rep.segments} max_defect={_fg(rep.max_defect)}",
         )
+    if checks["rotational"]:
+        res = rotational_balance(density, manifold, GROWTH_SAMPLES, config.seed)
+        report.add(res)
+        record(
+            "rotational",
+            res.ratio <= ROTATIONAL_TOL,
+            f"ratio={_fg(res.ratio)} tol={_fg(ROTATIONAL_TOL)}",
+        )
     # a gradient taken here is taken before the actions, so its working set
     # is freed before theirs is allocated
     if checks["weak_el"] and grad is None:
@@ -785,7 +800,7 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
         grad = (*riesz_gradient(density, final, manifold, vols=vols), vols)
     # the cellwise actions are assembled only now, so the checks above run
     # without them alive; every check from here to configurational reads them
-    needs_actions = any(checks[n] for n in ("weak_el", "rotational", "configurational"))
+    needs_actions = checks["weak_el"] or checks["configurational"]
     bf = assemble_actions(density, final, manifold) if needs_actions else None
     if checks["weak_el"]:
         rows, dual = _weak_el_rows(config, bf, *grad)
@@ -799,18 +814,9 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
             f"worst_ratio={_fg(worst)} tol={_fg(WEAK_TOL)} "
             f"duality={_fg(worst_dual)} tol={_fg(DUALITY_TOL)}",
         )
-    if checks["rotational"]:
-        res = rotational_balance(bf)
-        report.add(res)
-        record(
-            "rotational",
-            res.ratio <= ROTATIONAL_TOL,
-            f"ratio={_fg(res.ratio)} tol={_fg(ROTATIONAL_TOL)}",
-        )
     if checks["configurational"]:
-        ef = eshelby(bf)
         phi_tests = random_compact_tests(final, N_TESTS, 3, seed=config.seed + 13)
-        rows = configurational_residual(ef, bf, (build() for build in phi_tests))
+        rows = configurational_residual(bf, (build() for build in phi_tests))
         report.add(rows)
         worst = max(r.ratio for r in rows)
         record(

@@ -28,7 +28,6 @@ from complexbodies.admissibility import (
 from complexbodies.balance import (
     assemble_actions,
     configurational_residual,
-    eshelby,
     random_compact_tests,
     rotational_balance,
 )
@@ -42,7 +41,7 @@ from complexbodies.energy import (
     gradient_consistency,
     total_energy,
 )
-from complexbodies.fields import Grid, ball_mask, boundary_node_mask, identity_state
+from complexbodies.fields import Grid, ball_mask, identity_state
 from complexbodies.manifolds import Euclidean, UnitSphere, rotation_from_vector
 from complexbodies.minimize import minimize
 from complexbodies.minors import cofactor, det3, minors_norm_squared
@@ -193,7 +192,7 @@ def _converged_ratio(name, res, grad_tol=None):
     assert mres.converged, f"{name} at {res}^3 did not converge"
     bf = assemble_actions(built.density, mres.state, built.manifold)
     tests = [build() for build in random_compact_tests(mres.state, 20, 3, seed=707)]
-    rows = configurational_residual(eshelby(bf), bf, tests)
+    rows = configurational_residual(bf, tests)
     return max(r.ratio for r in rows)
 
 
@@ -226,61 +225,9 @@ def test_07_configurational_balance_refines_at_minimizers():
                    "refinement slope >= 0.8 over 8/16/32")
 
 
-def _random_director_state(rng, res=8):
-    grid = Grid.cube(res, -0.5, 0.5)
-    man = UnitSphere()
-    state = identity_state(grid, man, nu0=EZ)
-    c = grid.node_coords()
-    a = rng.uniform(-0.4, 0.4, size=6)
-    k = rng.uniform(1.0, 3.0, size=3)
-    raw = np.stack(
-        [
-            a[0] * np.sin(k[0] * c[..., 0]) + a[1] * c[..., 1],
-            a[2] * np.cos(k[1] * c[..., 1]) + a[3] * c[..., 2],
-            1.0 + a[4] * np.sin(k[2] * c[..., 2]),
-        ],
-        axis=-1,
-    )
-    state.nu = man.project(raw)
-    state.u = state.u + 0.04 * np.stack(
-        [
-            np.sin(np.pi * c[..., 0]) * np.cos(np.pi * c[..., 1]),
-            np.sin(np.pi * c[..., 1]) * np.cos(np.pi * c[..., 2]),
-            a[5] * np.sin(np.pi * c[..., 2]) * np.cos(np.pi * c[..., 0]),
-        ],
-        axis=-1,
-    )
-    bdry = boundary_node_mask(grid, state.active)
-    state.pinned_u = bdry.copy()
-    state.pinned_nu = bdry.copy()
-    return state, man
-
-
-def _random_phason_state(rng, res=8):
-    grid = Grid.cube(res, -0.5, 0.5)
-    man = Euclidean(3)
-    state = identity_state(grid, man, nu0=np.zeros(3))
-    c = grid.node_coords()
-    a = rng.uniform(-0.3, 0.3, size=4)
-    state.nu = np.stack(
-        [
-            a[0] * np.sin(2.0 * c[..., 0] + c[..., 1]),
-            a[1] * np.cos(c[..., 1] - c[..., 2]),
-            a[2] * c[..., 0] * c[..., 2],
-        ],
-        axis=-1,
-    )
-    state.u = state.u + 0.03 * np.stack(
-        [c[..., 1] ** 2, c[..., 2] ** 2, a[3] * c[..., 0] ** 2], axis=-1
-    )
-    bdry = boundary_node_mask(grid, state.active)
-    state.pinned_u = bdry.copy()
-    state.pinned_nu = bdry.copy()
-    return state, man
-
-
 def test_08_rotational_balance_splits_objective_from_anchored():
-    rng = np.random.default_rng(808)
+    # the balance is an identity of a frame-indifferent density, so it is
+    # checked on sampled states: five batches per density
     objective_worst = 0.0
     anchored_best = np.inf
     director_density = SumDensity(
@@ -294,17 +241,12 @@ def test_08_rotational_balance_splits_objective_from_anchored():
     anchored = SumDensity(
         [DirichletDescriptor(3), EasyAxisAnchoring(EZ, weight=0.8)]
     )
-    for _ in range(5):
-        state, man = _random_director_state(rng)
-        for density in (director_density,):
-            rep = rotational_balance(assemble_actions(density, state, man))
+    for seed in range(808, 813):
+        for density, man in ((director_density, UnitSphere()), (coupled_phason, Euclidean(3))):
+            rep = rotational_balance(density, man, 4000, seed)
             objective_worst = max(objective_worst, rep.ratio)
-        rep = rotational_balance(assemble_actions(anchored, state, man))
+        rep = rotational_balance(anchored, UnitSphere(), 4000, seed)
         anchored_best = min(anchored_best, rep.ratio)
-
-        pstate, pman = _random_phason_state(rng)
-        rep = rotational_balance(assemble_actions(coupled_phason, pstate, pman))
-        objective_worst = max(objective_worst, rep.ratio)
     ok = objective_worst < 1e-6 and anchored_best > 0.1
     _criterion(ok, f"rotational balance: objective worst {objective_worst:.2e} "
                    f"(tol 1e-6), frame-breaking fixture {anchored_best:.2f} (> 0.1)")

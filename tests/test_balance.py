@@ -11,13 +11,13 @@ algebraic identity, and falsified on a deliberately anchored one.
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from complexbodies import balance, fields
 from complexbodies.balance import (
-    _TINY,
     Residual,
     _bump,
     ResidualReport,
@@ -38,6 +38,7 @@ from complexbodies.energy import (
     GinzburgLandau,
     QuadraticVector,
     Quasicrystal,
+    StateBatch,
     SumDensity,
     isotropic_elasticity,
     total_energy,
@@ -56,12 +57,10 @@ from complexbodies.fields import (
     node_volumes,
 )
 from complexbodies.manifolds import (
-    LEVI,
     Euclidean,
     Interval,
     Product,
     UnitSphere,
-    degree_of_orientation,
     rotation_from_vector,
 )
 from complexbodies.minimize import riesz_gradient
@@ -171,14 +170,11 @@ class TestAssembly:
         bf = assemble_actions(density, state, man)
         args = tuple(bf.gf)
         assert np.allclose(bf.b, np.array([0.1, 0.0, -0.3]), atol=0)
-        # the external coupling's partial is beta = -h, which the net
-        # action subtracts; the internal action z collects none of it
-        external = density.parts[1]
-        assert external.external
-        assert np.allclose(external.d_nu(*args), -h_field, atol=0)
-        assert np.allclose(bf.z, 0.0, atol=0)
+        # the net action is the density's descriptor partial, the external
+        # coupling's -h included
+        assert density.parts[1].external
+        assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
         assert np.allclose(bf.zeta_ambient, -h_field, atol=0)
-        assert np.array_equal(bf.zeta_ambient, bf.z + external.d_nu(*args))
 
     def test_actions_match_density_partials(self):
         state, man = _sphere_state()
@@ -197,11 +193,11 @@ class TestAssembly:
         PP = density.eval(*args)[..., None, None] * np.eye(3)
         PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
         PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
-        assert np.array_equal(eshelby(bf).PP, PP)
+        assert np.array_equal(eshelby(bf, gf), PP)
         phi = random_compact_tests(state, 1, 3, seed=3)[0]()
         t2 = np.einsum("...i,...i->...", density.d_x(*args), cell_average(phi, state.grid))
         t1 = np.einsum("...ij,...ij->...", PP, cell_gradient(phi, state.grid))
-        res = configurational_residual(eshelby(bf), bf, [phi])[0]
+        res = configurational_residual(bf, [phi])[0]
         assert res.raw == integrate_cells(t1 + t2, state.grid, state.active)
 
 
@@ -415,14 +411,7 @@ def _ball_sphere_case():
 def _whole_grid_actions(density, state):
     """assemble_actions' arrays, taken on the whole grid at once."""
     gf = gradients(state)
-    z = np.zeros(gf.nu_bar.shape)
-    beta = np.zeros(gf.nu_bar.shape)
-    for part in density.parts:
-        if part.external:
-            beta = beta - part.d_nu(*gf)
-        else:
-            z = z + part.d_nu(*gf)
-    return density.d_F(*gf), density.d_N(*gf), z - beta, z, -density.d_u(*gf)
+    return density.d_F(*gf), density.d_N(*gf), density.d_nu(*gf), -density.d_u(*gf)
 
 
 def _whole_grid_weak_el(bf, h, ups):
@@ -447,7 +436,7 @@ class TestOneRowSlabs:
             density = _phason_density()
         assert len(state.grid.slabs) == state.grid.cells[0]
         bf = assemble_actions(density, state, man)
-        got = (bf.P, bf.S, bf.zeta_ambient, bf.z, bf.b)
+        got = (bf.P, bf.S, bf.zeta_ambient, bf.b)
         want = _whole_grid_actions(density, state)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         hs = _built(random_compact_tests(state, 4, 3, seed=2))
@@ -597,113 +586,38 @@ class TestInteriorRieszGradient:
         assert np.max(np.abs(dot[inside])) < 1e-12 * (1.0 + np.max(np.abs(g_nu)))
 
 
-def _per_cell_rotational_balance(bf):
-    """rotational_balance with dA copied into every cell before the contraction."""
-    man = bf.manifold
-    gf = bf.gf
-    nub = gf.nu_bar
-    A = man.rotation_generator(nub)
-    dA0 = man.rotation_generator_gradient()
-    dA = np.broadcast_to(dA0, nub.shape[:-1] + dA0.shape).copy()
-    PFt = np.einsum("...ik,...jk->...ij", bf.P, gf.F)
-    ax = np.einsum("jab,...ab->...j", LEVI, PFt)
-    Az = np.einsum("...aj,...a->...j", A, bf.z)
-    dAS = np.einsum("...ajb,...bi,...ai->...j", dA, gf.N, bf.S)
-    res = ax - Az - dAS
-    act = bf.state.active
-
-    def sup(f):
-        vals = f[act]
-        return float(np.max(np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=-1)))
-
-    Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(bf.z))
-    dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(gf.N), np.abs(bf.S))
-    scale = sup(PFt) + sup(Az_abs) + sup(dAS_abs) + _TINY
-    return Residual("rotational", sup(res), scale)
+# the samples of the scenarios' rotational check
+_SAMPLES = scenarios.GROWTH_SAMPLES
 
 
-def _generic_state(man, res=7, seed=0):
-    """A perturbed placement and a random nodal descriptor on man."""
-    grid = Grid.cube(res, -0.5, 0.5)
-    rng = np.random.default_rng(seed)
-    state = identity_state(grid, man, nu0=man.random_point(rng))
-    state.nu = man.project(man.random_point(rng, grid.nodes))
-    state.u = state.u + 0.03 * rng.normal(size=state.u.shape)
-    return state
-
-
-def _anchored_density(man):
+def _objective_director_density():
     return SumDensity(
-        [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=man.embed_dim),
-         DirichletDescriptor(man.embed_dim),
-         EasyAxisAnchoring(np.linspace(0.2, 0.9, man.embed_dim), weight=0.3,
-                           embed_dim=man.embed_dim)]
+        [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(3)]
+    )
+
+
+def _anchored_director_density():
+    return SumDensity(
+        [DirichletDescriptor(3), EasyAxisAnchoring([0.0, 0.0, 1.0], weight=0.8)]
     )
 
 
 class TestRotationalBalance:
-    @pytest.mark.parametrize(
-        "man", [Euclidean(3), UnitSphere(), degree_of_orientation()],
-        ids=lambda m: m.name,
-    )
-    def test_constant_generator_gradient_matches_per_cell_copy(self, man):
-        state = _generic_state(man)
-        bf = assemble_actions(_anchored_density(man), state, man)
-        res = rotational_balance(bf)
-        assert res == _per_cell_rotational_balance(bf)
-        assert res.ratio > 0.0
-
-    @pytest.mark.parametrize("body", ["box", "ball"])
-    @pytest.mark.parametrize("man", [UnitSphere(), degree_of_orientation()],
-                             ids=lambda m: m.name)
-    def test_slabs_match_the_whole_grid_reference(self, man, body, monkeypatch):
-        # in slabs of 4096 cells, 17^3 cells take two slabs, of 14 and 3
-        # rows; the ball of radius 0.35 leaves the second without an active cell
-        monkeypatch.setattr(fields, "SLAB_CELLS", 4096)
-        state = _generic_state(man, res=17)
-        if body == "ball":
-            state.active = ball_mask(state.grid, radius=0.35)
-        slabs = state.grid.slabs
-        assert [s.stop - s.start for s in slabs] == [14, 3]
-        assert all(state.active[s].any() for s in slabs) == (body == "box")
-        bf = assemble_actions(_anchored_density(man), state, man)
-        res = rotational_balance(bf)
-        assert res == _per_cell_rotational_balance(bf)
-        assert res.ratio > 0.0
-
     def test_objective_director_density_closes(self):
-        state, man = _sphere_state()
-        density = SumDensity(
-            [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(3)]
-        )
-        res = rotational_balance(assemble_actions(density, state, man))
+        res = rotational_balance(_objective_director_density(), UnitSphere(), _SAMPLES, 7)
         assert res.ratio < 1e-12, res
 
     def test_objective_phason_coupling_cancels(self):
-        state, man = _phason_state()
         density = Quasicrystal(
             macro=CompressibleMacro(0.5, 0.5, 1.0),
             phason_stiffness=1.0,
             coupling=0.05 * np.einsum("ia,jk->ijak", np.eye(3), np.eye(3)),
         )
-        res = rotational_balance(assemble_actions(density, state, man))
+        res = rotational_balance(density, Euclidean(3), _SAMPLES, 7)
         assert res.ratio < 1e-10, res
 
     def test_product_descriptor_with_inert_factor_closes(self):
-        grid = Grid.cube(7, -0.5, 0.5)
         man = Product(UnitSphere(), Interval(0.0, 1.0))
-        state = identity_state(grid, man, nu0=[0.0, 0.0, 1.0, 0.5])
-        c = grid.node_coords()
-        raw = np.stack(
-            [
-                0.5 + 0.3 * np.sin(c[..., 0]),
-                -0.2 + 0.4 * c[..., 1],
-                1.0 + 0.2 * np.cos(c[..., 2]),
-                0.5 + 0.3 * np.sin(c[..., 0] + c[..., 1]),
-            ],
-            axis=-1,
-        )
-        state.nu = man.project(raw)
         density = SumDensity(
             [
                 DirichletDescriptor(embed_dim=4, name="orientation-gradient"),
@@ -712,24 +626,64 @@ class TestRotationalBalance:
                 ),
             ]
         )
-        res = rotational_balance(assemble_actions(density, state, man))
+        res = rotational_balance(density, man, _SAMPLES, 7)
         assert res.ratio < 1e-12, res
 
     def test_anchoring_breaks_the_balance(self):
-        state, man = _sphere_state()
-        density = SumDensity(
-            [DirichletDescriptor(3), EasyAxisAnchoring([0.0, 0.0, 1.0], weight=0.8)]
-        )
-        res = rotational_balance(assemble_actions(density, state, man))
+        res = rotational_balance(_anchored_director_density(), UnitSphere(), _SAMPLES, 7)
         assert res.ratio > 0.1, res
+
+    @pytest.mark.parametrize("make_density", [_objective_director_density,
+                                              _anchored_director_density])
+    def test_external_parts_leave_the_ratio_unchanged(self, make_density):
+        # an applied load need not be objective: the balance reads the
+        # internal parts only, though the coupling's -h would unbalance it
+        density = make_density()
+        loaded = SumDensity(density.parts + [ExternalFieldCoupling([0.3, -0.1, 0.5]),
+                                             DeadLoad([0.1, 0.0, -0.3])])
+        res = rotational_balance(density, UnitSphere(), _SAMPLES, 7)
+        assert rotational_balance(loaded, UnitSphere(), _SAMPLES, 7) == res
+        internal = SumDensity(density.parts + [EasyAxisAnchoring([0.3, -0.1, 0.5], 1.0)])
+        assert rotational_balance(internal, UnitSphere(), _SAMPLES, 7).ratio > 0.1
+
+    def test_worst_sample_is_reported(self, monkeypatch):
+        # a large balanced sample beside a small unbalanced one: one sup
+        # over the batch would divide the small residual by the large scale
+        rng = np.random.default_rng(0)
+        big = StateBatch(x=np.zeros((1, 3)), u=np.zeros((1, 3)), F=3.0 * np.eye(3)[None],
+                         nu=np.array([[0.0, 0.0, 1.0]]), N=100.0 * rng.normal(size=(1, 3, 3)))
+        small = StateBatch(x=np.zeros((1, 3)), u=np.zeros((1, 3)), F=np.eye(3)[None],
+                           nu=np.array([[0.6, 0.0, 0.8]]), N=0.01 * rng.normal(size=(1, 3, 3)))
+        both = StateBatch(*(np.concatenate([getattr(big, f), getattr(small, f)])
+                            for f in ("x", "u", "F", "nu", "N")))
+
+        def residual(batch):
+            monkeypatch.setattr(balance, "sample_states", lambda rng, n, embed_dim: batch)
+            return rotational_balance(_anchored_director_density(), UnitSphere(), batch.n, 0)
+
+        assert residual(big).ratio < 1e-12
+        worst = residual(both)
+        assert worst == residual(small)
+        assert worst.ratio > 0.1
+        assert worst.raw / residual(big).scale < 1e-3
+
+    @pytest.mark.parametrize("name", ["nematic-hedgehog", "degree-of-orientation",
+                                      "quasicrystal-shear"])
+    def test_preset_row_does_not_depend_on_the_grid(self, name, tmp_path):
+        rows = []
+        for resolution in (6, 8):
+            cfg = replace(scenarios.preset_config(name), resolution=resolution,
+                          checks={"rotational": True})
+            result = scenarios.run(cfg, out_dir=tmp_path / str(resolution))
+            rows.append([r for r in result.residuals.rows() if r[0] == "rotational"])
+            assert result.outcome("rotational").passed
+        assert len(rows[0]) == 1 and rows[0] == rows[1]
 
     def test_matches_finite_rotation_invariance(self):
         # the density that closes the balance is also invariant under a
         # finite simultaneous rotation of placement and director
         state, man = _sphere_state()
-        density = SumDensity(
-            [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(3)]
-        )
+        density = _objective_director_density()
         e0 = total_energy(density, state)
         R = rotation_from_vector(np.array([0.4, -0.3, 0.7]))
         rotated = state.copy()
@@ -739,20 +693,18 @@ class TestRotationalBalance:
         assert abs(e1 - e0) < 1e-12 * (1.0 + abs(e0))
 
     def test_missing_generator_raises(self):
-        grid = Grid.cube(5)
-        man = Interval(0.0, 1.0)
-        state = identity_state(grid, man, nu0=[0.5])
-        bf = assemble_actions(DirichletDescriptor(embed_dim=1), state, man)
         with pytest.raises(GeneratorUnavailableError):
-            rotational_balance(bf)
+            rotational_balance(DirichletDescriptor(embed_dim=1), Interval(0.0, 1.0),
+                               _SAMPLES, 7)
 
 
 class TestEshelbyAndConfigurational:
     def test_dirichlet_closed_form(self):
         state, man = _sphere_state()
         bf = assemble_actions(DirichletDescriptor(3), state, man)
-        PP = eshelby(bf).PP
-        N = bf.gf.N
+        gf = bf.gf
+        PP = eshelby(bf, gf)
+        N = gf.N
         n2 = np.einsum("...ai,...ai->...", N, N)
         expected = 0.5 * n2[..., None, None] * np.eye(3) - np.einsum(
             "...ai,...aj->...ij", N, N
@@ -773,10 +725,10 @@ class TestEshelbyAndConfigurational:
             [CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3), DirichletDescriptor(embed_dim=3)]
         )
         bf = assemble_actions(density, state, man)
-        ef = eshelby(bf)
-        assert np.max(np.std(ef.PP.reshape(-1, 9), axis=0)) < 1e-13
+        PP = eshelby(bf, bf.gf)
+        assert np.max(np.std(PP.reshape(-1, 9), axis=0)) < 1e-13
         tests = _built(random_compact_tests(state, 3, 3, seed=7))
-        for res in configurational_residual(ef, bf, tests):
+        for res in configurational_residual(bf, tests):
             assert abs(res.raw) <= 1e-12 * (1.0 + res.scale), res.name
 
     def test_affine_test_gives_closed_form(self):
@@ -789,21 +741,20 @@ class TestEshelbyAndConfigurational:
         state.u = np.einsum("ij,...j->...i", A, state.u)
         density = CompressibleMacro(1.0, 0.7, 1.4, embed_dim=3)
         bf = assemble_actions(density, state, man)
-        ef = eshelby(bf)
+        PP = eshelby(bf, bf.gf)
         G = np.array([[0.2, -0.1, 0.0], [0.3, 0.1, 0.4], [0.0, 0.2, -0.3]])
         phi = np.einsum("ij,...j->...i", G, grid.node_coords()) + np.array([0.1, 0.0, -0.2])
-        res = configurational_residual(ef, bf, [phi])[0]
+        res = configurational_residual(bf, [phi])[0]
         assert res.name == "configurational[0]"
-        assert np.max(np.std(ef.PP.reshape(-1, 9), axis=0)) < 1e-13
-        expected = float(np.einsum("ij,ij->", ef.PP[0, 0, 0], G))
+        assert np.max(np.std(PP.reshape(-1, 9), axis=0)) < 1e-13
+        expected = float(np.einsum("ij,ij->", PP[0, 0, 0], G))
         assert np.isclose(res.raw, expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_wrong_test_shape(self):
         state, man = _sphere_state()
         bf = assemble_actions(DirichletDescriptor(3), state, man)
-        ef = eshelby(bf)
         with pytest.raises(ShapeMismatchError):
-            configurational_residual(ef, bf, [np.zeros((3, 3))])
+            configurational_residual(bf, [np.zeros((3, 3))])
 
 
 class TestResidualReport:

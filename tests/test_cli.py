@@ -192,6 +192,27 @@ def test_bad_number_exits_two(tmp_path, capsys, old, new, fragment):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("0", "1e-310")],
+                         ids=["overflowing", "underflowing"])
+@pytest.mark.parametrize("name", preset_names())
+def test_box_without_a_finite_positive_cell_exits_two(tmp_path, capsys, name, lo, hi):
+    # (hi - lo) / 4 overflows to inf on the first box; on the second the
+    # spacing is subnormal and its cube underflows to 0
+    text = format_config(preset_config(name))
+    grid = text[text.index("[grid]"):text.index("[manifold]")]
+    box = "\n".join(f"lo = {lo}" if line.startswith("lo = ")
+                    else f"hi = {hi}" if line.startswith("hi = ")
+                    else "resolution = 4" if line.startswith("resolution = ")
+                    else line for line in grid.split("\n"))
+    config = _write(tmp_path, text.replace(grid, box))
+    assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [grid] box [")
+    assert "cell spacing" in err and "must be finite and positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 # rim director data nu_slope (x - centre) on a sphere; the box centre is an
 # interior node, where that data vanishes
 SPHERE_STRETCH = """

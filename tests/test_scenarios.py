@@ -425,10 +425,12 @@ def test_readme_lists_every_retired_key_at_its_value():
 
 # public names that only the tests reach, each kept for a reason
 _TEST_FIXTURES = {
-    "DeadLoad": "external load, the positive control for the external action beta",
-    "ExternalFieldCoupling": "external field, the positive control for the external action beta",
+    "DeadLoad": "external load, which the body force reads and the rotational balance leaves out",
+    "ExternalFieldCoupling": "external field, which the net action zeta reads and the rotational "
+                             "balance leaves out",
     "ModulatedWell": "the only density with a nonzero d_x, for the configurational x term",
-    "EasyAxisAnchoring": "frame-breaking, the positive control for the rotational balance",
+    "EasyAxisAnchoring": "frame-breaking internal part, the positive control for the rotational "
+                         "balance on sampled states",
     "gradient_consistency": "finite-difference oracle that gate 02 runs on every density",
     "load_fields": "reads fields.npz back for the artifact round-trip tests",
 }

@@ -49,3 +49,16 @@ def test_hedgehog_refinement_writes_its_study(tmp_path, capsys):
     assert values["resolution"] == "6" and values["converged"] == "True"
     assert float(values["energy_minimized"]) < float(values["energy_analytic"])
     assert "6^3: E/4pi=" in capsys.readouterr().out
+
+
+def test_headline_times_every_preset(capsys):
+    script = _load("headline")
+    assert script.main(["--resolutions", "6"]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header == "| preset | resolution | seconds | iterations | converged |"
+    assert [row.split(" | ")[:2] for row in rows] == [
+        [f"| {name}", "6^3"] for name in script.preset_names()
+    ]
+    for row in rows:
+        _, _, seconds, iterations, converged = row.strip("| ").split(" | ")
+        assert float(seconds) >= 0 and int(iterations) >= 0 and converged == "True"
