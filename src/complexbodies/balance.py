@@ -93,16 +93,28 @@ class BalanceFields:
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
                      manifold: Manifold) -> BalanceFields:
-    """Cellwise conjugate actions P, S, zeta and b.
+    """Cellwise conjugate actions P, S, zeta and b, by the slots F, N, nu, u.
 
-    The energy and its x-partial, which only the configurational balance
-    reads, are taken there from gf when it runs.
+    Only the partials of the slots the density reads are taken, a slab at a
+    time.  Each other action is the base class's zero (-0.0 in b) broadcast
+    from one scalar: it holds no per-cell memory, and the terms built from
+    it have the bits that a full array of it gives.  The energy and its
+    x-partial, which only the configurational balance reads, are taken
+    there from gf when it runs.
     """
-    def actions(rows):
-        gf = gradients(state, rows=rows)
-        return density.d_F(*gf), density.d_N(*gf), density.d_nu(*gf), -density.d_u(*gf)
+    reads = density.reads
+    dims = {"F": (3, 3), "N": (state.embed_dim, 3), "nu": (state.embed_dim,), "u": (3,)}
+    slots = [s for s in dims if s in reads]
 
-    return BalanceFields(state, density, manifold, *cellwise(state.grid, actions))
+    def actions(rows):
+        gf = gradients(state, reads, rows)
+        return tuple(-density.d_u(*gf) if s == "u" else getattr(density, "d_" + s)(*gf)
+                     for s in slots)
+
+    taken = dict(zip(slots, cellwise(state.grid, actions)))
+    return BalanceFields(state, density, manifold, *(
+        taken.get(s, np.broadcast_to(-0.0 if s == "u" else 0.0, state.grid.cells + dims[s]))
+        for s in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +238,13 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
 
         eps_{jab} (P F^T)_{ab} = (A* z)_j + sum_i (N_i x S_i)-type term
 
-    holds at every state (F, nu, N) as an algebraic consequence of
-    invariance, with P, S and z the partials of the internal parts only:
-    an external part models an applied load, which need not be objective.
-    A is the manifold's rotation generator and its derivative dA is one
-    constant tensor, since A is linear in the descriptor.
+    holds at every state (F, nu, N), with P, S and z the partials of the
+    internal parts only: an external part models an applied load, which
+    need not be objective.  A is the manifold's rotation generator, linear
+    in the descriptor, so its derivative dA is one constant tensor.
 
-    The identity is evaluated on one sample_states batch of n states drawn
-    from seed, the descriptor a raw point of the ambient embedding, as a
-    cell average is.  Each sample
+    It is evaluated on one sample_states batch of n states drawn from seed,
+    the descriptor a raw ambient point, as a cell average is.  Each sample
     is scored by its residual over the sum of the magnitudes of its three
     terms, and the worst sample's raw and scale are returned: one sup over
     the batch would let large samples hide a small one's residual.
@@ -274,8 +284,7 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
 # ---------------------------------------------------------------------------
 
 def eshelby(bf: BalanceFields, gf: GradientField) -> np.ndarray:
-    """Energy-momentum tensor PP = e I - F^T P - N^T S, cellwise, from the
-    actions and the state's cell kinematics gf."""
+    """Energy-momentum tensor PP = e I - F^T P - N^T S on the cell kinematics gf."""
     PP = bf.density.eval(*gf)[..., None, None] * np.eye(3)
     PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
     return PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)

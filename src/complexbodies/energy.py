@@ -831,7 +831,6 @@ class GrowthReport:
     samples: int
     violations: int
     min_slack: float
-    worst: dict | None
 
     @property
     def passed(self) -> bool:
@@ -852,12 +851,8 @@ def check_growth(density: EnergyDensity, spec: GrowthSpec | None = None,
     slack = e - bound
     tol = 1e-10 * np.maximum(1.0, np.abs(e))
     bad = slack < -tol
-    worst = None
-    if batch.n:
-        i = int(np.argmin(slack))
-        worst = {"slack": float(slack[i]), "F": batch.F[i], "N": batch.N[i]}
     return GrowthReport(samples=batch.n, violations=int(bad.sum()),
-                        min_slack=float(slack.min()), worst=worst)
+                        min_slack=float(slack.min()))
 
 
 @dataclass

@@ -130,16 +130,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.resolution < 2:
             raise ConfigError("grid resolution must be at least 2")
-        # the grid's cell spacing and volume, in Python floats, which
-        # overflow to inf and underflow to 0 without a warning
+        # Python floats overflow to inf and underflow to 0 without a warning
         h = (self.hi - self.lo) / self.resolution
-        volume = h * h * h
-        if not (0.0 < h < math.inf and 0.0 < volume < math.inf):
-            raise ConfigError(
-                f"[grid] box [{self.lo}, {self.hi}] at resolution {self.resolution} has "
-                f"cell spacing {h:g} and cell volume {volume:g}; both must be finite "
-                f"and positive"
-            )
+        if not (0.0 < h < math.inf and 0.0 < h * h * h < math.inf):
+            raise ConfigError(f"[grid] box [{self.lo}, {self.hi}] at resolution {self.resolution}"
+                              f" has cell spacing {h:g} and cell volume {h * h * h:g}; both must"
+                              f" be finite and positive")
         if self.shape not in GRID_SHAPES:
             raise ConfigError(f"shape must be one of {GRID_SHAPES}, got {self.shape!r}")
         for key in self.checks:
@@ -706,15 +702,16 @@ def _weak_el_rows(config: ScenarioConfig, bf, g_u: np.ndarray, g_nu: np.ndarray,
     """Weak residual and duality rows over random test pairs.
 
     (g_u, g_nu) is the assembled gradient with lumped volumes vols.  The
-    N_TESTS pairs run on min(2, usable cores) worker threads; numpy's loops
-    release the interpreter lock, so two pairs proceed at once.  A worker
-    builds its pair from the builders drawn here, takes the pair's pairing
-    with the gradient and its weak_el_residual row, and drops the pair, so
-    at most one pair per worker is alive.  Every value is computed by the
-    same operations whichever worker runs it, and the rows come back in
-    pair order, so the rows and ratios are the same bit for bit on any
-    number of workers.  A failing pair raises the error of the first
-    failing pair, as a serial loop would.
+    calling thread checks the even pairs and, on two usable cores, one
+    worker the odd ones (numpy's loops release the interpreter lock); the
+    caller does not wait idle, since each thread that builds test fields
+    keeps its own malloc heap of them.  A thread builds its pair from the
+    builders drawn here, takes the pair's pairing with the gradient and its
+    weak_el_residual row, and drops the pair, so at most one pair per thread
+    is alive.  Every value is computed by the same operations on any thread
+    and the rows are taken in pair order, so the rows are the same bit for
+    bit on one or two threads, and a failing pair raises the error of the
+    first failing pair, as a serial loop would.
     """
     final = bf.state
     w = vols[..., None]
@@ -730,8 +727,10 @@ def _weak_el_rows(config: ScenarioConfig, bf, g_u: np.ndarray, g_nu: np.ndarray,
         pairing = float(np.sum(g_u * h * w) + np.sum(g_nu * ups * w))
         return weak_el_residual(bf, h, ups, k), pairing
 
-    with ThreadPoolExecutor(max_workers=min(2, _usable_cores())) as pool:
-        done = list(pool.map(check_pair, range(N_TESTS)))
+    two = _usable_cores() >= 2
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        odd = {k: pool.submit(check_pair, k) for k in range(1, N_TESTS, 2) if two}
+        done = [odd[k].result() if k in odd else check_pair(k) for k in range(N_TESTS)]
     rows = [r for r, _ in done]
     dual = [
         Residual(name=f"duality[{k}]", raw=r.raw - pairing, scale=1.0 + r.scale)

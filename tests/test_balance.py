@@ -176,6 +176,18 @@ class TestAssembly:
         assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
         assert np.allclose(bf.zeta_ambient, -h_field, atol=0)
 
+    def test_unread_actions_are_broadcast_zeros(self):
+        # the density reads neither F nor u: P and b are one broadcast zero
+        # each, and the weak rows equal those of full arrays of those zeros
+        state, man = _sphere_state()
+        density = SumDensity([DirichletDescriptor(3), EasyAxisAnchoring([0.0, 0.0, 1.0], 0.4)])
+        bf = assemble_actions(density, state, man)
+        assert not any(bf.P.strides) and not any(bf.b.strides)
+        full = replace(bf, P=np.zeros(bf.P.shape), b=-np.zeros(bf.b.shape))
+        hs = _built(random_compact_tests(state, 4, 3, seed=2))
+        us = _built(random_compact_tests(state, 4, 3, seed=3, manifold=man))
+        assert _rows(bf, hs, us) == _rows(full, hs, us)
+
     def test_actions_match_density_partials(self):
         state, man = _sphere_state()
         density = _sphere_density()
@@ -456,7 +468,7 @@ class TestStreamedWeakEL:
             density = _phason_density()
         bf = assemble_actions(density, state, man)
         ref_rows, ref_dual = _list_weak_el_rows(5, state, density, man, bf)
-        # the pool runs min(2, usable cores) workers: one and two, switching
+        # the pairs run on the calling thread alone and beside one worker, switching
         # threads often, so a write to shared state would show in the rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -634,7 +646,8 @@ class TestRotationalBalance:
         assert res.ratio > 0.1, res
 
     @pytest.mark.parametrize("make_density", [_objective_director_density,
-                                              _anchored_director_density])
+                                              _anchored_director_density],
+                             ids=["objective", "anchored"])
     def test_external_parts_leave_the_ratio_unchanged(self, make_density):
         # an applied load need not be objective: the balance reads the
         # internal parts only, though the coupling's -h would unbalance it

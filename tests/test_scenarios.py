@@ -635,7 +635,7 @@ def test_run_joins_its_worker_threads(tmp_path):
 
 
 def test_artifacts_bitwise_on_one_and_two_workers(tmp_path, monkeypatch):
-    # the weak-EL pairs run on min(2, usable cores) worker threads
+    # the weak-EL pairs run on the calling thread alone and beside one worker
     cfg = dataclasses.replace(preset_config("quasicrystal-shear"), resolution=8)
     for cores in (1, 2):
         monkeypatch.setattr(scenarios, "_usable_cores", lambda cores=cores: cores)
