@@ -96,11 +96,10 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
     """Cellwise conjugate actions P, S, zeta and b, by the slots F, N, nu, u.
 
     Only the partials of the slots the density reads are taken, a slab at a
-    time.  Each other action is the base class's zero (-0.0 in b) broadcast
-    from one scalar: it holds no per-cell memory, and the terms built from
-    it have the bits that a full array of it gives.  The energy and its
-    x-partial, which only the configurational balance reads, are taken
-    there from gf when it runs.
+    time; each other action is the base class's zero (-0.0 in b) broadcast
+    from one scalar, which holds no per-cell memory and gives the terms
+    built from it the bits of a full array.  The energy and its x-partial,
+    which only the configurational balance reads, are taken there from gf.
     """
     reads = density.reads
     dims = {"F": (3, 3), "N": (state.embed_dim, 3), "nu": (state.embed_dim,), "u": (3,)}
@@ -161,9 +160,10 @@ def random_compact_tests(state: FieldState, n: int, components: int, seed: int =
             xi = (x - center[ax]) / width
             r2 = r2 + xi**2
             wave = wave * np.cos(freq[ax] * np.pi * (x - lo[ax]) / (2 * half[ax]) + phase[ax])
-        envelope = np.exp(-r2)
-        profile = envelope * wave * shell
+        profile = np.exp(-r2) * wave * shell
+        del r2, wave  # each temporary goes before the next full-size array
         f = profile[..., None] * pol
+        del profile
         f = np.where(interior[..., None], f, 0.0)
         if manifold is not None:
             f = manifold.tangent_project(state.nu, f)
