@@ -272,7 +272,7 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
     # whose ingredients are all round-off still reports a tiny ratio
     Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
     dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(s.N), np.abs(S))
-    scale = (np.linalg.norm(PFt.reshape(n, -1), axis=-1) + np.linalg.norm(Az_abs, axis=-1)
+    scale = (np.linalg.norm(PFt.reshape(s.n, -1), axis=-1) + np.linalg.norm(Az_abs, axis=-1)
              + np.linalg.norm(dAS_abs, axis=-1) + _TINY)
     # np.argmax takes the first nan, so a nan sample is the worst
     i = int(np.argmax(raw / scale))
