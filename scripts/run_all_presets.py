@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run every built-in scenario and summarize the verification verdicts.
 
-Artifacts land under --out-root/<preset>/.  Exit status is the number of
+Artifacts land under --out-root/<preset>/.  Each line ends with the SHA-256
+of the run's six artifacts, read in the order of ARTIFACTS, so two trees
+compare bit for bit by their printed digests.  Exit status is the number of
 presets that failed a check or stopped without converging, so the script
 doubles as a coarse smoke gate.
 
@@ -12,12 +14,24 @@ Usage:
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 import time
 from pathlib import Path
 
 from complexbodies.errors import ScenarioFailedError
 from complexbodies.scenarios import preset_config, preset_names, run
+
+ARTIFACTS = ("trace.csv", "fields_u.csv", "fields_nu.csv", "fields.npz",
+             "residuals.csv", "report.txt")
+
+
+def digest(out: Path) -> str:
+    """SHA-256 of the run's artifacts, read one after another."""
+    h = hashlib.sha256()
+    for name in ARTIFACTS:
+        h.update((out / name).read_bytes())
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -54,7 +68,8 @@ def main(argv=None):
             verdict += f", not converged: {mres.message}"
         checks = f"{sum(o.passed for o in result.outcomes)}/{len(result.outcomes)}"
         print(f"{verdict}  {name:<22} checks={checks:<6} "
-              f"E={mres.energy:.6g}  iters={mres.iterations}  {dt:.1f}s  -> {out}")
+              f"E={mres.energy:.6g}  iters={mres.iterations}  {dt:.1f}s  -> {out}  "
+              f"sha256={digest(out)}")
     return failures
 
 

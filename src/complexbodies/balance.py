@@ -112,7 +112,8 @@ def assemble_actions(density: EnergyDensity, state: FieldState,
 
     taken = dict(zip(slots, cellwise(state.grid, actions)))
     return BalanceFields(state, density, manifold, *(
-        taken.get(s, np.broadcast_to(-0.0 if s == "u" else 0.0, state.grid.cells + dims[s]))
+        taken[s] if s in taken
+        else np.broadcast_to(-0.0 if s == "u" else 0.0, state.grid.cells + dims[s])
         for s in dims))
 
 
@@ -254,14 +255,13 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
             "rotational balance needs a manifold with a rotation generator"
         )
     s = sample_states(np.random.default_rng(seed), n, density.embed_dim)
-    args = (s.x, s.u, s.F, s.nu, s.N)
     internal = [part for part in density.parts if not part.external]
 
     def partial(leg, like):
-        return sum((getattr(part, leg)(*args) for part in internal), np.zeros(like.shape))
+        return sum((getattr(part, leg)(*s) for part in internal), np.zeros(like.shape))
 
-    P, S, z = partial("d_F", s.F), partial("d_N", s.N), partial("d_nu", s.nu)
-    A = manifold.rotation_generator(s.nu)
+    P, S, z = partial("d_F", s.F), partial("d_N", s.N), partial("d_nu", s.nu_bar)
+    A = manifold.rotation_generator(s.nu_bar)
     dA = manifold.rotation_generator_gradient()
     PFt = np.einsum("...ik,...jk->...ij", P, s.F)
     ax = np.einsum("jab,...ab->...j", LEVI, PFt)
@@ -272,7 +272,7 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
     # whose ingredients are all round-off still reports a tiny ratio
     Az_abs = np.einsum("...aj,...a->...j", np.abs(A), np.abs(z))
     dAS_abs = np.einsum("...ajb,...bi,...ai->...j", np.abs(dA), np.abs(s.N), np.abs(S))
-    scale = (np.linalg.norm(PFt.reshape(s.n, -1), axis=-1) + np.linalg.norm(Az_abs, axis=-1)
+    scale = (np.linalg.norm(PFt.reshape(n, -1), axis=-1) + np.linalg.norm(Az_abs, axis=-1)
              + np.linalg.norm(dAS_abs, axis=-1) + _TINY)
     # np.argmax takes the first nan, so a nan sample is the worst
     i = int(np.argmax(raw / scale))

@@ -16,9 +16,11 @@ alone, since an applied load need not be frame-indifferent.
 
 A density reads the slots whose partial d_<slot> its class overrides, and
 no others: ``reads`` is derived from the overrides, never declared, and eval
-may read only those slots.  total_energy and the minimizer build only the
-slots a density reads and scatter only their partials; every other slot
-arrives as a zero-size array, and its partial is the base class's zero.
+may read only those slots.  total_energy and balance.assemble_actions
+build only the slots a density reads, and the minimizer scatters only their
+partials; every other slot arrives as a zero-size array, and its partial is
+the base class's zero.  sample_states draws pointwise states as a
+fields.GradientField, the same argument list as a grid's cell kinematics.
 
 Constant tensors (the quadratic couplings and the quasicrystal's strain and
 phason-gradient coupling) are contracted through term tables: the nonzero
@@ -34,8 +36,8 @@ term changes no finite value, only the sign of an all-zero output.
 Shipped constitutive families:
 
 * a quadratic linear-elastic coupling density for a vector-valued
-  descriptor, evaluated on the infinitesimal strain surrogate sym(F) - I,
-  with the centrosymmetric reduction (drops the couplings A1, A4);
+  descriptor in a body with a centre of symmetry, evaluated on the
+  infinitesimal strain surrogate sym(F) - I;
 * generalized Ginzburg-Landau: substructural potential plus (1/2) k |N|^2;
 * pure descriptor Dirichlet density (1/2)|N|^2;
 * a compressible macroscopic stored energy with a convex volumetric
@@ -69,7 +71,7 @@ from .errors import (
     ShapeMismatchError,
     SizeMismatchError,
 )
-from .fields import SLOTS, FieldState, cellwise, gradients
+from .fields import SLOTS, FieldState, GradientField, cellwise, gradients
 from .minors import cofactor, cross_cofactor, det3, minors_norm_squared
 
 
@@ -267,18 +269,19 @@ class DirichletDescriptor(EnergyDensity):
 class GinzburgLandau(EnergyDensity):
     """e = W(x, nu) + (1/2) k |N|^2 with a pluggable substructural potential.
 
-    well must provide eval(x, nu), d_nu(x, nu), d_x(x, nu); None means W = 0.
+    well must provide eval(x, nu), d_nu(x, nu), d_x(x, nu) and nonnegative,
+    true when W >= 0 everywhere; None means W = 0.  The growth claim
+    (k/2) |N|^2 is made when W = 0 or W is nonnegative.
     """
 
-    def __init__(self, well, stiffness: float, embed_dim: int, name: str = "ginzburg-landau",
-                 well_nonnegative: bool = False):
+    def __init__(self, well, stiffness: float, embed_dim: int, name: str = "ginzburg-landau"):
         if not stiffness > 0:
             raise ShapeMismatchError("descriptor stiffness must be positive")
         self.well = well
         self.stiffness = float(stiffness)
         self.embed_dim = embed_dim
         self.name = name
-        if well is None or well_nonnegative:
+        if well is None or well.nonnegative:
             self.growth_meta = GrowthSpec(
                 c1=self.stiffness / 2.0,
                 s=2.0,
@@ -317,6 +320,10 @@ class ComponentDoubleWell:
     b: float
     component: int = 0
 
+    @property
+    def nonnegative(self) -> bool:
+        return self.w0 >= 0
+
     def eval(self, x, nu):
         s = np.asarray(nu)[..., self.component]
         return self.w0 * (s - self.a) ** 2 * (s - self.b) ** 2
@@ -341,6 +348,7 @@ class ModulatedWell:
     base: object
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
+    nonnegative = False  # g may take either sign
 
     def eval(self, x, nu):
         return self.g(x) * self.base.eval(x, nu)
@@ -425,38 +433,32 @@ def _strain(F) -> np.ndarray:
 
 
 class QuadraticVector(EnergyDensity):
-    """Quadratic density for a vector descriptor (microcracks, polarization):
+    """Quadratic density for a vector descriptor (microcracks):
 
-        e = (1/2) eps:C:eps + eps:A1:nu + eps:A2:N + (1/2) nu:A3:nu
-            + nu:A4:N + (1/2) N:A5:N,   eps = sym(F) - I.
+        e = (1/2) eps:C:eps + eps:A2:N + (1/2) nu:A3:nu + (1/2) N:A5:N,
+        eps = sym(F) - I.
 
-    Evaluated on flattened slots, eps in R^9, nu in R^3 and N in R^9 with
-    the spatial index last, so every tensor is a matrix (tensors; C, A3 and
-    A5 symmetrized) contracted through its term table (terms).
-    centrosymmetric drops the odd couplings A1 and A4 (a polar vector cannot
-    couple linearly to strain in a centrosymmetric body).
+    A polar vector cannot couple linearly to strain in a body with a centre
+    of symmetry, so there is no odd coupling eps:nu or nu:N.  Evaluated on
+    flattened slots, eps in R^9, nu in R^3 and N in R^9 with the spatial
+    index last, so every tensor is a matrix (tensors; C, A3 and A5
+    symmetrized) contracted through its term table (terms).
     """
 
     name = "quadratic-vector"
     embed_dim = 3
-    shapes = {"C": (3,) * 4, "A1": (3,) * 3, "A2": (3,) * 4, "A3": (3,) * 2,
-              "A4": (3,) * 3, "A5": (3,) * 4}
-    odd = ("A1", "A4")
+    shapes = {"C": (3,) * 4, "A2": (3,) * 4, "A3": (3,) * 2, "A5": (3,) * 4}
 
-    def __init__(self, C, A1=None, A2=None, A3=None, A4=None, A5=None,
-                 centrosymmetric: bool = False, name: str | None = None):
+    def __init__(self, C, A2=None, A3=None, A5=None, name: str | None = None):
         if name is not None:
             self.name = name
-        self.centrosymmetric = centrosymmetric
-        given = {"C": C, "A1": A1, "A2": A2, "A3": A3, "A4": A4, "A5": A5}
+        given = {"C": C, "A2": A2, "A3": A3, "A5": A5}
         if C is None:
             raise ShapeMismatchError("C is required")
         if A3 is None:
             given["A3"] = np.zeros(self.shapes["A3"])
-        if centrosymmetric and any(given[k] is not None for k in self.odd):
-            raise ShapeMismatchError(f"centrosymmetric {self.name} admits no {'/'.join(self.odd)}")
         e = self.embed_dim
-        rows = {"C": 9, "A1": 9, "A2": 9, "A3": e, "A4": e, "A5": 3 * e}
+        rows = {"C": 9, "A2": 9, "A3": e, "A5": 3 * e}
         self.tensors = {}
         for label, T in given.items():
             if T is None:
@@ -466,7 +468,7 @@ class QuadraticVector(EnergyDensity):
                 raise ShapeMismatchError(f"{label} must have shape {self.shapes[label]}, got {T.shape}")
             M = T.reshape(rows[label], -1)
             with np.errstate(over="ignore"):
-                M = 0.5 * (M + M.T) if label in ("C", "A3", "A5") else M
+                M = 0.5 * (M + M.T) if label != "A2" else M
             if not np.all(np.isfinite(M)):
                 raise ShapeMismatchError(f"{label} must be finite")
             self.tensors[label] = M
@@ -477,12 +479,8 @@ class QuadraticVector(EnergyDensity):
         eps, nu, N = _strain(F), np.asarray(nu, dtype=float), _flat(N)
         out = 0.5 * _form(t["C"], eps, eps)
         out = out + 0.5 * _form(t["A3"], nu, nu)
-        if "A1" in t:
-            out = out + _form(t["A1"], eps, nu)
         if "A2" in t:
             out = out + _form(t["A2"], eps, N)
-        if "A4" in t:
-            out = out + _form(t["A4"], nu, N)
         if "A5" in t:
             out = out + 0.5 * _form(t["A5"], N, N)
         return out
@@ -490,22 +488,13 @@ class QuadraticVector(EnergyDensity):
     def d_F(self, x, u, F, nu, N):
         t = self.terms
         d = _map(t["C"], _strain(F), 9)
-        if "A1" in t:
-            d = d + _map(t["A1"], np.asarray(nu, dtype=float), 9)
         if "A2" in t:
             d = d + _map(t["A2"], _flat(N), 9)
         d = d.reshape(d.shape[:-1] + (3, 3))
         return 0.5 * (d + np.swapaxes(d, -1, -2))
 
     def d_nu(self, x, u, F, nu, N):
-        t = self.terms
-        e = self.embed_dim
-        out = _map(t["A3"], np.asarray(nu, dtype=float), e)
-        if "A1" in t:
-            out = out + _map(t["A1"], _strain(F), e, transpose=True)
-        if "A4" in t:
-            out = out + _map(t["A4"], _flat(N), e)
-        return out
+        return _map(self.terms["A3"], np.asarray(nu, dtype=float), self.embed_dim)
 
     def d_N(self, x, u, F, nu, N):
         t = self.terms
@@ -513,8 +502,6 @@ class QuadraticVector(EnergyDensity):
         out = np.zeros(_flat(N).shape)
         if "A2" in t:
             out = out + _map(t["A2"], _strain(F), n, transpose=True)
-        if "A4" in t:
-            out = out + _map(t["A4"], np.asarray(nu, dtype=float), n, transpose=True)
         if "A5" in t:
             out = out + _map(t["A5"], _flat(N), n, transpose=True)
         return out.reshape(np.shape(N))
@@ -786,24 +773,10 @@ def total_energy(density: EnergyDensity, state: FieldState) -> float:
     return float(sel.sum() * state.grid.cell_volume)
 
 
-@dataclass
-class StateBatch:
-    """Batched pointwise states for samplers and checks."""
-
-    x: np.ndarray
-    u: np.ndarray
-    F: np.ndarray
-    nu: np.ndarray
-    N: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.F.shape[0]
-
-
 def sample_states(rng: np.random.Generator, n: int, embed_dim: int,
-                  wide: bool = False) -> StateBatch:
-    """Random admissible pointwise states: det F > 0 by construction.
+                  wide: bool = False) -> GradientField:
+    """n random admissible pointwise states, det F > 0 by construction, as a
+    density's argument list (density.eval(*s) evaluates them).
 
     F = R1 diag(lambda) R2 with rotations and lognormal singular values;
     wide stretches the magnitude range for growth probing.
@@ -817,11 +790,11 @@ def sample_states(rng: np.random.Generator, n: int, embed_dim: int,
     F = (rot[:, 0] * lam[:, None, :]) @ rot[:, 1]
     scale = rng.lognormal(0.0, sigma, size=(n, 1, 1))
     N = rng.normal(size=(n, embed_dim, 3)) * scale
-    return StateBatch(
+    return GradientField(
         x=rng.normal(size=(n, 3)),
-        u=rng.normal(size=(n, 3)),
+        u_bar=rng.normal(size=(n, 3)),
         F=F,
-        nu=rng.normal(size=(n, embed_dim)),
+        nu_bar=rng.normal(size=(n, embed_dim)),
         N=N,
     )
 
@@ -839,19 +812,20 @@ class GrowthReport:
 
 def check_growth(density: EnergyDensity, spec: GrowthSpec | None = None,
                  n: int = 10_000, seed: int = 0) -> GrowthReport:
-    """Sample states and verify e >= bound; slack = e - bound per sample."""
+    """Sample states and verify e >= bound; slack = e - bound per sample.
+    A nan slack is a violation, as a nan determinant is in check_orientation."""
     if spec is None:
         spec = density.growth_meta
     if spec is None:
         raise GeneratorUnavailableError(f"{density.name} documents no growth bound")
     rng = np.random.default_rng(seed)
-    batch = sample_states(rng, n, density.embed_dim, wide=True)
-    e = density.eval(batch.x, batch.u, batch.F, batch.nu, batch.N)
-    bound = spec.bound(batch.F, batch.N)
+    s = sample_states(rng, n, density.embed_dim, wide=True)
+    e = density.eval(*s)
+    bound = spec.bound(s.F, s.N)
     slack = e - bound
     tol = 1e-10 * np.maximum(1.0, np.abs(e))
-    bad = slack < -tol
-    return GrowthReport(samples=batch.n, violations=int(bad.sum()),
+    bad = ~(slack >= -tol)
+    return GrowthReport(samples=n, violations=int(bad.sum()),
                         min_slack=float(slack.min()))
 
 
@@ -885,9 +859,9 @@ def check_convexity(density: EnergyDensity, n_segments: int = 1000,
         mode = "in_N"
         Na = rng.normal(size=(n_segments, d, 3)) * rng.lognormal(0, 0.8, (n_segments, 1, 1))
         Nb = rng.normal(size=(n_segments, d, 3)) * rng.lognormal(0, 0.8, (n_segments, 1, 1))
-        ea = density.eval(base.x, base.u, base.F, base.nu, Na)
-        eb = density.eval(base.x, base.u, base.F, base.nu, Nb)
-        em = density.eval(base.x, base.u, base.F, base.nu, 0.5 * (Na + Nb))
+        ea = density.eval(*base._replace(N=Na))
+        eb = density.eval(*base._replace(N=Nb))
+        em = density.eval(*base._replace(N=0.5 * (Na + Nb)))
     else:
         mode = "in_minors_and_N"
 
@@ -900,7 +874,7 @@ def check_convexity(density: EnergyDensity, n_segments: int = 1000,
 
         pa, pb = draw(), draw()
         mid = tuple(0.5 * (a + b) for a, b in zip(pa, pb))
-        kw = dict(x=base.x, u=base.u, nu=base.nu)
+        kw = dict(x=base.x, u=base.u_bar, nu=base.nu_bar)
         ea = form(*pa, **kw)
         eb = form(*pb, **kw)
         em = form(*mid, **kw)
@@ -925,8 +899,7 @@ def gradient_consistency(density: EnergyDensity, n: int = 100, seed: int = 0,
     derivative disagrees with the difference quotient at every step.
     """
     rng = np.random.default_rng(seed)
-    batch = sample_states(rng, n, density.embed_dim)
-    args = {"x": batch.x, "u": batch.u, "F": batch.F, "nu": batch.nu, "N": batch.N}
+    args = dict(zip(SLOTS, sample_states(rng, n, density.embed_dim)))
     legs = {"d_x": "x", "d_u": "u", "d_F": "F", "d_nu": "nu", "d_N": "N"}
     e0 = density.eval(**args)
     h0 = step * np.cbrt(1.0 + np.abs(e0))

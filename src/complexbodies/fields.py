@@ -187,8 +187,9 @@ SLOTS = ("x", "u", "F", "nu", "N")
 
 
 class GradientField(NamedTuple):
-    """Cell-centered kinematic data: positions, averages, gradients, in the
-    argument order of a density, so density.eval(*gf) evaluates it.
+    """A density's argument list: cell kinematics (positions, averages,
+    gradients) or sampled states (energy.sample_states, one batch axis), in
+    the argument order of a density, so density.eval(*gf) evaluates it.
 
     A slot that gradients() was not asked for holds a zero-size float array:
     the cell axes, then one zero-length axis per component axis of the slot.

@@ -8,10 +8,13 @@ respect to the lumped volume-weighted nodal inner product
 
 which makes the discrete gradient dual-exact against the assembled weak
 residual: sum_n vol_n g . h equals the weak directional derivative for every
-nodal perturbation h.  Descriptor components are projected to the manifold
-tangent at each node, pinned and non-incident nodes are frozen, and trial
-descriptor updates return to the manifold through the retraction.  The stop
-is on this L2 gradient: its sup norm at most grad_tol.
+nodal perturbation h.  Both read the conjugate actions of
+balance.assemble_actions, the one cellwise pass over a density's partials:
+the gradient scatters them, the weak residual integrates them.  Descriptor
+components are projected to the manifold tangent at each node, pinned and
+non-incident nodes are frozen, and trial descriptor updates return to the
+manifold through the retraction.  The stop is on this L2 gradient: its sup
+norm at most grad_tol.
 
 Directions come from the H1 metric of the stencil instead.  Each block (u,
 nu) is preconditioned with P = K + M on its free nodes (fields.h1_solver:
@@ -41,13 +44,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .balance import assemble_actions
 from .energy import EnergyDensity, total_energy
 from .errors import ConfigError, InadmissibleStartError
 from .fields import (
     FieldState,
-    cellwise,
     divide_by_volume,
-    gradients,
     h1_solver,
     node_volumes,
     scatter_cell_average_adjoint,
@@ -104,8 +106,9 @@ def riesz_gradient(density: EnergyDensity, state: FieldState, manifold: Manifold
     parts are zeroed on pinned and non-incident nodes.  vols are the
     lumped nodal volumes of the state's mask, built here when not given.
 
-    Only the partials of the slots the density reads are taken (a slab at
-    a time) and scattered (over the whole grid).  Each other partial is
+    The gradient scatters the actions of balance.assemble_actions, P, S,
+    zeta and -b (an exact negation of b = -d_u), for the slots the density
+    reads only, each dropped right after its scatter.  Each other action is
     zero, and its scatter is all +0.0; a scatter starts from +0.0 and so
     never holds -0.0, so adding it would change no bit.  A block (u, or nu)
     whose slots the density reads not at all is returned as zeros, with no
@@ -113,13 +116,11 @@ def riesz_gradient(density: EnergyDensity, state: FieldState, manifold: Manifold
     """
     grid = state.grid
     reads = density.reads
-    slots = [s for s in ("F", "u", "N", "nu") if s in reads]
-
-    def partials(rows):
-        gf = gradients(state, reads, rows)
-        return tuple(getattr(density, "d_" + s)(*gf) for s in slots)
-
-    d = dict(zip(slots, cellwise(grid, partials)))
+    bf = assemble_actions(density, state, manifold)
+    actions = {"F": bf.P, "u": bf.b, "N": bf.S, "nu": bf.zeta_ambient}
+    del bf
+    d = {s: -a if s == "u" else a for s, a in actions.items() if s in reads}
+    del actions
     if vols is None:
         vols = node_volumes(grid, state.active)
     incident = vols > 0

@@ -369,8 +369,7 @@ def _nonnegative(p: dict, kind: str, *keys: str) -> None:
 def _orientation_landau(p: dict, manifold: Manifold) -> EnergyDensity:
     _nonnegative(p, "orientation-landau", "well_depth")
     well = ComponentDoubleWell(p["well_depth"], p["beta_a"], p["beta_b"], component=3)
-    return GinzburgLandau(well, p["stiffness"], 4, name="orientation-landau",
-                          well_nonnegative=True)
+    return GinzburgLandau(well, p["stiffness"], 4, name="orientation-landau")
 
 
 def _microcracked(p: dict, manifold: Manifold) -> EnergyDensity:
@@ -387,7 +386,7 @@ def _microcracked(p: dict, manifold: Manifold) -> EnergyDensity:
     )
     a5 = p["grad_stiffness"] * np.einsum("ac,ij->aicj", eye, eye)
     return QuadraticVector(isotropic_elasticity(p["lam"], p["mu"]), A2=a2, A3=p["restore"] * eye,
-                           A5=a5, centrosymmetric=True, name="microcracked-vector")
+                           A5=a5, name="microcracked-vector")
 
 
 def _quasicrystal(p: dict, manifold: Manifold) -> EnergyDensity:
@@ -412,8 +411,7 @@ def _smectic(p: dict, manifold: Manifold) -> EnergyDensity:
 def _porous_landau(p: dict, manifold: Manifold) -> EnergyDensity:
     _nonnegative(p, "porous-landau", "well_depth")
     well = ComponentDoubleWell(p["well_depth"], p["pore_a"], p["pore_b"], component=0)
-    return GinzburgLandau(well, p["stiffness"], 1, name="porous-landau",
-                          well_nonnegative=True)
+    return GinzburgLandau(well, p["stiffness"], 1, name="porous-landau")
 
 
 DENSITIES = {
@@ -1091,7 +1089,7 @@ _PRESETS = {
 PRESET_SUMMARIES = {
     "nematic-hedgehog": "unit director on a ball, radial data, point defect accounting",
     "degree-of-orientation": "director with scalar order parameter on S^2 x [-1/2, 1]",
-    "microcracked-vector": "centrosymmetric quadratic vector descriptor under triaxial stretch",
+    "microcracked-vector": "quadratic vector descriptor, no odd coupling, under triaxial stretch",
     "quasicrystal-shear": "compressible macro energy with phason field under simple shear",
     "smectic-layers": "layer phase and director with tilted layer boundary data",
     "porous-interval": "two-well scalar order parameter ramped across the box",

@@ -38,13 +38,13 @@ from complexbodies.energy import (
     GinzburgLandau,
     QuadraticVector,
     Quasicrystal,
-    StateBatch,
     SumDensity,
     isotropic_elasticity,
     total_energy,
 )
 from complexbodies.errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from complexbodies.fields import (
+    GradientField,
     Grid,
     ball_mask,
     boundary_node_mask,
@@ -354,7 +354,6 @@ class TestWeakResidual:
             C=isotropic_elasticity(1.0, 1.0),
             A3=0.5 * np.eye(3),
             A5=np.einsum("ac,ij->aicj", np.eye(3), np.eye(3)),
-            centrosymmetric=True,
         )
         out = minimize(
             density, state, man, MinimizeConfig(max_iters=3000, grad_tol=2e-8)
@@ -663,16 +662,17 @@ class TestRotationalBalance:
         # a large balanced sample beside a small unbalanced one: one sup
         # over the batch would divide the small residual by the large scale
         rng = np.random.default_rng(0)
-        big = StateBatch(x=np.zeros((1, 3)), u=np.zeros((1, 3)), F=3.0 * np.eye(3)[None],
-                         nu=np.array([[0.0, 0.0, 1.0]]), N=100.0 * rng.normal(size=(1, 3, 3)))
-        small = StateBatch(x=np.zeros((1, 3)), u=np.zeros((1, 3)), F=np.eye(3)[None],
-                           nu=np.array([[0.6, 0.0, 0.8]]), N=0.01 * rng.normal(size=(1, 3, 3)))
-        both = StateBatch(*(np.concatenate([getattr(big, f), getattr(small, f)])
-                            for f in ("x", "u", "F", "nu", "N")))
+        big = GradientField(x=np.zeros((1, 3)), u_bar=np.zeros((1, 3)), F=3.0 * np.eye(3)[None],
+                            nu_bar=np.array([[0.0, 0.0, 1.0]]),
+                            N=100.0 * rng.normal(size=(1, 3, 3)))
+        small = GradientField(x=np.zeros((1, 3)), u_bar=np.zeros((1, 3)), F=np.eye(3)[None],
+                              nu_bar=np.array([[0.6, 0.0, 0.8]]),
+                              N=0.01 * rng.normal(size=(1, 3, 3)))
+        both = GradientField(*map(np.concatenate, zip(big, small)))
 
         def residual(batch):
             monkeypatch.setattr(balance, "sample_states", lambda rng, n, embed_dim: batch)
-            return rotational_balance(_anchored_director_density(), UnitSphere(), batch.n, 0)
+            return rotational_balance(_anchored_director_density(), UnitSphere(), len(batch.F), 0)
 
         assert residual(big).ratio < 1e-12
         worst = residual(both)

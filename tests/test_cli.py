@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import complexbodies
@@ -70,6 +71,36 @@ max_iters = 50
 defects = on
 """
 
+# a stiffness this large overflows the energy and its growth bound to inf on
+# some samples: their slack inf - inf is nan, a violation and not a pass
+NAN_GROWTH = """
+[scenario]
+name = nan-growth
+
+[grid]
+resolution = 4
+
+[manifold]
+kind = interval
+
+[density]
+kind = porous-landau
+stiffness = 1e306
+
+[boundary]
+kind = two-face-ramp
+
+[init]
+kind = ramp
+amp = 0
+
+[minimize]
+max_iters = 0
+
+[checks]
+growth = on
+"""
+
 
 def test_unconverged_run_exits_three(tmp_path, capsys):
     text = TINY.replace("max_iters = 3000", "max_iters = 2").replace("weak_el = on", "")
@@ -110,6 +141,13 @@ def test_failed_check_exits_one(tmp_path, capsys):
     assert "defects" in captured.err
     # artifacts are written even for failed runs
     assert (tmp_path / "out" / "report.txt").exists()
+
+
+def test_nan_growth_slack_fails_the_check(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", _write(tmp_path, NAN_GROWTH), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "check growth: FAIL" in capsys.readouterr().out
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -47,7 +47,6 @@ def _vector_quadratic(coupled=True):
         A2=A2,
         A3=0.5 * np.eye(3),
         A5=np.einsum("ac,ij->aicj", np.eye(3), np.eye(3)),
-        centrosymmetric=True,
     )
 
 
@@ -93,9 +92,9 @@ class TestDerivatives:
         rng = np.random.default_rng(0)
         b = sample_states(rng, 7, 3)
         d = DirichletDescriptor(3)
-        assert d.eval(b.x, b.u, b.F, b.nu, b.N).shape == (7,)
-        assert d.d_N(b.x, b.u, b.F, b.nu, b.N).shape == (7, 3, 3)
-        assert d.d_F(b.x, b.u, b.F, b.nu, b.N).shape == (7, 3, 3)
+        assert d.eval(*b).shape == (7,)
+        assert d.d_N(*b).shape == (7, 3, 3)
+        assert d.d_F(*b).shape == (7, 3, 3)
 
     def test_sampler_determinant_positive(self):
         rng = np.random.default_rng(3)
@@ -126,7 +125,7 @@ class TestDerivatives:
 
         b = sample_states(np.random.default_rng(17), 300, 4, wide=wide)
         assert np.max(np.abs(b.F - F)) <= 1e-14 * np.max(np.abs(F))
-        for got, want in ((b.N, N), (b.x, x), (b.u, u), (b.nu, nu)):
+        for got, want in ((b.N, N), (b.x, x), (b.u_bar, u), (b.nu_bar, nu)):
             assert np.array_equal(got, want)
 
 
@@ -134,7 +133,7 @@ def _reads_honest(density, n=40, seed=5) -> bool:
     """eval and every partial are unchanged when the slots the density does
     not read are filled with NaN."""
     b = sample_states(np.random.default_rng(seed), n, density.embed_dim)
-    full = {"x": b.x, "u": b.u, "F": b.F, "nu": b.nu, "N": b.N}
+    full = dict(zip(SLOTS, b))
     blind = {s: v if s in density.reads else np.full(v.shape, np.nan) for s, v in full.items()}
     return all(
         np.array_equal(getattr(density, m)(**full), getattr(density, m)(**blind))
@@ -185,14 +184,10 @@ class TestReads:
 # per method, in the order the terms are summed; e = strain, n = nu, N = N
 _VECTOR_EINSUM = {
     "eval": (("C", "ijhk,...ij,...hk->...", "ee"), ("A3", "ac,...a,...c->...", "nn"),
-             ("A1", "ija,...ij,...a->...", "en"), ("A2", "ijak,...ij,...ak->...", "eN"),
-             ("A4", "agk,...a,...gk->...", "nN"), ("A5", "aicj,...ai,...cj->...", "NN")),
-    "d_F": (("C", "ijhk,...hk->...ij", "e"), ("A1", "ija,...a->...ij", "n"),
-            ("A2", "ijak,...ak->...ij", "N")),
-    "d_nu": (("A3", "ac,...c->...a", "n"), ("A1", "ija,...ij->...a", "e"),
-             ("A4", "agk,...gk->...a", "N")),
-    "d_N": (("A2", "ijak,...ij->...ak", "e"), ("A4", "agk,...a->...gk", "n"),
-            ("A5", "aicj,...ai->...cj", "N")),
+             ("A2", "ijak,...ij,...ak->...", "eN"), ("A5", "aicj,...ai,...cj->...", "NN")),
+    "d_F": (("C", "ijhk,...hk->...ij", "e"), ("A2", "ijak,...ak->...ij", "N")),
+    "d_nu": (("A3", "ac,...c->...a", "n"),),
+    "d_N": (("A2", "ijak,...ij->...ak", "e"), ("A5", "aicj,...ai->...cj", "N")),
 }
 
 
@@ -281,7 +276,7 @@ class TestContraction:
         real = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
         for method in ("eval", "d_F", "d_nu", "d_N"):
-            getattr(density, method)(b.x, b.u, b.F, b.nu, b.N)
+            getattr(density, method)(*b)
         assert calls == []
 
 
@@ -289,21 +284,21 @@ class TestQuadraticClosedForms:
     def test_isotropic_reproduction(self):
         # pure isotropic elasticity: (lam/2) tr(eps)^2 + mu |eps|^2
         lam, mu = 1.7, 0.9
-        dens = QuadraticVector(C=isotropic_elasticity(lam, mu), centrosymmetric=True)
+        dens = QuadraticVector(C=isotropic_elasticity(lam, mu))
         rng = np.random.default_rng(5)
         b = sample_states(rng, 40, 3)
         eps = 0.5 * (b.F + np.swapaxes(b.F, -1, -2)) - np.eye(3)
         expected = 0.5 * lam * np.einsum("...ii->...", eps) ** 2 + mu * np.einsum(
             "...ij,...ij->...", eps, eps
         )
-        got = dens.eval(b.x, b.u, b.F, b.nu, b.N)
+        got = dens.eval(*b)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_rigid_rotation_not_strained_to_first_order(self):
         # sym(F) - I vanishes to first order under small rotations
         from complexbodies.manifolds import rotation_from_vector
 
-        dens = QuadraticVector(C=isotropic_elasticity(1.0, 1.0), centrosymmetric=True)
+        dens = QuadraticVector(C=isotropic_elasticity(1.0, 1.0))
         e_vals = []
         for t in (1e-3, 5e-4):
             F = rotation_from_vector(np.array([0.0, 0.0, t]))[None]
@@ -314,20 +309,6 @@ class TestQuadraticClosedForms:
         # quadratic density of an O(t^2) strain: energy O(t^4)
         assert e_vals[0] < 1e-11
         assert e_vals[1] < e_vals[0] / 8.0
-
-    def test_centrosymmetric_rejects_odd_couplings(self):
-        with pytest.raises(ShapeMismatchError):
-            QuadraticVector(
-                C=isotropic_elasticity(1.0, 1.0),
-                A1=np.zeros((3, 3, 3)),
-                centrosymmetric=True,
-            )
-        with pytest.raises(ShapeMismatchError):
-            QuadraticVector(
-                C=isotropic_elasticity(1.0, 1.0),
-                A4=np.zeros((3, 3, 3)),
-                centrosymmetric=True,
-            )
 
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -385,9 +366,7 @@ class TestGrowth:
             DirichletDescriptor(3, name="dirichlet-sphere"),
             CompressibleMacro(1.0, 0.7, 1.4),
             Quasicrystal(phason_stiffness=0.8),
-            GinzburgLandau(
-                ComponentDoubleWell(1.0, -1.0, 1.0), 0.5, embed_dim=3, well_nonnegative=True
-            ),
+            GinzburgLandau(ComponentDoubleWell(1.0, -1.0, 1.0), 0.5, embed_dim=3),
         ],
         ids=lambda d: d.name,
     )
@@ -403,6 +382,29 @@ class TestGrowth:
         rep = check_growth(dens, spec=greedy, n=5_000, seed=0)
         assert not rep.passed
         assert rep.min_slack < 0
+
+    def test_nan_slack_is_a_violation(self):
+        # at this stiffness the energy and the bound overflow to inf on some
+        # samples, so their slack is inf - inf = nan, which must not pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_growth(GinzburgLandau(None, 1e308, 3), n=4000, seed=7)
+        assert np.isnan(rep.min_slack)
+        assert rep.violations > 0
+        assert not rep.passed
+
+    @pytest.mark.parametrize("well, claims", [
+        (None, True),
+        (ComponentDoubleWell(0.0, -1.0, 1.0), True),
+        (ComponentDoubleWell(2.0, -1.0, 1.0), True),
+        (ComponentDoubleWell(-1e-12, -1.0, 1.0), False),
+        (ModulatedWell(ComponentDoubleWell(1.0, -1.0, 1.0), g=np.cos, dg=np.sin), False),
+    ], ids=["none", "flat", "positive", "negative", "modulated"])
+    def test_growth_claim_follows_the_well(self, well, claims):
+        # the claim (k/2)|N|^2 needs W >= 0, which the well itself declares
+        dens = GinzburgLandau(well, 0.5, embed_dim=3)
+        assert (dens.growth_meta is not None) == claims
+        if claims:
+            assert dens.growth_meta.c1 == 0.25
 
     def test_no_growth_claim_raises(self):
         # a well that may be negative leaves the stiffness term no bound
@@ -459,8 +461,8 @@ class TestConvexity:
         # the convexity probe runs on minors_form, and eval is that form at
         # m = (F, cof F, det F): the two agree bit for bit, signs of zeros too
         b = sample_states(np.random.default_rng(23), 20_000, density.embed_dim)
-        got = density.minors_form()(b.F, cofactor(b.F), det3(b.F), b.N, x=b.x, u=b.u, nu=b.nu)
-        want = density.eval(b.x, b.u, b.F, b.nu, b.N)
+        got = density.minors_form()(b.F, cofactor(b.F), det3(b.F), b.N, x=b.x, u=b.u_bar, nu=b.nu_bar)
+        want = density.eval(*b)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -490,13 +492,13 @@ class TestSumDensity:
         total = SumDensity(parts, name="mixture")
         rng = np.random.default_rng(8)
         b = sample_states(rng, 30, 3)
-        direct = total.eval(b.x, b.u, b.F, b.nu, b.N)
-        manual = parts[0].eval(b.x, b.u, b.F, b.nu, b.N)
+        direct = total.eval(*b)
+        manual = parts[0].eval(*b)
         for p in parts[1:]:
-            manual = manual + p.eval(b.x, b.u, b.F, b.nu, b.N)
+            manual = manual + p.eval(*b)
         assert np.array_equal(direct, manual)
-        dn = total.d_nu(b.x, b.u, b.F, b.nu, b.N)
-        mn = sum(p.d_nu(b.x, b.u, b.F, b.nu, b.N) for p in parts)
+        dn = total.d_nu(*b)
+        mn = sum(p.d_nu(*b) for p in parts)
         assert np.allclose(dn, mn, atol=0, rtol=0)
 
     def test_dimension_mismatch(self):

@@ -58,7 +58,6 @@ def _elastic_toy(res=6, perturb=0.02, seed=0):
         C=isotropic_elasticity(1.0, 1.0),
         A3=0.5 * np.eye(3),
         A5=np.einsum("ac,ij->aicj", np.eye(3), np.eye(3)),
-        centrosymmetric=True,
     )
     return dens, state, man
 
@@ -126,7 +125,6 @@ _READ_SETS = [
             C=isotropic_elasticity(1.0, 1.0),
             A3=0.5 * np.eye(3),
             A5=np.einsum("ac,ij->aicj", np.eye(3), np.eye(3)),
-            centrosymmetric=True,
         ),
         DeadLoad([0.0, 0.0, -1.0]),
     ], name="elastic-under-load"),

@@ -24,6 +24,23 @@ def test_run_all_presets_passes_every_preset(tmp_path, capsys):
     assert all(line.startswith("PASS  ") for line in lines)
 
 
+def test_run_all_presets_digests_repeat_and_follow_the_seed(tmp_path, capsys):
+    script = _load("run_all_presets")
+
+    def digests(*extra):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert script.main(["--out-root", str(out), "--resolution", "6", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(" sha256=" in line for line in lines)
+        return [line.rsplit(" sha256=", 1)[1] for line in lines]
+
+    first = digests()
+    assert len(first) == len(script.preset_names())
+    assert all(len(d) == 64 for d in first)
+    assert digests() == first
+    assert digests("--seed", "12345") != first
+
+
 def test_run_all_presets_counts_a_run_that_did_not_converge(tmp_path, capsys, monkeypatch):
     script = _load("run_all_presets")
     preset = script.preset_config
