@@ -1,10 +1,10 @@
 """Admissibility checks and topological defect accounting.
 
 Orientation: det F > 0 cell by cell.  Global injectivity is certified
-exactly on the Kuhn (Freudenthal) P1 interpolant of u: each cell splits into
-the 6 path simplices from corner 000 to 111, on each of which u is affine.
-With an affine rim map of positive determinant, det F > 0 on every simplex
-implies injectivity (Ball, 1981), and the Ciarlet-Necas condition
+exactly on the Kuhn (Freudenthal) P1 interpolant of u, affine on each of a
+cell's 6 path simplices (fields.KUHN).  With an affine rim map of positive
+determinant, det F > 0 on every simplex implies injectivity (Ball, 1981),
+and the Ciarlet-Necas condition
 
     integral of det F <= measure(u(active region))
 
@@ -16,8 +16,8 @@ Defect accounting for unit-director fields: the charge density
 
 is the pullback of the sphere area form; its flux through a closed surface
 counts covering degree.  Discrete charges are computed exactly as winding
-numbers: each cell boundary is split into triangles and the signed solid
-angles of the director triples are summed.  Shared faces cancel, so charges
+numbers: the signed solid angles of the director triples on a cell's face
+triangles (fields.KUHN_FACETS) are summed.  Shared faces cancel, so charges
 telescope over any cell region to the degree of the region's boundary.
 Cells of winding magnitude at least one half cluster into defects under full
 3^d adjacency, numbered in C order of their first cell.  The clustering is
@@ -33,18 +33,17 @@ import numpy as np
 
 from .errors import ShapeMismatchError, WrongManifoldError
 from .fields import (
-    CORNERS,
+    KUHN,
+    KUHN_FACETS,
     FieldState,
     boundary_node_mask,
     cellwise,
+    gather,
     gradients,
     incident_node_mask,
 )
 from .manifolds import LEVI, UnitSphere
 from .minors import det3
-
-# nodal index (all cells at once) of each cell corner, by its offset
-_CORNER_INDEX = {c.offset: c.index for c in CORNERS[3]}
 
 
 @dataclass(frozen=True)
@@ -98,15 +97,14 @@ class InjectivityReport:
 def check_ciarlet_necas(state: FieldState) -> InjectivityReport:
     """Exact injectivity certificate for the Kuhn P1 interpolant of u.
 
-    Each active cell splits into the 6 path simplices from corner 000 to
-    111; on each, u is affine and det F is exact.  If u is an affine map
-    x -> A x + c with det A > 0 on the rim (boundary_node_mask) and det F > 0
-    on every simplex, the map is injective (Ball 1981) and its image volume
-    is det A |Omega| = integral of det F (Ciarlet-Necas 1987), so slack is
-    round-off.  A non-finite determinant counts as a violation; a rim that
-    is not affine fails with a NaN image volume.  F is built a slab at a
-    time; each path's sum, count and min are taken over its joined
-    whole-grid determinants.
+    On each path simplex of an active cell (fields.KUHN) u is affine and
+    its det F exact.  If u is an affine map x -> A x + c with det A > 0 on
+    the rim (boundary_node_mask) and det F > 0 on every simplex, the map is
+    injective (Ball 1981) and its image volume is det A |Omega| = integral
+    of det F (Ciarlet-Necas 1987), so slack is round-off.  A non-finite
+    determinant counts as a violation; a rim that is not affine fails with a
+    NaN image volume.  F is built a slab at a time; each path's sum, count
+    and min are taken over its joined whole-grid determinants.
     """
     grid, active = state.grid, state.active
     if not active.any():
@@ -116,14 +114,9 @@ def check_ciarlet_necas(state: FieldState) -> InjectivityReport:
         u = state.u[rows.start:rows.stop + 1]
         F = np.empty(tuple(n - 1 for n in u.shape[:3]) + (3, 3))
         out = []
-        for path in itertools.permutations(range(3)):
-            # column ax of F: the path's step along axis ax, over h
-            offset = [0, 0, 0]
-            for ax in path:
-                prev = u[_CORNER_INDEX[tuple(offset)]]
-                offset[ax] = 1
-                np.subtract(u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
-                F[..., :, ax] /= grid.spacing[ax]
+        for point in KUHN:
+            for ax, h in enumerate(grid.spacing):
+                np.divide(gather(u, point.gradient[ax]), h, out=F[..., :, ax])
             out.append(det3(F))
         return tuple(out)
 
@@ -238,21 +231,6 @@ def d_field(state: FieldState, manifold=None) -> np.ndarray:
     return D
 
 
-# triangles per cell face: corner offsets ordered so normals point outward,
-# with shared-face diagonals matching between neighbor cells
-_FACE_QUADS = (
-    (((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1))),  # x+
-    (((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0))),  # x-
-    (((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0))),  # y+
-    (((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1))),  # y-
-    (((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))),  # z+
-    (((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0))),  # z-
-)
-_CELL_TRIANGLES = tuple(
-    tri for quad in _FACE_QUADS for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3]))
-)
-
-
 def _solid_angle(a, b, c):
     """Signed solid angle of the spherical triangle (a, b, c), unit inputs."""
     triple = np.einsum("...i,...i->...", a, np.cross(b, c))
@@ -273,9 +251,8 @@ def cell_charges(state: FieldState, manifold=None) -> np.ndarray:
     """
     nhat = _require_director(state, manifold)
     total = np.zeros(state.grid.cells)
-    for o1, o2, o3 in _CELL_TRIANGLES:
-        total += _solid_angle(nhat[_CORNER_INDEX[o1]], nhat[_CORNER_INDEX[o2]],
-                              nhat[_CORNER_INDEX[o3]])
+    for a, b, c in KUHN_FACETS:
+        total += _solid_angle(nhat[a.index], nhat[b.index], nhat[c.index])
     total /= 4.0 * np.pi
     total[~state.active] = 0.0
     return total

@@ -135,6 +135,15 @@ class EnergyDensity:
     embed_dim = 1
     external = False
     growth_meta: GrowthSpec | None = None
+    # slots of (x, u, F, nu, N) whose partial the class overrides, derived
+    # once per class (__init_subclass__) and once per SumDensity
+    reads: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.reads = frozenset(
+            s for s in SLOTS if getattr(cls, f"d_{s}") is not getattr(EnergyDensity, f"d_{s}")
+        )
 
     def eval(self, x, u, F, nu, N):
         return np.zeros(np.asarray(F).shape[:-2])
@@ -163,14 +172,6 @@ class EnergyDensity:
     def parts(self) -> list["EnergyDensity"]:
         return [self]
 
-    @property
-    def reads(self) -> frozenset[str]:
-        """Slots of (x, u, F, nu, N) whose partial this class overrides."""
-        cls = type(self)
-        return frozenset(
-            s for s in SLOTS if getattr(cls, f"d_{s}") is not getattr(EnergyDensity, f"d_{s}")
-        )
-
 
 class SumDensity(EnergyDensity):
     """Additive decomposition; evaluates to the exact sum of its parts."""
@@ -186,14 +187,11 @@ class SumDensity(EnergyDensity):
         self.name = name
         self.external = all(p.external for p in parts)
         self.growth_meta = None
+        self.reads = frozenset().union(*(p.reads for p in parts))
 
     @property
     def parts(self):
         return list(self._parts)
-
-    @property
-    def reads(self) -> frozenset[str]:
-        return frozenset().union(*(p.reads for p in self._parts))
 
     def eval(self, x, u, F, nu, N):
         out = self._parts[0].eval(x, u, F, nu, N)

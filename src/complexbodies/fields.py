@@ -2,19 +2,25 @@
 
 Fields live at the nodes of a uniform Cartesian grid over a box; an optional
 cell mask carves the active body out of the box (balls, annuli, split
-domains).  The discretization is defined once, by the table CORNERS and two
-loops over it; every operator below is derived from those:
+domains).  The discretization is defined once, by tables of evaluation
+points and one gather over them; every operator below is derived from those:
 
-* CORNERS[d] (d = 1, 3) lists the 2^d corners of a cell, each with its
-  nodal index and its coefficients: +1 in the average, -1 / +1 at the
-  near / far node of each axis in the gradient.
-* The gather (nodes to cells) sums coefficient times corner value: the cell
-  average (sum / 2^d) and the cell-center gradient of the multilinear
-  interpolant (difference / 2^(d-1) h per axis), exact for affine fields.
-* The scatter (cells to nodes) is its literal transpose over active cells.
-  Weighted by cell volume it gives both adjoints; the lumped nodal volume is
-  the average adjoint of the active indicator, and the nodes incident to the
-  body are those of positive volume.
+* A point holds rows of (corner, +-1) terms over the corners CORNERS[d] of
+  a cell, which the gather (nodes to cells) sums: one gradient row per axis
+  and, where its rule has one, an average row.
+* MIDPOINT[d] (d = 1, 3) is one point, the cell center: the average of the
+  2^d corners (sum / 2^d) and the gradient of the multilinear interpolant
+  (difference / 2^(d-1) h per axis), exact for affine fields.  MIDPOINT[3]
+  is the tensor cube of MIDPOINT[1], the two-point sum and difference.
+* KUHN is six points, the path simplices from corner 000 to 111, one per
+  axis permutation: a point's gradient along an axis is the difference
+  across its path's step along it (over h, the P1 interpolant's).
+  KUHN_FACETS are the simplices' 12 facets on the cell faces, oriented
+  outward, each from its lowest corner, by face (x+, x-, y+, y-, z+, z-).
+* The scatter (cells to nodes) is the gather's literal transpose over active
+  cells.  Weighted by cell volume it gives both adjoints; the lumped nodal
+  volume is the average adjoint of the active indicator, and the nodes
+  incident to the body are those of positive volume.
 * Integration is midpoint quadrature, and the adjoints are exact
   transposes, so summation by parts
 
@@ -28,12 +34,10 @@ loops over it; every operator below is derived from those:
   cell rows at a time (Grid.slabs, joined by cellwise), so its temporaries
   stay small.  A cell's value depends only on its own corners, and every
   scatter and sum over cells stays whole-grid, so slabs change no bit.
-* The table for d = 1 holds the two-point average and difference, and the
-  d-D table is its d-fold tensor product.  h1_solver builds the H1 metric
-  K + M (gradient stiffness plus lumped volumes) from those 1-D factors and
-  inverts it by fast diagonalization: exactly on a box, as a symmetric
-  positive definite approximation on a masked body.  It preconditions the
-  minimizer.
+* h1_solver builds the H1 metric K + M (gradient stiffness plus lumped
+  volumes) from MIDPOINT[1] and inverts it by fast diagonalization: exactly
+  on a box, as a symmetric positive definite approximation on a masked
+  body.  It preconditions the minimizer.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .manifolds import Manifold
+from .manifolds import LEVI, Manifold
 
 # cells per slab of the cellwise passes; from a sweep at 48^3 (CHANGES.md)
 SLAB_CELLS = 9216
@@ -203,50 +207,77 @@ class GradientField(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the corner stencil: one gather from nodes to cells and its exact transpose
+# the rules: tables of evaluation points, one gather and its exact transpose
 # ---------------------------------------------------------------------------
 
 class Corner(NamedTuple):
-    """A cell corner: offset (0 or 1 per axis), its index into a nodal array
-    (all cells at once), and coefficients (row AVERAGE, then one per axis)."""
+    """A cell corner: offset (0 or 1 per axis), index into a nodal array."""
 
     offset: tuple[int, ...]
     index: tuple[slice, ...]
-    coef: tuple[float, ...]
 
 
-AVERAGE = 0
 CORNERS = {
-    dim: tuple(
-        Corner(o, tuple(slice(1, None) if b else slice(0, -1) for b in o),
-               (1.0,) + tuple(1.0 if b else -1.0 for b in o))
-        for o in itertools.product((0, 1), repeat=dim)
-    )
+    dim: tuple(Corner(o, tuple(slice(1, None) if b else slice(0, -1) for b in o))
+               for o in itertools.product((0, 1), repeat=dim))
     for dim in (1, 3)
 }
 
 
-def _gather(w: np.ndarray, grid: Grid, row: int) -> np.ndarray:
-    """Nodes to cells: sum over corners of coefficient row times corner
-    value, the coefficient +-1 applied as an add or a subtract.  w is a
-    nodal array or a block of its node rows (a slab); so is the result."""
-    acc = np.zeros(tuple(n - 1 for n in w.shape[: grid.dim]) + w.shape[grid.dim :])
-    for corner in CORNERS[grid.dim]:
-        if corner.coef[row] > 0:
+class Point(NamedTuple):
+    """An evaluation point of a cell rule, as rows of (corner, +-1) terms:
+    its gradient, one row per axis, and its average, where its rule has one."""
+
+    gradient: tuple[tuple[tuple[Corner, float], ...], ...]
+    average: tuple[tuple[Corner, float], ...] = ()
+
+
+MIDPOINT = {
+    dim: Point(tuple(tuple((c, 1.0 if c.offset[a] else -1.0) for c in CORNERS[dim])
+                     for a in range(dim)), tuple((c, 1.0) for c in CORNERS[dim]))
+    for dim in (1, 3)
+}
+
+
+def _kuhn():
+    """KUHN and KUHN_FACETS.  A simplex's facet opposite 000 lies where its
+    first step's axis is 1, the one opposite 111 where its last step's is 0."""
+    corner = {c.offset: c for c in CORNERS[3]}
+    points, facets = [], []
+    for perm in itertools.permutations(range(3)):
+        path = [corner[tuple(int(a in perm[:k]) for a in range(3))] for k in range(4)]
+        points.append(Point(tuple(((path[k], -1.0), (path[k + 1], 1.0))
+                                  for k in map(perm.index, range(3)))))
+        for key, tri in (((perm[0], -1), path[1:]), ((perm[2], 0), path[2::-1])):
+            tri = tri if LEVI[perm] > 0 else tri[::-1]
+            k = tri.index(min(tri))
+            facets.append((key + (tri[(k + 1) % 3].offset,), tri[k:] + tri[:k]))
+    return tuple(points), tuple(tri for _, tri in sorted(facets))
+
+
+KUHN, KUHN_FACETS = _kuhn()
+
+
+def gather(w: np.ndarray, row) -> np.ndarray:
+    """Nodes to cells: the sum of a row's terms, each sign applied as an add
+    or a subtract of its corner's values.  w is a nodal array or a block of
+    its node rows (a slab); so is the result."""
+    acc = np.zeros(w[row[0][0].index].shape)
+    for corner, sign in row:
+        if sign > 0:
             acc += w[corner.index]
         else:
             acc -= w[corner.index]
     return acc
 
 
-def _scatter(v: np.ndarray, grid: Grid, row: int, active: np.ndarray | None,
-             out: np.ndarray) -> np.ndarray:
-    """Cells to nodes, the exact transpose of _gather, accumulated into out;
+def _scatter(v: np.ndarray, row, active: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Cells to nodes, the exact transpose of gather, accumulated into out;
     inactive cells contribute nothing."""
     if active is not None:
-        v = np.where(active[(...,) + (None,) * (v.ndim - grid.dim)], v, 0.0)
-    for corner in CORNERS[grid.dim]:
-        if corner.coef[row] > 0:
+        v = np.where(active[(...,) + (None,) * (v.ndim - active.ndim)], v, 0.0)
+    for corner, sign in row:
+        if sign > 0:
             out[corner.index] += v
         else:
             out[corner.index] -= v
@@ -256,7 +287,7 @@ def _scatter(v: np.ndarray, grid: Grid, row: int, active: np.ndarray | None,
 def cell_average(w: np.ndarray, grid: Grid) -> np.ndarray:
     """Average of the 2^d corner values per cell of w, a nodal array or a
     block of its node rows."""
-    return _gather(w, grid, AVERAGE) / 2 ** grid.dim
+    return gather(w, MIDPOINT[grid.dim].average) / 2 ** grid.dim
 
 
 def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
@@ -266,8 +297,8 @@ def cell_gradient(w: np.ndarray, grid: Grid) -> np.ndarray:
     Column j holds the derivative along axis j.
     """
     out = np.empty(tuple(n - 1 for n in w.shape[: grid.dim]) + w.shape[grid.dim :] + (3,))
-    for axis, h in enumerate(grid.spacing):
-        out[..., axis] = _gather(w, grid, 1 + axis) * (1.0 / (2 ** (grid.dim - 1) * h))
+    for axis, (h, row) in enumerate(zip(grid.spacing, MIDPOINT[grid.dim].gradient)):
+        out[..., axis] = gather(w, row) * (1.0 / (2 ** (grid.dim - 1) * h))
     return out
 
 
@@ -321,7 +352,7 @@ def scatter_cell_average_adjoint(v: np.ndarray, grid: Grid, active: np.ndarray |
     """Adjoint of cell_average weighted by cell volume: nodal accumulation of
     sum_cells vol * v[cell] * (d avg / d node)."""
     out = np.zeros(grid.nodes + v.shape[grid.dim :])
-    return _scatter(v * grid.cell_volume / (2 ** grid.dim), grid, AVERAGE, active, out)
+    return _scatter(v * grid.cell_volume / (2 ** grid.dim), MIDPOINT[grid.dim].average, active, out)
 
 
 def scatter_gradient_adjoint(T: np.ndarray, grid: Grid, active: np.ndarray | None = None) -> np.ndarray:
@@ -332,9 +363,9 @@ def scatter_gradient_adjoint(T: np.ndarray, grid: Grid, active: np.ndarray | Non
     of the forward stencil.
     """
     out = np.zeros(grid.nodes + T.shape[grid.dim : -1])
-    for axis, h in enumerate(grid.spacing):
+    for axis, (h, row) in enumerate(zip(grid.spacing, MIDPOINT[grid.dim].gradient)):
         w = T[..., axis] * (grid.cell_volume / (2 ** (grid.dim - 1) * h))
-        _scatter(w, grid, 1 + axis, active, out)
+        _scatter(w, row, active, out)
     return out
 
 
@@ -358,22 +389,12 @@ def incident_node_mask(grid: Grid, active: np.ndarray | None = None) -> np.ndarr
 # the H1 metric K + M, inverted by fast diagonalization
 # ---------------------------------------------------------------------------
 
-def _pair_stencil(n: int, row: int) -> np.ndarray:
-    """Coefficient row of the 1-D table CORNERS[1] on n nodes: the
-    (n - 1) x n matrix taking nodal values to one value per cell."""
-    out = np.zeros((n - 1, n))
-    cells = np.arange(n - 1)
-    for corner in CORNERS[1]:
-        out[cells, cells + corner.offset[0]] = corner.coef[row]
-    return out
-
-
 def h1_solver(grid: Grid, free: np.ndarray):
     """The solve r -> z of (K + M) z = r on the free nodes, z = 0 elsewhere.
 
     K = G^T W G is the stiffness of cell_gradient over the box (W the cell
-    volume) and M the lumped nodal volumes.  CORNERS[d] is the d-fold tensor
-    product of CORNERS[1], so per axis a the gradient is G_a = D_a (x) A (x)
+    volume) and M the lumped nodal volumes.  MIDPOINT[d] is the d-fold tensor
+    product of MIDPOINT[1], so per axis a the gradient is G_a = D_a (x) A (x)
     A / h_a, with D the pair difference and A the pair average, and the
     lumped mass is B = diag(A^T 1).  Since A^T A = B - D^T D / 4, the 1-D
     generalized eigenbasis Phi of (D^T D, B) on an axis's free indices
@@ -394,8 +415,9 @@ def h1_solver(grid: Grid, free: np.ndarray):
     bases, lam, mu = [], [], []
     for a, idx in enumerate(hull):
         n, h = grid.nodes[a], grid.spacing[a]
-        avg = _pair_stencil(n, AVERAGE) / 2.0  # the cell average halves the pair sum
-        diff = _pair_stencil(n, 1) / h  # row 1: the difference along the axis
+        # the rows of MIDPOINT[1] as (n - 1) x n matrices, nodal values to cells
+        avg = gather(np.eye(n), MIDPOINT[1].average) / 2.0  # the cell average halves the pair sum
+        diff = gather(np.eye(n), MIDPOINT[1].gradient[0]) / h  # the difference along the axis
         ix = np.ix_(idx, idx)
         stiff, avg2 = (diff.T @ diff)[ix], (avg.T @ avg)[ix]
         mass = avg.sum(axis=0)[idx]

@@ -8,7 +8,7 @@ import pytest
 
 from complexbodies import admissibility, fields
 from complexbodies.admissibility import (
-    _CORNER_INDEX,
+    _solid_angle,
     cell_charges,
     check_ciarlet_necas,
     check_orientation,
@@ -246,6 +246,11 @@ class TestSimplexReference:
         self._agrees(_fold_slab())
 
 
+def _corner(offset):
+    """Nodal index (all cells at once) of the cell corner at offset."""
+    return tuple(slice(1, None) if b else slice(0, -1) for b in offset)
+
+
 def _whole_grid_dets(state):
     """The determinants that both checks take, gathered on the whole grid
     at once: det F at the cell centres, then on the 6 path simplices."""
@@ -254,9 +259,9 @@ def _whole_grid_dets(state):
     for path in itertools.permutations(range(3)):
         offset = [0, 0, 0]
         for ax in path:
-            prev = state.u[_CORNER_INDEX[tuple(offset)]]
+            prev = state.u[_corner(offset)]
             offset[ax] = 1
-            np.subtract(state.u[_CORNER_INDEX[tuple(offset)]], prev, out=F[..., :, ax])
+            np.subtract(state.u[_corner(offset)], prev, out=F[..., :, ax])
             F[..., :, ax] /= state.grid.spacing[ax]
         yield det3(F)
 
@@ -398,6 +403,48 @@ class TestCellCharges:
         inner = np.linalg.norm(cc, axis=-1) < 0.5
         assert q[inner].sum() == pytest.approx(1.0, abs=1e-9)
         assert q[~inner].sum() == pytest.approx(0.0, abs=1e-9)
+
+
+# the cell's face triangles as once written out: corner offsets ordered so
+# normals point outward, with shared-face diagonals matching between
+# neighbour cells
+_FACE_QUADS = (
+    ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)),  # x+
+    ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)),  # x-
+    ((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)),  # y+
+    ((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)),  # y-
+    ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),  # z+
+    ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),  # z-
+)
+_CELL_TRIANGLES = tuple(
+    tri for quad in _FACE_QUADS for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3]))
+)
+
+
+class TestKuhnFacets:
+    """The face triangles derived from the Kuhn simplices against the
+    written-out reference."""
+
+    def test_derived_triangles_equal_the_literal(self):
+        derived = tuple(tuple(c.offset for c in tri) for tri in fields.KUHN_FACETS)
+        assert derived == _CELL_TRIANGLES
+
+    def test_cell_charges_equal_a_loop_over_the_literal(self):
+        grid = Grid.cube(5, lo=-0.5, hi=0.5)
+        st = identity_state(grid, UnitSphere(), nu0=EZ)
+        nu = np.random.default_rng(31).normal(size=st.nu.shape)
+        st.nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+        st.active = ball_mask(grid, radius=0.4)
+        # cell_charges renormalizes the nodes as here
+        nhat = st.nu / np.maximum(np.linalg.norm(st.nu, axis=-1), 1e-300)[..., None]
+        total = np.zeros(grid.cells)
+        for tri in _CELL_TRIANGLES:
+            total += _solid_angle(*(nhat[_corner(o)] for o in tri))
+        total /= 4.0 * np.pi
+        total[~st.active] = 0.0
+        q = cell_charges(st)
+        assert np.abs(q).max() > 0.5
+        assert np.array_equal(q, total)
 
 
 class TestDefectReport:

@@ -150,6 +150,18 @@ def test_nan_growth_slack_fails_the_check(tmp_path, capsys):
     assert "check growth: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("resolution,code,verdict", [(5, 1, "FAIL"), (6, 0, "PASS")])
+def test_weak_el_fails_when_no_test_field_reaches_the_body(tmp_path, capsys, resolution,
+                                                           code, verdict):
+    # at 5^3 no node lies far enough inside the ball for a test field, so every
+    # weak_el row reads 0 over a scale of 0; at 6^3 the fields reach the body
+    argv = ["run", "nematic-hedgehog", "--resolution", str(resolution), "--out", str(tmp_path)]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert f"check weak_el: {verdict}" in out
+    assert ("no test field reaches the body" in out) == (verdict == "FAIL")
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.ini")])
     assert code == 2

@@ -34,7 +34,7 @@ from complexbodies.errors import (
 from complexbodies.fields import SLOTS, Grid, identity_state
 from complexbodies.manifolds import Euclidean, UnitSphere
 from complexbodies.minors import cofactor, det3
-from complexbodies.scenarios import build_density
+from complexbodies.scenarios import build_density, materialize, preset_config, preset_names
 
 
 def _vector_quadratic(coupled=True):
@@ -172,6 +172,20 @@ class TestReads:
         assert Quasicrystal().reads == {"F", "N"}
         assert _vector_quadratic().reads == {"F", "nu", "N"}
         assert GinzburgLandau(None, 1.0, 3).reads == {"x", "nu", "N"}
+
+    @pytest.mark.parametrize("name", [None] + preset_names())
+    def test_reads_equal_the_derivation_from_overrides(self, name):
+        # the derivation each access used to repeat: a density's own class's
+        # overrides, and for a sum the union of its parts'
+        def derived(density):
+            if isinstance(density, SumDensity):
+                return frozenset().union(*(derived(p) for p in density.parts))
+            cls = type(density)
+            return frozenset(s for s in SLOTS
+                             if getattr(cls, f"d_{s}") is not getattr(EnergyDensity, f"d_{s}"))
+
+        density = EnergyDensity() if name is None else materialize(preset_config(name)).density
+        assert density.reads == derived(density)
 
     def test_sum_reads_union_of_parts(self):
         total = SumDensity([DirichletDescriptor(3), DeadLoad([0.0, 0.0, -1.0]),

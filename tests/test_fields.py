@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from complexbodies.errors import ShapeMismatchError
 from complexbodies.fields import (
+    KUHN,
     FieldState,
     Grid,
     ball_mask,
@@ -24,6 +25,7 @@ from complexbodies.fields import (
     cell_average,
     cell_gradient,
     divide_by_volume,
+    gather,
     gradients,
     h1_solver,
     identity_state,
@@ -261,6 +263,23 @@ class TestCornerLoopReference:
         assert np.array_equal(scatter_cell_average_adjoint(v, grid, active), avgT)
         assert np.array_equal(node_volumes(grid, active), vols)
         assert np.array_equal(incident_node_mask(grid, active), incident)
+
+    def test_kuhn_points_match_path_loops(self):
+        # point k steps along the axes in the k-th permutation's order; its F
+        # column along an axis is the difference across that step, over h
+        grid = Grid((0.0, -0.2, 0.1), (1.0, 0.9, 1.4), (4, 5, 3))
+        u = np.random.default_rng(46).normal(size=grid.nodes + (3,))
+        corner = dict(_corner_slices(grid))
+        for point, path in zip(KUHN, itertools.permutations(range(3)), strict=True):
+            ref = np.empty(grid.cells + (3, 3))
+            offset = [0, 0, 0]
+            for ax in path:
+                before = u[corner[tuple(offset)]]
+                offset[ax] = 1
+                ref[..., :, ax] = (u[corner[tuple(offset)]] - before) / grid.spacing[ax]
+            F = np.stack([gather(u, point.gradient[ax]) / h
+                          for ax, h in enumerate(grid.spacing)], axis=-1)
+            assert np.array_equal(F, ref)
 
 
 def _dense_h1(grid, free, active=None):

@@ -161,7 +161,7 @@ class TestReadOnlyWhatTheDensityReads:
 
     def test_dirichlet_gathers_and_scatters_only_its_gradient(self, monkeypatch):
         counts = {"gather": 0, "scatter": 0}
-        gather, scatter = fields._gather, fields._scatter
+        gather, scatter = fields.gather, fields._scatter
 
         def counting_gather(*args):
             counts["gather"] += 1
@@ -173,7 +173,7 @@ class TestReadOnlyWhatTheDensityReads:
 
         state = _perturbed_state("ball3")
         vols = node_volumes(state.grid, state.active)
-        monkeypatch.setattr(fields, "_gather", counting_gather)
+        monkeypatch.setattr(fields, "gather", counting_gather)
         monkeypatch.setattr(fields, "_scatter", counting_scatter)
         total_energy(DirichletDescriptor(3), state)
         assert counts == {"gather": 3, "scatter": 0}
