@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run every built-in scenario and summarize the verification verdicts.
 
-Artifacts land under --out-root/<preset>/.  Each line ends with the SHA-256
+--only takes preset names or INI config paths.  Artifacts land under
+--out-root/<preset>/ for a preset and --out-root/<file name>/ for an INI
+file (quasicrystal-shear.ini beside quasicrystal-shear), so the two never
+collide.  Each line ends with the SHA-256
 of the run's six artifacts, read in the order of ARTIFACTS, so two trees
 compare bit for bit by their printed digests.  Exit status is the number of
 presets that failed a check or stopped without converging, so the script
@@ -10,6 +13,7 @@ doubles as a coarse smoke gate.
 Usage:
     python3 scripts/run_all_presets.py --out-root runs
     python3 scripts/run_all_presets.py --resolution 24 --only nematic-hedgehog
+    python3 scripts/run_all_presets.py --only groundbench/scenarios/*.ini
 """
 
 import argparse
@@ -20,7 +24,7 @@ import time
 from pathlib import Path
 
 from complexbodies.errors import ScenarioFailedError
-from complexbodies.scenarios import preset_config, preset_names, run
+from complexbodies.scenarios import load_config, preset_names, run
 
 ARTIFACTS = ("trace.csv", "fields_u.csv", "fields_nu.csv", "fields.npz",
              "residuals.csv", "report.txt")
@@ -41,13 +45,14 @@ def main(argv=None):
                         help="override every preset's grid resolution")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--only", nargs="+", default=None,
-                        help="subset of preset names")
+                        help="subset of preset names or INI config paths")
     args = parser.parse_args(argv)
 
-    names = args.only if args.only else preset_names()
+    refs = args.only if args.only else preset_names()
     failures = 0
-    for name in names:
-        cfg = preset_config(name)
+    for ref in refs:
+        cfg = load_config(ref)
+        name = Path(ref).name
         if args.resolution is not None:
             cfg = dataclasses.replace(cfg, resolution=args.resolution)
         if args.seed is not None:

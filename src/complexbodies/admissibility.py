@@ -262,12 +262,10 @@ def cell_charges(state: FieldState, manifold=None) -> np.ndarray:
 class DefectCluster:
     charge: int
     center: np.ndarray
-    cell_count: int
 
 
 @dataclass(frozen=True)
 class DefectReport:
-    cell_charge: np.ndarray
     clusters: list[DefectCluster] = field(default_factory=list)
     total_charge: int = 0
     boundary_degree: float = 0.0
@@ -296,17 +294,10 @@ def defect_charges(state: FieldState, manifold=None) -> DefectReport:
         w = np.abs(q[sel])
         w = w / w.sum()
         center = np.einsum("m,mi->i", w, centers[sel])
-        clusters.append(
-            DefectCluster(
-                charge=int(round(charge)),
-                center=center,
-                cell_count=int(sel.sum()),
-            )
-        )
+        clusters.append(DefectCluster(charge=int(round(charge)), center=center))
     clusters.sort(key=lambda c: -abs(c.charge))
     boundary_degree = float(q.sum())
     return DefectReport(
-        cell_charge=q,
         clusters=clusters,
         total_charge=int(round(sum(c.charge for c in clusters))),
         boundary_degree=boundary_degree,

@@ -1,14 +1,12 @@
 """Balance-law verification on discrete states.
 
-From a state and a density this module assembles the conjugate actions
-
-    P = de/dF   (first Piola-Kirchhoff stress)
-    S = de/dN   (microstress)
-    zeta = de/dnu (net substructural action, kept in the ambient
-    embedding, where it pairs with the assembled gradient exactly)
-    b = -de/du (body force)
-
-and evaluates every balance the theory provides:
+From a state and a density this module assembles the actions, the
+density's own partials d_<slot> on the cells, keyed by slot.  Each pairs
+with one kinematic of one field (fields.FIELDS): d_F (the Piola stress P)
+with Du, d_u with u, d_N (the microstress S) with Dnu and d_nu (the net
+substructural action z, kept in the ambient embedding, where it pairs
+with the assembled gradient exactly) with nu.  Every balance the theory
+provides is evaluated from them:
 
 * weak Euler-Lagrange residual of one compactly supported nodal test
   pair (h, upsilon), dual-exact to the minimizer's assembled gradient;
@@ -42,10 +40,10 @@ import numpy as np
 from .energy import EnergyDensity, sample_states
 from .errors import GeneratorUnavailableError, NonTangentTestError, ShapeMismatchError
 from .fields import (
+    FIELDS,
+    SLOTS,
     FieldState,
     GradientField,
-    cell_average,
-    cell_gradient,
     cellwise,
     gradients,
     integrate_cells,
@@ -79,10 +77,9 @@ class BalanceFields:
     state: FieldState
     density: EnergyDensity
     manifold: Manifold
-    P: np.ndarray
-    S: np.ndarray
-    zeta_ambient: np.ndarray  # raw embedding derivative, for exact duality
-    b: np.ndarray
+    # slot -> the density's partial d_<slot> on the cells, for the slots of
+    # fields.FIELDS that the density reads, in SLOTS order
+    actions: dict[str, np.ndarray]
 
     @property
     def gf(self) -> GradientField:
@@ -93,28 +90,20 @@ class BalanceFields:
 
 def assemble_actions(density: EnergyDensity, state: FieldState,
                      manifold: Manifold) -> BalanceFields:
-    """Cellwise conjugate actions P, S, zeta and b, by the slots F, N, nu, u.
-
-    Only the partials of the slots the density reads are taken, a slab at a
-    time; each other action is the base class's zero (-0.0 in b) broadcast
-    from one scalar, which holds no per-cell memory and gives the terms
-    built from it the bits of a full array.  The energy and its x-partial,
-    which only the configurational balance reads, are taken there from gf.
+    """The cellwise partials of the field slots the density reads, a slab at
+    a time.  An unread slot has no action: its partial is the base class's
+    zero, and every consumer skips it.  The energy and its x-partial, which
+    only the configurational balance reads, are taken there from gf.
     """
-    reads = density.reads
-    dims = {"F": (3, 3), "N": (state.embed_dim, 3), "nu": (state.embed_dim,), "u": (3,)}
-    slots = [s for s in dims if s in reads]
+    field_slots = {s for pair in FIELDS.values() for s in pair}
+    slots = [s for s in SLOTS if s in density.reads & field_slots]
 
-    def actions(rows):
-        gf = gradients(state, reads, rows)
-        return tuple(-density.d_u(*gf) if s == "u" else getattr(density, "d_" + s)(*gf)
-                     for s in slots)
+    def partials(rows):
+        gf = gradients(state, density.reads, rows)
+        return tuple(getattr(density, "d_" + s)(*gf) for s in slots)
 
-    taken = dict(zip(slots, cellwise(state.grid, actions)))
-    return BalanceFields(state, density, manifold, *(
-        taken[s] if s in taken
-        else np.broadcast_to(-0.0 if s == "u" else 0.0, state.grid.cells + dims[s])
-        for s in dims))
+    return BalanceFields(state, density, manifold,
+                         dict(zip(slots, cellwise(state.grid, partials))))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +181,13 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
                      k: int = 0) -> Residual:
     """Weak equilibrium residual of test pair k, (h, upsilon).
 
-    Quadrature of -b . h + P : Dh + zeta . upsilon + S : Dupsilon over the
-    active cells, using the raw embedding action so the value agrees with
-    the assembled minimizer gradient to round-off.  upsilon must be tangent
-    at the nodal descriptor.  Only bf is shared and it is only read, so
-    pairs may be checked on concurrent threads.
+    Quadrature of d_u . h + d_F : Dh + d_nu . upsilon + d_N : Dupsilon over
+    the active cells, one term per action, using the raw embedding action so
+    the value agrees with the assembled minimizer gradient to round-off.
+    The pair is gathered as a FieldState, so only the slots that bf holds
+    actions for are built.  upsilon must be tangent at the nodal descriptor.
+    Only bf is shared and it is only read, so pairs may be checked on
+    concurrent threads.
     """
     state = bf.state
     grid = state.grid
@@ -211,15 +202,20 @@ def weak_el_residual(bf: BalanceFields, h: np.ndarray, ups: np.ndarray,
             f"test {k}: descriptor variation leaves the tangent space ({drift:.2e})"
         )
     del buf
+    test = FieldState(grid, h, ups, state.pinned_u, state.pinned_nu, state.active)
+
     # one slab's averages and gradients are alive at a time; their
     # per-cell sums are integrated over the whole grid
     def terms(rows):
-        nodes = slice(rows.start, rows.stop + 1)
-        t1 = -np.einsum("...i,...i->...", bf.b[rows], cell_average(h[nodes], grid))
-        t2 = np.einsum("...ij,...ij->...", bf.P[rows], cell_gradient(h[nodes], grid))
-        t3 = np.einsum("...a,...a->...", bf.zeta_ambient[rows], cell_average(ups[nodes], grid))
-        t4 = np.einsum("...ai,...ai->...", bf.S[rows], cell_gradient(ups[nodes], grid))
-        return t1 + t2 + t3 + t4, np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)
+        kinematics = dict(zip(SLOTS, gradients(test, bf.actions, rows)))
+        signed = np.zeros((rows.stop - rows.start,) + grid.cells[1:])
+        size = np.zeros(signed.shape)
+        for slot, action in bf.actions.items():
+            comp = "ij"[: action.ndim - grid.dim]  # the slot's component axes
+            t = np.einsum(f"...{comp},...{comp}->...", action[rows], kinematics[slot])
+            signed += t
+            size += np.abs(t)
+        return signed, size
 
     signed, size = cellwise(grid, terms)
     raw = integrate_cells(signed, grid, state.active)
@@ -284,10 +280,14 @@ def rotational_balance(density: EnergyDensity, manifold: Manifold, n: int,
 # ---------------------------------------------------------------------------
 
 def eshelby(bf: BalanceFields, gf: GradientField) -> np.ndarray:
-    """Energy-momentum tensor PP = e I - F^T P - N^T S on the cell kinematics gf."""
+    """Energy-momentum tensor PP = e I - F^T P - N^T S on the cell kinematics
+    gf, one term per gradient slot that bf holds an action for."""
+    kinematics = dict(zip(SLOTS, gf))
     PP = bf.density.eval(*gf)[..., None, None] * np.eye(3)
-    PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
-    return PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
+    for _, grad in FIELDS.values():
+        if grad in bf.actions:
+            PP = PP - np.einsum("...ki,...kj->...ij", kinematics[grad], bf.actions[grad])
+    return PP
 
 
 def configurational_residual(bf: BalanceFields,
@@ -295,7 +295,8 @@ def configurational_residual(bf: BalanceFields,
     """Distributional residual of the configurational balance per test.
 
     raw = int PP : Dphi dx + int de_dx . phi dx.  phi must be a compact
-    nodal 3-vector field.  The cell kinematics are gathered once, for PP
+    nodal 3-vector field; its average and gradient are gathered as the u
+    field of a FieldState.  The cell kinematics are gathered once, for PP
     and de_dx.
     """
     state = bf.state
@@ -308,10 +309,10 @@ def configurational_residual(bf: BalanceFields,
     for k, phi in enumerate(tests):
         if phi.shape != state.u.shape:
             raise ShapeMismatchError("configurational tests are nodal 3-vector fields")
-        Dphi = cell_gradient(phi, grid)
-        phibar = cell_average(phi, grid)
-        t1 = np.einsum("...ij,...ij->...", PP, Dphi)
-        t2 = np.einsum("...i,...i->...", de_dx, phibar)
+        test = FieldState(grid, phi, state.nu, state.pinned_u, state.pinned_nu, state.active)
+        tf = gradients(test, FIELDS["u"])
+        t1 = np.einsum("...ij,...ij->...", PP, tf.F)
+        t2 = np.einsum("...i,...i->...", de_dx, tf.u_bar)
         raw = integrate_cells(t1 + t2, grid, state.active)
         scale = integrate_cells(np.abs(t1) + np.abs(t2), grid, state.active)
         out.append(Residual(name=f"configurational[{k}]", raw=raw, scale=scale))
@@ -329,13 +330,6 @@ class ResidualReport:
             self.entries.append(items)
         else:
             self.entries.extend(items)
-
-    def worst(self, prefix: str | None = None) -> float:
-        sel = [
-            r.ratio for r in self.entries
-            if prefix is None or r.name.startswith(prefix)
-        ]
-        return max(sel) if sel else 0.0
 
     def rows(self):
         return [(r.name, r.raw, r.scale, r.ratio) for r in self.entries]

@@ -23,7 +23,7 @@ from .scenarios import (
     PRESET_SUMMARIES,
     _as_bool,
     format_config,
-    parse_config,
+    load_config,
     preset_config,
     preset_names,
     run,
@@ -66,22 +66,8 @@ def _parse_check_flag(raw: str) -> tuple[str, bool]:
     return name, _as_bool("checks", name, value)
 
 
-def _load_config(ref: str):
-    path = Path(ref)
-    if path.exists() and not path.is_dir():
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {ref!r}: {exc}") from None
-        return parse_config(text)
-    if ref in preset_names():
-        return preset_config(ref)
-    raise ConfigError(f"{ref!r} is neither a config file nor a preset; "
-                      f"presets: {', '.join(preset_names())}")
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.resolution is not None:

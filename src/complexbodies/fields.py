@@ -28,8 +28,10 @@ points and one gather over them; every operator below is derived from those:
 
   holds to round-off for every nodal h.  Over the lumped volume,
   -scatter_gradient_adjoint(T) is a nodal divergence of T, consistent to
-  O(h^2) one cell inside the body.  The minimizer's gradient is built this
-  way from a density's partials, so it pairs with the weak residual exactly.
+  O(h^2) one cell inside the body.  FIELDS pairs each nodal field with its
+  average and gradient slots; the minimizer's gradient scatters a density's
+  partials by it and the weak residual gathers its test pair by it, so the
+  two pair exactly.
 * Cellwise work (gather, density, per-cell terms) runs a slab of whole
   cell rows at a time (Grid.slabs, joined by cellwise), so its temporaries
   stay small.  A cell's value depends only on its own corners, and every
@@ -188,6 +190,8 @@ def identity_state(grid: Grid, manifold: Manifold, nu0: np.ndarray) -> FieldStat
 
 # the slots of a density's state list e(x, u, F, nu, N), in argument order
 SLOTS = ("x", "u", "F", "nu", "N")
+# each nodal field of a FieldState: its average slot and its gradient slot
+FIELDS = {"u": ("u", "F"), "nu": ("nu", "N")}
 
 
 class GradientField(NamedTuple):

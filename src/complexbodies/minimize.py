@@ -8,20 +8,21 @@ respect to the lumped volume-weighted nodal inner product
 
 which makes the discrete gradient dual-exact against the assembled weak
 residual: sum_n vol_n g . h equals the weak directional derivative for every
-nodal perturbation h.  Both read the conjugate actions of
-balance.assemble_actions, the one cellwise pass over a density's partials:
-the gradient scatters them, the weak residual integrates them.  Descriptor
+nodal perturbation h.  Both read the actions of balance.assemble_actions,
+the one cellwise pass over a density's partials, by the field table
+fields.FIELDS: per field the gradient scatters its gradient slot's and its
+average slot's actions, the weak residual gathers the same slots.  Descriptor
 components are projected to the manifold tangent at each node, pinned and
 non-incident nodes are frozen, and trial descriptor updates return to the
 manifold through the retraction.  The stop is on this L2 gradient: its sup
 norm at most grad_tol.
 
-Directions come from the H1 metric of the stencil instead.  Each block (u,
-nu) is preconditioned with P = K + M on its free nodes (fields.h1_solver:
-the stiffness of the cell gradient plus the lumped volumes), so the
-Sobolev gradient z = P^-1 M g is the representative of the same derivative
-in the metric of the continuum problem, and the iteration counts do not
-grow with the grid.  Directions are Polak-Ribiere+ conjugate, with the
+Directions come from the H1 metric of the stencil instead.  Each block, one
+per field of FIELDS, is preconditioned with P = K + M on its free nodes
+(fields.h1_solver: the stiffness of the cell gradient plus the lumped
+volumes), so the Sobolev gradient z = P^-1 M g is the representative of
+the same derivative in the metric of the continuum problem, and the
+iteration counts do not grow with the grid.  Directions are Polak-Ribiere+ conjugate, with the
 previous descriptor direction tangent-projected at the new point, and
 restart along -z when the conjugate one does not descend.  A block whose
 slots the density does not read has a zero gradient and is skipped.
@@ -48,6 +49,7 @@ from .balance import assemble_actions
 from .energy import EnergyDensity, total_energy
 from .errors import ConfigError, InadmissibleStartError
 from .fields import (
+    FIELDS,
     FieldState,
     divide_by_volume,
     h1_solver,
@@ -89,7 +91,6 @@ class MinimizeResult:
     grad_sup: float
     barrier_rejects: int
     armijo_rejects: int
-    stalled: bool
     message: str
     trace: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
     # trace columns: energy, grad sup-norm, accepted step, rejects this iter
@@ -106,48 +107,35 @@ def riesz_gradient(density: EnergyDensity, state: FieldState, manifold: Manifold
     parts are zeroed on pinned and non-incident nodes.  vols are the
     lumped nodal volumes of the state's mask, built here when not given.
 
-    The gradient scatters the actions of balance.assemble_actions, P, S,
-    zeta and -b (an exact negation of b = -d_u), for the slots the density
-    reads only, each dropped right after its scatter.  Each other action is
-    zero, and its scatter is all +0.0; a scatter starts from +0.0 and so
-    never holds -0.0, so adding it would change no bit.  A block (u, or nu)
-    whose slots the density reads not at all is returned as zeros, with no
-    division or projection.
+    Per field of fields.FIELDS the gradient scatters the actions of
+    balance.assemble_actions for its gradient slot and its average slot,
+    each dropped right after its scatter.  A slot the density does not read
+    has no action: its partial is zero, and so is its scatter, which
+    starts from +0.0 and so would change no bit.  A field whose slots the
+    density reads not at all gets zeros, with no division or projection.
     """
     grid = state.grid
-    reads = density.reads
-    bf = assemble_actions(density, state, manifold)
-    actions = {"F": bf.P, "u": bf.b, "N": bf.S, "nu": bf.zeta_ambient}
-    del bf
-    d = {s: -a if s == "u" else a for s, a in actions.items() if s in reads}
-    del actions
+    actions = assemble_actions(density, state, manifold).actions
     if vols is None:
         vols = node_volumes(grid, state.active)
     incident = vols > 0
-
-    def block(grad_slot, avg_slot):
+    g = {}
+    for name, (avg_slot, grad_slot) in FIELDS.items():
         raw = None
-        if grad_slot in d:
-            raw = scatter_gradient_adjoint(d.pop(grad_slot), grid, state.active)
-        if avg_slot in d:
-            avg = scatter_cell_average_adjoint(d.pop(avg_slot), grid, state.active)
+        if grad_slot in actions:
+            raw = scatter_gradient_adjoint(actions.pop(grad_slot), grid, state.active)
+        if avg_slot in actions:
+            avg = scatter_cell_average_adjoint(actions.pop(avg_slot), grid, state.active)
             raw = avg if raw is None else raw + avg
-        return None if raw is None else divide_by_volume(raw, vols)
-
-    g_u = block("F", "u")
-    g_nu = block("N", "nu")
-    if g_u is None:
-        g_u = np.zeros(state.u.shape)
-    else:
-        g_u[~incident] = 0.0
-        g_u[state.pinned_u] = 0.0
-    if g_nu is None:
-        g_nu = np.zeros(state.nu.shape)
-    else:
-        g_nu = manifold.tangent_project(state.nu, g_nu)
-        g_nu[~incident] = 0.0
-        g_nu[state.pinned_nu] = 0.0
-    return g_u, g_nu
+        if raw is None:
+            g[name] = np.zeros(getattr(state, name).shape)
+            continue
+        g[name] = divide_by_volume(raw, vols)
+        if name == "nu":
+            g[name] = manifold.tangent_project(state.nu, g[name])
+        g[name][~incident] = 0.0
+        g[name][getattr(state, "pinned_" + name)] = 0.0
+    return g["u"], g["nu"]
 
 
 def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
@@ -168,15 +156,13 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
     # the blocks that descend: a block whose slots the density does not read,
     # or that has no free node, keeps a zero gradient and is skipped
     solvers = {}
-    for b, slots, pinned in (("u", {"u", "F"}, state.pinned_u),
-                             ("nu", {"nu", "N"}, state.pinned_nu)):
-        free = (vols > 0) & ~pinned
-        if density.reads & slots and free.any():
-            solvers[b] = h1_solver(grid, free)
+    for name, slots in FIELDS.items():
+        free = (vols > 0) & ~getattr(state, "pinned_" + name)
+        if density.reads & set(slots) and free.any():
+            solvers[name] = h1_solver(grid, free)
 
     def gradient(at: FieldState) -> dict:
-        g_u, g_nu = riesz_gradient(density, at, manifold, vols=vols)
-        return {"u": g_u, "nu": g_nu}
+        return dict(zip(FIELDS, riesz_gradient(density, at, manifold, vols=vols)))
 
     def inner(a: dict, b: dict) -> float:
         return sum(float(np.sum(a[k] * b[k] * weight)) for k in solvers)
@@ -299,7 +285,6 @@ def minimize(density: EnergyDensity, state: FieldState, manifold: Manifold,
         grad_sup=float(trace[-1, 1]),
         barrier_rejects=barrier_rejects,
         armijo_rejects=armijo_rejects,
-        stalled=stalled,
         message=message,
         trace=trace,
         gradient=None if g is None else (g["u"], g["nu"], vols),

@@ -665,7 +665,6 @@ def materialize(config: ScenarioConfig) -> BuiltScenario:
 class CheckOutcome:
     name: str
     passed: bool
-    detail: str
 
 
 @dataclass
@@ -673,19 +672,12 @@ class ScenarioResult:
     config: ScenarioConfig
     out_dir: Path | None
     minimize_result: MinimizeResult
-    residuals: ResidualReport
     outcomes: list
     report_lines: list
 
     @property
     def passed(self) -> bool:
         return all(o.passed for o in self.outcomes)
-
-    def outcome(self, name: str) -> CheckOutcome:
-        for o in self.outcomes:
-            if o.name == name:
-                return o
-        raise KeyError(name)
 
 
 def _usable_cores() -> int:
@@ -756,7 +748,7 @@ def _run_checks(config: ScenarioConfig, manifold: Manifold, density: EnergyDensi
     report = ResidualReport()
 
     def record(name, passed, detail):
-        outcomes.append(CheckOutcome(name=name, passed=passed, detail=detail))
+        outcomes.append(CheckOutcome(name=name, passed=passed))
         lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} | {detail}")
 
     if checks["orientation"]:
@@ -928,7 +920,6 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioRe
         config=config,
         out_dir=out,
         minimize_result=mres,
-        residuals=report,
         outcomes=outcomes,
         report_lines=lines,
     )
@@ -1116,3 +1107,19 @@ def preset_config(name: str) -> ScenarioConfig:
         raise ConfigError(
             f"unknown preset {name!r}; known: {', '.join(sorted(_PRESETS))}"
         ) from None
+
+
+def load_config(ref: str) -> ScenarioConfig:
+    """The config of ref: the INI file at that path, or else the preset of
+    that name."""
+    path = Path(ref)
+    if path.exists() and not path.is_dir():
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {ref!r}: {exc}") from None
+        return parse_config(text)
+    if ref in preset_names():
+        return preset_config(ref)
+    raise ConfigError(f"{ref!r} is neither a config file nor a preset; "
+                      f"presets: {', '.join(preset_names())}")

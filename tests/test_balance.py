@@ -66,6 +66,7 @@ from complexbodies.manifolds import (
 from complexbodies.minimize import riesz_gradient
 from complexbodies import scenarios
 from complexbodies.scenarios import N_TESTS, ScenarioConfig, _weak_el_rows
+from util import residual_rows
 
 # an overflow or an invalid operation inside a balance fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -169,24 +170,30 @@ class TestAssembly:
         )
         bf = assemble_actions(density, state, man)
         args = tuple(bf.gf)
-        assert np.allclose(bf.b, np.array([0.1, 0.0, -0.3]), atol=0)
+        # the dead load's u-partial is minus its load, kept with its own sign
+        assert list(bf.actions) == ["u", "nu", "N"]
+        assert np.allclose(bf.actions["u"], -np.array([0.1, 0.0, -0.3]), atol=0)
         # the net action is the density's descriptor partial, the external
         # coupling's -h included
         assert density.parts[1].external
-        assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
-        assert np.allclose(bf.zeta_ambient, -h_field, atol=0)
+        assert np.array_equal(bf.actions["nu"], density.d_nu(*args))
+        assert np.allclose(bf.actions["nu"], -h_field, atol=0)
 
-    def test_unread_actions_are_broadcast_zeros(self):
-        # the density reads neither F nor u: P and b are one broadcast zero
-        # each, and the weak rows equal those of full arrays of those zeros
+    def test_unread_slots_have_no_action(self):
+        # the density reads neither F nor u: they have no action, and the
+        # weak rows equal those of explicit zero arrays for them
         state, man = _sphere_state()
         density = SumDensity([DirichletDescriptor(3), EasyAxisAnchoring([0.0, 0.0, 1.0], 0.4)])
         bf = assemble_actions(density, state, man)
-        assert not any(bf.P.strides) and not any(bf.b.strides)
-        full = replace(bf, P=np.zeros(bf.P.shape), b=-np.zeros(bf.b.shape))
+        assert list(bf.actions) == ["nu", "N"]
+        cells = state.grid.cells
+        full = replace(bf, actions={"u": np.zeros(cells + (3,)), "F": np.zeros(cells + (3, 3)),
+                                    **bf.actions})
         hs = _built(random_compact_tests(state, 4, 3, seed=2))
         us = _built(random_compact_tests(state, 4, 3, seed=3, manifold=man))
-        assert _rows(bf, hs, us) == _rows(full, hs, us)
+        rows = _rows(bf, hs, us)
+        assert all(r.raw != 0.0 for r in rows)
+        assert rows == _rows(full, hs, us)
 
     def test_actions_match_density_partials(self):
         state, man = _sphere_state()
@@ -196,15 +203,14 @@ class TestAssembly:
         # the property gathers the whole grid's kinematics anew, bit for bit
         assert all(np.array_equal(a, b) for a, b in zip(gf, gradients(state), strict=True))
         args = tuple(gf)
-        assert np.array_equal(bf.P, density.d_F(*args))
-        assert np.array_equal(bf.S, density.d_N(*args))
-        assert np.array_equal(bf.zeta_ambient, density.d_nu(*args))
-        assert np.array_equal(bf.b, -density.d_u(*args))
+        assert list(bf.actions) == [s for s in ("u", "F", "nu", "N") if s in density.reads]
+        for slot, action in bf.actions.items():
+            assert np.array_equal(action, getattr(density, "d_" + slot)(*args))
         # the energy and its x-partial are read from the density when the
         # configurational balance runs
         PP = density.eval(*args)[..., None, None] * np.eye(3)
-        PP = PP - np.einsum("...ki,...kj->...ij", gf.F, bf.P)
-        PP = PP - np.einsum("...ai,...aj->...ij", gf.N, bf.S)
+        PP = PP - np.einsum("...ki,...kj->...ij", gf.F, density.d_F(*args))
+        PP = PP - np.einsum("...ai,...aj->...ij", gf.N, density.d_N(*args))
         assert np.array_equal(eshelby(bf, gf), PP)
         phi = random_compact_tests(state, 1, 3, seed=3)[0]()
         t2 = np.einsum("...i,...i->...", density.d_x(*args), cell_average(phi, state.grid))
@@ -422,16 +428,20 @@ def _ball_sphere_case():
 def _whole_grid_actions(density, state):
     """assemble_actions' arrays, taken on the whole grid at once."""
     gf = gradients(state)
-    return density.d_F(*gf), density.d_N(*gf), density.d_nu(*gf), -density.d_u(*gf)
+    return {s: getattr(density, "d_" + s)(*gf) for s in ("u", "F", "nu", "N")
+            if s in density.reads}
 
 
 def _whole_grid_weak_el(bf, h, ups):
-    """weak_el_residual's raw and scale, taken on the whole grid at once."""
+    """weak_el_residual's raw and scale, taken on the whole grid at once;
+    an unread slot's term is taken with a zero array."""
     grid, act = bf.state.grid, bf.state.active
-    t1 = -np.einsum("...i,...i->...", bf.b, cell_average(h, grid))
-    t2 = np.einsum("...ij,...ij->...", bf.P, cell_gradient(h, grid))
-    t3 = np.einsum("...a,...a->...", bf.zeta_ambient, cell_average(ups, grid))
-    t4 = np.einsum("...ai,...ai->...", bf.S, cell_gradient(ups, grid))
+    d = {s: bf.actions.get(s, np.zeros(grid.cells + shape)) for s, shape in
+         (("u", (3,)), ("F", (3, 3)), ("nu", ups.shape[-1:]), ("N", ups.shape[-1:] + (3,)))}
+    t1 = np.einsum("...i,...i->...", d["u"], cell_average(h, grid))
+    t2 = np.einsum("...ij,...ij->...", d["F"], cell_gradient(h, grid))
+    t3 = np.einsum("...a,...a->...", d["nu"], cell_average(ups, grid))
+    t4 = np.einsum("...ai,...ai->...", d["N"], cell_gradient(ups, grid))
     return (integrate_cells(t1 + t2 + t3 + t4, grid, act),
             integrate_cells(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), grid, act))
 
@@ -447,9 +457,9 @@ class TestOneRowSlabs:
             density = _phason_density()
         assert len(state.grid.slabs) == state.grid.cells[0]
         bf = assemble_actions(density, state, man)
-        got = (bf.P, bf.S, bf.zeta_ambient, bf.b)
         want = _whole_grid_actions(density, state)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert list(bf.actions) == list(want)
+        assert all(np.array_equal(bf.actions[s], want[s]) for s in want)
         hs = _built(random_compact_tests(state, 4, 3, seed=2))
         us = _built(random_compact_tests(state, 4, state.embed_dim, seed=3, manifold=man))
         for k, (h, ups) in enumerate(zip(hs, us)):
@@ -688,8 +698,8 @@ class TestRotationalBalance:
             cfg = replace(scenarios.preset_config(name), resolution=resolution,
                           checks={"rotational": True})
             result = scenarios.run(cfg, out_dir=tmp_path / str(resolution))
-            rows.append([r for r in result.residuals.rows() if r[0] == "rotational"])
-            assert result.outcome("rotational").passed
+            rows.append([r for r in residual_rows(result.out_dir) if r[0] == "rotational"])
+            assert [(o.name, o.passed) for o in result.outcomes] == [("rotational", True)]
         assert len(rows[0]) == 1 and rows[0] == rows[1]
 
     def test_matches_finite_rotation_invariance(self):
@@ -771,12 +781,9 @@ class TestEshelbyAndConfigurational:
 
 
 class TestResidualReport:
-    def test_collects_and_ranks(self):
+    def test_collects_rows_in_order(self):
         rep = ResidualReport()
         rep.add(Residual("weak_el[0]", 1.0, 100.0))
         rep.add([Residual("rotational", 0.5, 1.0), Residual("weak_el[1]", 0.0, 0.0)])
-        assert rep.worst() == 0.5
-        assert rep.worst("weak_el") == 0.01
-        rows = rep.rows()
-        assert rows[0] == ("weak_el[0]", 1.0, 100.0, 0.01)
-        assert rep.worst("missing") == 0.0
+        assert rep.rows() == [("weak_el[0]", 1.0, 100.0, 0.01), ("rotational", 0.5, 1.0, 0.5),
+                              ("weak_el[1]", 0.0, 0.0, 0.0)]

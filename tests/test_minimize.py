@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from complexbodies import fields
+from complexbodies.balance import assemble_actions, weak_el_residual
 from complexbodies.energy import (
     CompressibleMacro,
     ComponentDoubleWell,
@@ -114,6 +115,13 @@ def _perturbed_state(kind, seed=4):
     return state
 
 
+def _test_pair(state, seed=5):
+    """A random nodal test pair (h, upsilon), upsilon tangent at the director."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=state.u.shape)
+    return h, UnitSphere().tangent_project(state.nu, rng.normal(size=state.nu.shape))
+
+
 _READ_SETS = [
     DirichletDescriptor(3),
     GinzburgLandau(ComponentDoubleWell(1.3, -1.0, 1.0, component=0), 0.7, embed_dim=3),
@@ -158,6 +166,11 @@ class TestReadOnlyWhatTheDensityReads:
         g_u, g_nu = riesz_gradient(dens, state, UnitSphere())
         assert g_u.shape == state.u.shape and g_nu.shape == state.nu.shape
         assert not g_u.any() and not g_nu.any()
+        # no action, so the weak row of a nonzero pair is zero
+        bf = assemble_actions(dens, state, UnitSphere())
+        assert bf.actions == {}
+        r = weak_el_residual(bf, *_test_pair(state))
+        assert (r.raw, r.scale) == (0.0, 0.0)
 
     def test_dirichlet_gathers_and_scatters_only_its_gradient(self, monkeypatch):
         counts = {"gather": 0, "scatter": 0}
@@ -179,6 +192,15 @@ class TestReadOnlyWhatTheDensityReads:
         assert counts == {"gather": 3, "scatter": 0}
         riesz_gradient(DirichletDescriptor(3), state, UnitSphere(), vols=vols)
         assert counts == {"gather": 6, "scatter": 3}
+        # a weak-EL pair gathers N's three gradient rows per slab, and no
+        # other slot of the pair
+        monkeypatch.setattr(fields, "SLAB_CELLS", 1)
+        state = _perturbed_state("ball3")
+        bf = assemble_actions(DirichletDescriptor(3), state, UnitSphere())
+        counts.update(gather=0, scatter=0)
+        weak_el_residual(bf, *_test_pair(state))
+        assert counts == {"gather": 3 * len(state.grid.slabs), "scatter": 0}
+        assert len(state.grid.slabs) == state.grid.cells[0]
 
 
 class TestRieszDuality:
@@ -307,7 +329,7 @@ class TestDescent:
         monkeypatch.setattr(mz, "riesz_gradient", recording_gradient)
         res = minimize(dens, state, man, MinimizeConfig(max_iters=8, grad_tol=0.0, log_every=1),
                        callback=lambda it, *_: events.append(("it", it)))
-        assert res.iterations == 8 and not res.stalled
+        assert res.iterations == 8 and res.message != "line search stalled"
         starts = [i for i, ev in enumerate(events) if ev[0] == "it"]
         # at iteration k: the state and its gradient just before the callback,
         # the first trial just after it
@@ -356,7 +378,8 @@ class TestDescent:
             monkeypatch.setattr(mz, "MAX_BACKTRACKS", 1)
         max_iters = {"max_iters": 3, "no_iteration": 0}.get(stop, 2000)
         res = minimize(dens, state, man, MinimizeConfig(max_iters=max_iters, grad_tol=1e-9))
-        assert (res.converged, res.stalled) == (stop == "converged", stop == "stalled")
+        assert res.converged == (stop == "converged")
+        assert (res.message == "line search stalled") == (stop == "stalled")
         if max_iters < 2000:
             assert res.iterations == max_iters
         g_u, g_nu, vols = res.gradient

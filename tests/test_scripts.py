@@ -41,11 +41,27 @@ def test_run_all_presets_digests_repeat_and_follow_the_seed(tmp_path, capsys):
     assert digests("--seed", "12345") != first
 
 
+def test_run_all_presets_runs_an_ini_path_beside_its_preset(tmp_path, capsys):
+    script = _load("run_all_presets")
+    ini = SCRIPTS.parent / "groundbench" / "scenarios" / "porous-interval.ini"
+    assert script.main(["--out-root", str(tmp_path), "--resolution", "6",
+                        "--only", "porous-interval", str(ini)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["PASS", "porous-interval"],
+                                                    ["PASS", "porous-interval.ini"]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["porous-interval",
+                                                                "porous-interval.ini"]
+    # the frozen INI holds the preset's config, so at one resolution the
+    # two runs write the same bytes
+    preset, frozen = (line.rsplit(" sha256=", 1)[1] for line in lines)
+    assert preset == frozen
+
+
 def test_run_all_presets_counts_a_run_that_did_not_converge(tmp_path, capsys, monkeypatch):
     script = _load("run_all_presets")
-    preset = script.preset_config
-    monkeypatch.setattr(script, "preset_config", lambda name: dataclasses.replace(
-        preset(name), minimize=MinimizeConfig(max_iters=6)))
+    load = script.load_config
+    monkeypatch.setattr(script, "load_config", lambda ref: dataclasses.replace(
+        load(ref), minimize=MinimizeConfig(max_iters=6)))
     assert script.main(["--out-root", str(tmp_path), "--resolution", "8",
                         "--only", "porous-interval"]) == 1
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Shared fixtures: radial director states and simple deformations."""
 
+from pathlib import Path
+
 import numpy as np
 
 from complexbodies.fields import Grid, ball_mask, identity_state
@@ -29,3 +31,10 @@ def hedgehog_state(resolution=24, center=(0.0, 0.0, 0.0), antipodal=False,
     if ball:
         state.active = ball_mask(grid, center=(0.0, 0.0, 0.0), radius=radius)
     return state
+
+
+def residual_rows(out_dir):
+    """The rows (law, raw, scale, ratio) of a run's residuals.csv; its %.17g
+    floats read back exactly."""
+    lines = (Path(out_dir) / "residuals.csv").read_text().splitlines()[1:]
+    return [(law, *map(float, rest)) for law, *rest in (line.split(",") for line in lines)]
